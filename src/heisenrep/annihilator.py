@@ -72,11 +72,9 @@ def _gamma(k: int, lam: float, I: float, a0: float, h: float) -> float:
     return ((-1.0) ** k * lam) / (math.factorial(k) * I) * (a0 / h) ** (k + 1)
 
 
-def _block_descriptor(k: int, a_k: float, h: float, gamma: float,
-                      config: AnnihilatorConfig) -> TestFunction:
-    # f_k(x) = gamma * g^(k)( a0 * (x - a_k) / h )
-    rate = config.a0 / h
-    return Amplified(Translated(Scaled(derivative(config.mother, k), rate), a_k), gamma)
+def _block_shape(k: int, a_k: float, h: float, config: AnnihilatorConfig) -> TestFunction:
+    # g^(k)( a0 * (x - a_k) / h ); block f_k is gamma_k times this
+    return Translated(Scaled(derivative(config.mother, k), config.a0 / h), a_k)
 
 
 def choose_interval(k: int, a_k: float, lambda_k: float,
@@ -142,7 +140,8 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
     if h <= 0:
         raise ConfigurationError("a_{k+1} must exceed a_k")
     gamma = _gamma(k, lambda_k, I, config.a0, h)
-    f_k = _block_descriptor(k, a_k, h, gamma, config)
+    shape = _block_shape(k, a_k, h, config)
+    f_k = Amplified(shape, gamma)
     norm_fk = exact_l2_norm(f_k)
     bound = _norm_bound(k, a_k1, config.epsilon)
     if lambda_k != 0.0:
@@ -154,10 +153,9 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
                 f"block {k}: closed-form k-th moment {closed_form} vs exact "
                 f"integration {measured} disagree (rel {rel:.3e})"
             )
+        mass = abs(gamma) * exact_l1_norm(shape)
         for i in range(k):
-            scale = abs(gamma) * exact_l1_norm(
-                Translated(Scaled(derivative(config.mother, k), config.a0 / h), a_k)
-            ) * max(a_k1, 1.0) ** i
+            scale = mass * max(a_k1, 1.0) ** i
             if abs(exact_moment(f_k, i)) > 1e-10 * max(scale, 1e-300):
                 raise CapabilityError(f"block {k}: moment of order {i} fails to vanish")
         if norm_fk >= bound:

@@ -1,7 +1,8 @@
 """Command-line entry point for the verification harness.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 configuration error (bad flag, bad config file, unknown suite).
+2 configuration error (bad flag, bad config file, unknown suite, or any
+other typed library error the configuration leads to).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, HeisenrepError
 from .runner import run_all, run_suite, summarize
 from .suites import SUITE_IDS, SuiteConfig
 
@@ -105,8 +106,8 @@ def main(argv=None) -> int:
             reports = [run_suite(base)]
         else:
             reports = run_all(base)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except HeisenrepError as exc:
+        print(f"configuration error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
     print(summarize(reports))
     return 0 if all(r["overall_pass"] for r in reports) else 1

@@ -9,6 +9,7 @@ so Fourier transforms map SampledFunction -> SampledFunction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,16 +36,11 @@ class GridSpec:
     def points(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.size)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return self.size == other.size and self.half_width == other.half_width
-
 
 def make_grid(half_width: float, size: int) -> GridSpec:
     """Validated GridSpec constructor."""
-    if not half_width > 0:
-        raise ConfigurationError(f"half_width must be positive, got {half_width}")
+    if not 0 < half_width < math.inf:
+        raise ConfigurationError(f"half_width must be positive and finite, got {half_width}")
     if not isinstance(size, (int, np.integer)) or not _is_power_of_two(int(size)):
         raise ConfigurationError(f"size must be a power of two, got {size}")
     if size < 4:

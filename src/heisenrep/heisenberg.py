@@ -7,14 +7,13 @@ is applied first and modulation second.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, PrecisionError
 from .grid import SampledFunction, dual_grid
-from .transforms import fourier, inverse_fourier
+from .transforms import spectral_multiply
 
 _SEMIGROUP_BASES = ("S1zero", "S1", "S2zero", "S2", "S3", "S4")
 
@@ -24,9 +23,6 @@ class GroupElement:
     xi1: float
     xi2: float
     xi3: float
-
-    def as_list(self):
-        return [self.xi1, self.xi2, self.xi3]
 
 
 @dataclass(frozen=True)
@@ -66,31 +62,27 @@ def inverse(xi: GroupElement) -> GroupElement:
     return GroupElement(-xi.xi1, -xi.xi2, -xi.xi3 + xi.xi1 * xi.xi2)
 
 
-def identity() -> GroupElement:
-    return IDENTITY
-
-
 def bracket(u: LieElement, v: LieElement) -> LieElement:
     return LieElement(0.0, 0.0, u.a * v.b - v.a * u.b)
 
 
-def in_semigroup(xi: GroupElement, sid: SemigroupId) -> bool:
-    """Exact membership predicate; inverse-flagged ids test inverse(xi)."""
+def in_semigroup(xi: GroupElement, sid: SemigroupId):
+    """Exact, elementwise membership predicate; inverse-flagged ids test inverse(xi)."""
     if sid.inverted:
         return in_semigroup(inverse(xi), SemigroupId(sid.base))
     x1, x2, x3 = xi.xi1, xi.xi2, xi.xi3
     if sid.base == "S1zero":
-        return x1 >= 0 and x2 == 0
+        return (x1 >= 0) & (x2 == 0)
     if sid.base == "S1":
         return x1 >= 0
     if sid.base == "S2zero":
-        return x1 == 0 and x2 >= 0
+        return (x1 == 0) & (x2 >= 0)
     if sid.base == "S2":
         return x2 >= 0
     if sid.base == "S3":
-        return x1 >= 0 and x2 >= 0
+        return (x1 >= 0) & (x2 >= 0)
     if sid.base == "S4":
-        return x1 >= 0 and x2 >= 0 and x1 * x2 >= x3 >= 0
+        return (x1 >= 0) & (x2 >= 0) & (x1 * x2 >= x3) & (x3 >= 0)
     raise ConfigurationError(f"unknown semigroup base {sid.base!r}")
 
 
@@ -107,12 +99,8 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     """
     x = f.grid.points
     if mode == "spectral":
-        spec = fourier(f)
         y = dual_grid(f.grid).points
-        shifted = inverse_fourier(
-            SampledFunction(spec.grid, np.exp(1j * xi.xi1 * y) * spec.values)
-        )
-        vals = shifted.values
+        vals = spectral_multiply(f, np.exp(1j * xi.xi1 * y)).values
     elif mode == "grid":
         dx = f.grid.spacing
         m = xi.xi1 / dx
@@ -141,21 +129,15 @@ def generator_apply(gen: str, f: SampledFunction) -> SampledFunction:
     if gen == "M":
         return SampledFunction(f.grid, 1j * f.grid.points * f.values)
     if gen == "D":
-        spec = fourier(f)
-        y = dual_grid(f.grid).points
-        return inverse_fourier(SampledFunction(spec.grid, 1j * y * spec.values))
+        return spectral_multiply(f, 1j * dual_grid(f.grid).points)
     if gen == "C":
         return SampledFunction(f.grid, 1j * f.values)
     raise ConfigurationError(f"unknown generator {gen!r}; expected 'M', 'D' or 'C'")
 
 
-_GENERATOR_DIRECTION = {
-    # one-parameter subgroups matched to their infinitesimal generators:
-    # D <-> translations t*chi1, M <-> modulations t*chi2, C <-> phases t*chi3
-    "D": lambda t: GroupElement(t, 0.0, 0.0),
-    "M": lambda t: GroupElement(0.0, t, 0.0),
-    "C": lambda t: GroupElement(0.0, 0.0, t),
-}
+# one-parameter subgroups matched to their infinitesimal generators:
+# D <-> translations t*chi1, M <-> modulations t*chi2, C <-> phases t*chi3
+_GENERATOR_DIRECTION = {"D": CHI1, "M": CHI2, "C": CHI3}
 
 
 def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0):
@@ -169,7 +151,8 @@ def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0):
     for t in t_list:
         if not t > 0:
             raise ConfigurationError("t_list entries must be positive")
-        quotient = (act(_GENERATOR_DIRECTION[gen](t), f, mode="spectral") - f) * (1.0 / t)
+        step = element_from_lie(_GENERATOR_DIRECTION[gen], t)
+        quotient = (act(step, f, mode="spectral") - f) * (1.0 / t)
         out.append((t, seminorm_iter(quotient - exact, n)))
     return out
 
@@ -188,31 +171,31 @@ def conjugate_by_fourier(xi: GroupElement) -> GroupElement:
     return GroupElement(-xi.xi2, xi.xi1, xi.xi3 - xi.xi1 * xi.xi2)
 
 
-def random_element(rng: np.random.Generator, scale: float = 5.0) -> GroupElement:
-    return GroupElement(*(rng.uniform(-scale, scale, size=3)))
-
-
 def random_in_semigroup(rng: np.random.Generator, sid: SemigroupId,
-                        scale: float = 5.0) -> GroupElement:
-    """Rejection-free sampler of semigroup members (inverse-flag aware)."""
+                        size=None) -> GroupElement:
+    """Rejection-free sampler of semigroup members (inverse-flag aware).
+
+    size as in numpy: None draws one element, n gives array components.
+    Draw order: x1, x2, x3, then the extra coordinate of S1, S2 or S4."""
     if sid.inverted:
-        return inverse(random_in_semigroup(rng, SemigroupId(sid.base), scale))
-    x1 = rng.uniform(0.0, scale)
-    x2 = rng.uniform(0.0, scale)
-    x3 = rng.uniform(-scale, scale)
+        return inverse(random_in_semigroup(rng, SemigroupId(sid.base), size))
+    scale = 5.0
+    x1 = rng.uniform(0.0, scale, size)
+    x2 = rng.uniform(0.0, scale, size)
+    x3 = rng.uniform(-scale, scale, size)
     base = sid.base
     if base == "S1zero":
         return GroupElement(x1, 0.0, x3)
     if base == "S1":
-        return GroupElement(x1, rng.uniform(-scale, scale), x3)
+        return GroupElement(x1, rng.uniform(-scale, scale, size), x3)
     if base == "S2zero":
         return GroupElement(0.0, x2, x3)
     if base == "S2":
-        return GroupElement(rng.uniform(-scale, scale), x2, x3)
+        return GroupElement(rng.uniform(-scale, scale, size), x2, x3)
     if base == "S3":
         return GroupElement(x1, x2, x3)
     if base == "S4":
-        return GroupElement(x1, x2, rng.uniform(0.0, 1.0) * x1 * x2)
+        return GroupElement(x1, x2, rng.uniform(0.0, 1.0, size) * x1 * x2)
     raise ConfigurationError(f"unknown semigroup base {base!r}")
 
 
@@ -235,9 +218,3 @@ def semigroup_noninverse_witness(sid: SemigroupId) -> GroupElement:
 def element_from_lie(v: LieElement, t: float = 1.0) -> GroupElement:
     """Straight-line parameterization t*v used by convergence diagnostics."""
     return GroupElement(t * v.a, t * v.b, t * v.c)
-
-
-def frobenius_distance(xi: GroupElement, eta: GroupElement) -> float:
-    return math.sqrt(
-        (xi.xi1 - eta.xi1) ** 2 + (xi.xi2 - eta.xi2) ** 2 + (xi.xi3 - eta.xi3) ** 2
-    )

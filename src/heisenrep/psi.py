@@ -22,8 +22,13 @@ from . import testfn
 from .errors import ClassMembershipError, SemigroupDomainError
 from .grid import GridSpec, SampledFunction, norm, restrict_halfline
 from .heisenberg import GroupElement, SemigroupId, act, in_semigroup
-from .schwartz import class_defects, moment_defect, n_defect, seminorm_iter
+from .schwartz import moment_defect, n_defect, seminorm_iter
 from .transforms import fourier, proj_hardy
+
+# relative moment defect a certificate tolerates at every certified order
+CERTIFICATE_THRESHOLD = 1e-6
+# Hardy-minus mass an input of hardy_semigroup_step may carry
+HARDY_INPUT_THRESHOLD = 1e-8
 
 
 def snap_to_grid(shift: float, grid: GridSpec) -> float:
@@ -31,12 +36,12 @@ def snap_to_grid(shift: float, grid: GridSpec) -> float:
     return round(shift / grid.spacing) * grid.spacing
 
 
-def certify_nminus(desc, grid: GridSpec, max_moment: int = 4,
-                   threshold: float = 1e-6) -> dict:
+def certify_nminus(desc, grid: GridSpec, max_moment: int = 4) -> dict:
     """Certificate for the negatively supported vanishing-moment class.
 
     Requires: closed-form support inside (-L, 0]; exactly zero samples on
-    x >= 0; relative moment defects below threshold for orders 0..max_moment.
+    x >= 0; relative moment defects below CERTIFICATE_THRESHOLD for orders
+    0..max_moment.
     Returns the measured defects; raises ClassMembershipError naming the
     first failed requirement.
     """
@@ -59,9 +64,9 @@ def certify_nminus(desc, grid: GridSpec, max_moment: int = 4,
     if support_plus != 0.0:
         raise ClassMembershipError(f"samples leak onto x >= 0 (defect {support_plus})")
     defect = n_defect(f, max_moment)
-    if defect >= threshold:
+    if defect >= CERTIFICATE_THRESHOLD:
         raise ClassMembershipError(
-            f"moment defect {defect:.3e} exceeds threshold {threshold:.1e} "
+            f"moment defect {defect:.3e} exceeds threshold {CERTIFICATE_THRESHOLD:.1e} "
             f"at orders <= {max_moment}"
         )
     return {"support_plus": support_plus, "n_defect": defect}
@@ -75,11 +80,10 @@ class PsiElement:
     samples: SampledFunction
 
 
-def synthesize(g_desc, h_desc, grid: GridSpec, max_moment: int = 4,
-               threshold: float = 1e-6) -> PsiElement:
+def synthesize(g_desc, h_desc, grid: GridSpec, max_moment: int = 4) -> PsiElement:
     """f = -i P+ g + i P- h from two certified descriptors."""
-    certify_nminus(g_desc, grid, max_moment, threshold)
-    certify_nminus(h_desc, grid, max_moment, threshold)
+    certify_nminus(g_desc, grid, max_moment)
+    certify_nminus(h_desc, grid, max_moment)
     g = testfn.sample(g_desc, grid)
     h = testfn.sample(h_desc, grid)
     samples = proj_hardy(g, "plus") * (-1j) + proj_hardy(h, "minus") * 1j
@@ -97,8 +101,7 @@ def coincidence_defect(desc, grid: GridSpec) -> float:
     return norm(restrict_halfline(combined, "plus")) / norm(u)
 
 
-def act_psi(xi: GroupElement, psi: PsiElement, max_moment: int = 4,
-            threshold: float = 1e-6):
+def act_psi(xi: GroupElement, psi: PsiElement, max_moment: int = 4):
     """Translate/re-phase a certified pair by xi = (xi1, 0, xi3), xi1 >= 0.
 
     xi1 is snapped to the grid so support semantics stay exact; returns the
@@ -116,7 +119,7 @@ def act_psi(xi: GroupElement, psi: PsiElement, max_moment: int = 4,
     # (U(xi) u)(x) = e^{i xi3} u(x + xi1): support moves left by xi1
     g_new = testfn.Amplified(testfn.Translated(psi.g_desc, -xi1), phase)
     h_new = testfn.Amplified(testfn.Translated(psi.h_desc, -xi1), phase)
-    return synthesize(g_new, h_new, psi.grid, max_moment, threshold), snapped
+    return synthesize(g_new, h_new, psi.grid, max_moment), snapped
 
 
 def invariance_witness(xi: GroupElement, psi: PsiElement) -> float:
@@ -132,10 +135,7 @@ def invariance_witness(xi: GroupElement, psi: PsiElement) -> float:
         moved = act(GroupElement(xi1, 0.0, 0.0), g, mode="grid")
         return norm(restrict_halfline(moved, "plus")) / norm(g)
     if xi.xi2 != 0:
-        modulated = SampledFunction(
-            psi.grid, np.exp(1j * xi.xi2 * psi.grid.points) * g.values
-        )
-        return moment_defect(modulated, 0)
+        return moment_defect(act(GroupElement(0.0, xi.xi2, 0.0), g, mode="grid"), 0)
     xi1 = snap_to_grid(xi.xi1, psi.grid)
     moved = act(GroupElement(xi1, 0.0, xi.xi3), g, mode="grid")
     return moment_defect(moved, 0)
@@ -144,15 +144,14 @@ def invariance_witness(xi: GroupElement, psi: PsiElement) -> float:
 # ---------------------------------------------------------------------------
 # Fourier-conjugate construction
 
-def tilde_synthesize(g_desc, h_desc, grid: GridSpec, max_moment: int = 4,
-                     threshold: float = 1e-6) -> SampledFunction:
+def tilde_synthesize(g_desc, h_desc, grid: GridSpec, max_moment: int = 4) -> SampledFunction:
     """phi(y) = -(i/2)(1 + sgn y) ghat(y) + (i/2)(1 - sgn y) hhat(y).
 
     Lives on the dual grid; by construction it equals the Fourier transform
     of the direct synthesis, so the two routes cross-check each other.
     """
-    certify_nminus(g_desc, grid, max_moment, threshold)
-    certify_nminus(h_desc, grid, max_moment, threshold)
+    certify_nminus(g_desc, grid, max_moment)
+    certify_nminus(h_desc, grid, max_moment)
     ghat = fourier(testfn.sample(g_desc, grid))
     hhat = fourier(testfn.sample(h_desc, grid))
     s = np.sign(ghat.grid.points)
@@ -160,29 +159,15 @@ def tilde_synthesize(g_desc, h_desc, grid: GridSpec, max_moment: int = 4,
     return SampledFunction(ghat.grid, vals)
 
 
-def tilde_norm(g_desc, h_desc, grid: GridSpec, n: int, max_order: int = 3) -> float:
+def tilde_norm(g_desc, h_desc, grid: GridSpec, n: int) -> float:
     """Norm of phi through the transform pair: (||ghat||_n^2 + ||hhat||_n^2)^(1/2)."""
     ghat = fourier(testfn.sample(g_desc, grid))
     hhat = fourier(testfn.sample(h_desc, grid))
-    return math.hypot(seminorm_iter(ghat, n, max_order), seminorm_iter(hhat, n, max_order))
+    return math.hypot(seminorm_iter(ghat, n), seminorm_iter(hhat, n))
 
 
 # ---------------------------------------------------------------------------
-# orbit and semigroup experiments
-
-def orbit_probe(xi: GroupElement, u_desc, grid: GridSpec, max_moment: int = 4,
-                threshold: float = 1e-6) -> dict:
-    """class_defects of U(xi) u for a doubly certified u (moments vanish on
-    both sides of the transform); shows which certificates survive which xi."""
-    u = testfn.sample(u_desc, grid)
-    base = class_defects(u, max_moment)
-    if base["n_defect"] >= threshold or base["m_defect"] >= threshold:
-        raise ClassMembershipError(
-            f"probe input is not certified: n_defect={base['n_defect']:.3e}, "
-            f"m_defect={base['m_defect']:.3e}"
-        )
-    return class_defects(act(xi, u, mode="spectral"), max_moment)
-
+# semigroup experiments
 
 def halfline_contraction(xi: GroupElement, f: SampledFunction):
     """(||f||, ||Q+ U(xi) f||) for xi with inverse in the xi1 >= 0 semigroup.
@@ -210,17 +195,16 @@ def _contraction_pair(xi: GroupElement, f: SampledFunction):
     return norm(f), norm(restrict_halfline(moved, "plus"))
 
 
-def hardy_semigroup_step(f: SampledFunction, xi2: float,
-                         pre_threshold: float = 1e-8) -> float:
+def hardy_semigroup_step(f: SampledFunction, xi2: float) -> float:
     """Hardy-plus defect of e^{i x xi2} f for a Hardy-plus input.
 
     Nonnegative xi2 shifts the spectrum right and preserves the class;
     negative xi2 pushes spectral mass below zero and the defect records it.
     """
     before = norm(proj_hardy(f, "minus")) / norm(f)
-    if before >= pre_threshold:
+    if before >= HARDY_INPUT_THRESHOLD:
         raise ClassMembershipError(
-            f"input Hardy-plus defect {before:.3e} exceeds {pre_threshold:.1e}"
+            f"input Hardy-plus defect {before:.3e} exceeds {HARDY_INPUT_THRESHOLD:.1e}"
         )
-    modulated = SampledFunction(f.grid, np.exp(1j * xi2 * f.grid.points) * f.values)
+    modulated = act(GroupElement(0.0, xi2, 0.0), f, mode="grid")
     return norm(proj_hardy(modulated, "minus")) / norm(modulated)

@@ -8,6 +8,7 @@ yields byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -47,21 +48,8 @@ def run_all(base_config: SuiteConfig) -> list[dict]:
     """Run every suite with the shared settings of base_config, in the
     canonical order (sequentially, so artifact bytes never depend on
     scheduling)."""
-    reports = []
-    for suite_id in SUITE_IDS:
-        cfg = SuiteConfig(
-            suite=suite_id,
-            half_width=base_config.half_width,
-            size=base_config.size,
-            seed=base_config.seed,
-            max_moment=base_config.max_moment,
-            epsilon=base_config.epsilon,
-            tolerances=base_config.tolerances,
-            out=base_config.out,
-            emit_csv=base_config.emit_csv,
-        )
-        reports.append(run_suite(cfg))
-    return reports
+    return [run_suite(dataclasses.replace(base_config, suite=suite_id))
+            for suite_id in SUITE_IDS]
 
 
 def report_json(report: dict) -> str:

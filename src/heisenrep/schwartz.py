@@ -9,8 +9,6 @@ down anywhere usable, so no cross-family comparison is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import optimize
 
@@ -20,11 +18,9 @@ from .grid import SampledFunction, integrate, norm
 from .heisenberg import generator_apply
 from .transforms import inverse_fourier, proj_hardy
 
-
-@dataclass(frozen=True)
-class SeminormConfig:
-    max_order: int = 3
-    family: str = "iterative"
+# seminorm_sup scan: window for non-compact descriptors, and point count
+SUP_SPAN = 64.0
+SUP_SAMPLES = 8192
 
 
 def seminorm_iter(f: SampledFunction, n: int, max_order: int = 3) -> float:
@@ -48,7 +44,7 @@ def _seminorm_sq(f: SampledFunction, n: int) -> float:
     return _seminorm_sq(mf, n - 1) + _seminorm_sq(df, n - 1) + _seminorm_sq(f, n - 1)
 
 
-def seminorm_sup(tf, m: int, n: int, span: float = 64.0, samples: int = 8192) -> float:
+def seminorm_sup(tf, m: int, n: int) -> float:
     """sup_x |x^m * (d^n tf)(x)| via dense scan plus bounded local refinement."""
     d = testfn.derivative(tf, n)
     sup = testfn.support(d)
@@ -56,11 +52,11 @@ def seminorm_sup(tf, m: int, n: int, span: float = 64.0, samples: int = 8192) ->
         lo = min(iv[0] for iv in sup)
         hi = max(iv[1] for iv in sup)
     else:
-        lo, hi = -span, span
-    xs = np.linspace(lo, hi, samples)
+        lo, hi = -SUP_SPAN, SUP_SPAN
+    xs = np.linspace(lo, hi, SUP_SAMPLES)
     vals = np.abs(xs ** m * testfn.evaluate(d, xs))
     j = int(np.argmax(vals))
-    h = (hi - lo) / (samples - 1)
+    h = (hi - lo) / (SUP_SAMPLES - 1)
     a = max(lo, xs[j] - 2 * h)
     b = min(hi, xs[j] + 2 * h)
     res = optimize.minimize_scalar(
@@ -118,7 +114,7 @@ def class_defects(f: SampledFunction, max_order: int = 8) -> dict:
     }
 
 
-def psi_norm(g: SampledFunction, h: SampledFunction, n: int, max_order: int = 3) -> float:
+def psi_norm(g: SampledFunction, h: SampledFunction, n: int) -> float:
     """Four-term norm of the pair (g, h) defining f = -i P+ g + i P- h:
 
         ||f||_n^2 = ||-iP+g||_n^2 + ||iP-h||_n^2 + ||iP-g||_n^2 + ||-iP+h||_n^2.
@@ -129,4 +125,4 @@ def psi_norm(g: SampledFunction, h: SampledFunction, n: int, max_order: int = 3)
         proj_hardy(g, "minus") * 1j,
         proj_hardy(h, "plus") * (-1j),
     ]
-    return float(np.sqrt(sum(seminorm_iter(t, n, max_order) ** 2 for t in terms)))
+    return float(np.sqrt(sum(seminorm_iter(t, n) ** 2 for t in terms)))

@@ -17,7 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Tuple, Union
 
 import numpy as np
@@ -25,6 +25,9 @@ from numpy.polynomial import polynomial as P
 
 from .errors import CapabilityError, ConfigurationError, NotExactlyIntegrable
 from .grid import GridSpec, SampledFunction
+
+# midpoint-rule cells per support interval in exact_l1_norm
+L1_CELLS = 4096
 
 TestFunction = Union[
     "GaussianPoly", "CompactBump", "PiecewisePoly", "Derivative",
@@ -452,7 +455,7 @@ def exact_l2_norm(tf: TestFunction) -> float:
     return math.sqrt(max(math.fsum(total), 0.0))
 
 
-def exact_l1_norm(tf: TestFunction, refine: int = 4096) -> float:
+def exact_l1_norm(tf: TestFunction) -> float:
     """L^1 norm of a compact descriptor by dense Gauss-free quadrature.
 
     Not exact (|f| is not polynomial) but accurate far beyond its uses
@@ -463,71 +466,58 @@ def exact_l1_norm(tf: TestFunction, refine: int = 4096) -> float:
         raise NotExactlyIntegrable("L^1 quadrature needs compact support")
     total = 0.0
     for lo, hi in sup:
-        xs = np.linspace(lo, hi, refine, endpoint=False) + 0.5 * (hi - lo) / refine
+        xs = np.linspace(lo, hi, L1_CELLS, endpoint=False) + 0.5 * (hi - lo) / L1_CELLS
         total += float(np.mean(np.abs(evaluate(tf, xs))) * (hi - lo))
     return total
 
 
 # ---------------------------------------------------------------------------
-# JSON form (tag + fields), used by suite configs
+# JSON form: the tag plus the dataclass fields.  Field annotations pick the
+# encoding: descriptors recurse, pieces are untagged field dicts, complex
+# values are [re, im] and tuples are lists.
+
+_TAGS = {
+    "gaussian_poly": GaussianPoly, "compact_bump": CompactBump,
+    "piecewise_poly": PiecewisePoly, "derivative": Derivative,
+    "translated": Translated, "mirrored": Mirrored, "scaled": Scaled,
+    "modulated": Modulated, "amplified": Amplified, "summed": Summed,
+}
+_TAG_OF = {cls: tag for tag, cls in _TAGS.items()}
+
+
+def _convert(value, kind: str, decode: bool):
+    """Encode (or decode) one field value by its annotation `kind`."""
+    if kind.startswith("Tuple["):  # "Tuple[X, ...]" holds X
+        items = [_convert(v, kind[6:-6], decode) for v in value]
+        return tuple(items) if decode else items
+    if kind == "complex":
+        return complex(*value) if decode else [complex(value).real, complex(value).imag]
+    if kind == "TestFunction":
+        return from_json(value) if decode else to_json(value)
+    if kind == "Piece":
+        return _fields_from_json(Piece, value) if decode else _fields_to_json(value)
+    return value
+
+
+def _fields_to_json(obj) -> dict:
+    return {f.name: _convert(getattr(obj, f.name), f.type, False) for f in fields(obj)}
+
+
+def _fields_from_json(cls, obj: dict):
+    missing = [f.name for f in fields(cls) if f.name not in obj and f.default is MISSING]
+    if missing:
+        raise ConfigurationError(f"{cls.__name__} JSON lacks fields {missing}")
+    kwargs = {f.name: _convert(obj[f.name], f.type, True) for f in fields(cls) if f.name in obj}
+    return cls(**kwargs)
+
 
 def to_json(tf: TestFunction) -> dict:
-    if isinstance(tf, GaussianPoly):
-        return {"tag": "gaussian_poly", "center": tf.center, "width": tf.width,
-                "coefficients": list(tf.coefficients)}
-    if isinstance(tf, CompactBump):
-        return {"tag": "compact_bump", "a": tf.a, "b": tf.b, "p": tf.p}
-    if isinstance(tf, PiecewisePoly):
-        return {"tag": "piecewise_poly", "smooth": tf.smooth,
-                "pieces": [{"x0": pc.x0, "a": pc.a, "b": pc.b, "scale": pc.scale,
-                            "coefficients": [[c.real, c.imag] for c in map(complex, pc.coefficients)]}
-                           for pc in tf.pieces]}
-    if isinstance(tf, Derivative):
-        return {"tag": "derivative", "order": tf.order, "inner": to_json(tf.inner)}
-    if isinstance(tf, Translated):
-        return {"tag": "translated", "shift": tf.shift, "inner": to_json(tf.inner)}
-    if isinstance(tf, Mirrored):
-        return {"tag": "mirrored", "inner": to_json(tf.inner)}
-    if isinstance(tf, Scaled):
-        return {"tag": "scaled", "rate": tf.rate, "inner": to_json(tf.inner)}
-    if isinstance(tf, Modulated):
-        return {"tag": "modulated", "omega": tf.omega, "theta": tf.theta,
-                "inner": to_json(tf.inner)}
-    if isinstance(tf, Amplified):
-        g = complex(tf.gain)
-        return {"tag": "amplified", "gain": [g.real, g.imag], "inner": to_json(tf.inner)}
-    if isinstance(tf, Summed):
-        return {"tag": "summed", "terms": [to_json(t) for t in tf.terms]}
-    raise TypeError(f"not a TestFunction descriptor: {tf!r}")
+    if type(tf) not in _TAG_OF:
+        raise TypeError(f"not a TestFunction descriptor: {tf!r}")
+    return {"tag": _TAG_OF[type(tf)], **_fields_to_json(tf)}
 
 
 def from_json(obj: dict) -> TestFunction:
-    tag = obj["tag"]
-    if tag == "gaussian_poly":
-        return GaussianPoly(obj["center"], obj["width"], tuple(obj["coefficients"]))
-    if tag == "compact_bump":
-        return CompactBump(obj["a"], obj["b"], obj["p"])
-    if tag == "piecewise_poly":
-        pieces = tuple(
-            Piece(pc["x0"], pc["a"], pc["b"],
-                  tuple(complex(re, im) for re, im in pc["coefficients"]),
-                  pc.get("scale", 1.0))
-            for pc in obj["pieces"]
-        )
-        return PiecewisePoly(pieces, smooth=obj.get("smooth", 0))
-    if tag == "derivative":
-        return Derivative(from_json(obj["inner"]), obj["order"])
-    if tag == "translated":
-        return Translated(from_json(obj["inner"]), obj["shift"])
-    if tag == "mirrored":
-        return Mirrored(from_json(obj["inner"]))
-    if tag == "scaled":
-        return Scaled(from_json(obj["inner"]), obj["rate"])
-    if tag == "modulated":
-        return Modulated(from_json(obj["inner"]), obj["omega"], obj.get("theta", 0.0))
-    if tag == "amplified":
-        re, im = obj["gain"]
-        return Amplified(from_json(obj["inner"]), complex(re, im))
-    if tag == "summed":
-        return Summed(tuple(from_json(t) for t in obj["terms"]))
-    raise ConfigurationError(f"unknown descriptor tag {tag!r}")
+    if obj.get("tag") not in _TAGS:
+        raise ConfigurationError(f"unknown descriptor tag {obj.get('tag')!r}")
+    return _fields_from_json(_TAGS[obj["tag"]], obj)

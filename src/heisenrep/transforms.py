@@ -40,6 +40,16 @@ def inverse_fourier(f: SampledFunction) -> SampledFunction:
     return SampledFunction(out.grid, np.conj(out.values))
 
 
+def spectral_multiply(f: SampledFunction, mult) -> SampledFunction:
+    """Frequency multiplier: inverse_fourier(mult * fourier(f)), two FFTs.
+
+    `mult` holds one factor per point of the dual grid.  It stays the left
+    operand: complex products are not bitwise commutative under FMA.
+    """
+    spec = fourier(f)
+    return inverse_fourier(SampledFunction(spec.grid, mult * spec.values))
+
+
 def _sign_of_frequency(grid: GridSpec) -> np.ndarray:
     y = dual_grid(grid).points
     return np.sign(y)
@@ -66,20 +76,16 @@ def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
     convention the transform of a real even function is real odd.
     """
     if method == "multiplier":
-        mult = -1j * _sign_of_frequency(f.grid)
-        spec = fourier(f)
-        return inverse_fourier(SampledFunction(spec.grid, mult * spec.values))
+        return spectral_multiply(f, -1j * _sign_of_frequency(f.grid))
     if method == "line":
         n = f.grid.size
         start = (LINE_PADDING - 1) * n // 2
         values = np.zeros(LINE_PADDING * n, dtype=complex)
         values[start:start + n] = f.values
         wide = make_grid(LINE_PADDING * f.grid.half_width, LINE_PADDING * n)
-        spec = fourier(SampledFunction(wide, values))
-        mult = -1j * _sign_of_frequency(wide)
-        # inverse_fourier = conj . fourier . conj, restricted to f's window
-        back = fourier(SampledFunction(spec.grid, np.conj(mult * spec.values)))
-        return SampledFunction(f.grid, np.conj(back.values[start:start + n]))
+        back = spectral_multiply(SampledFunction(wide, values), -1j * _sign_of_frequency(wide))
+        # restricted to f's window
+        return SampledFunction(f.grid, back.values[start:start + n])
     if method == "principal_value":
         n = f.grid.size
         # linear convolution with the odd kernel k_m = 2/(pi*m) on odd m and 0
@@ -106,5 +112,4 @@ def proj_hardy(f: SampledFunction, side: str) -> SampledFunction:
         mult = 0.5 * (1.0 - s)
     else:
         raise ConfigurationError(f"side must be 'plus' or 'minus', got {side!r}")
-    spec = fourier(f)
-    return inverse_fourier(SampledFunction(spec.grid, mult * spec.values))
+    return spectral_multiply(f, mult)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,10 @@ def test_make_grid_validation():
         make_grid(32.0, 100)  # not a power of two
     with pytest.raises(ConfigurationError):
         make_grid(32.0, 2)
+    with pytest.raises(ConfigurationError):
+        make_grid(math.inf, 64)
+    with pytest.raises(ConfigurationError):
+        make_grid(math.nan, 64)
 
 
 def test_dual_grid_involutive():

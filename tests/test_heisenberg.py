@@ -53,6 +53,12 @@ def test_semigroup_membership_and_witnesses():
         assert not in_semigroup(inverse(w), sid)
         # inverse-flagged id mirrors membership
         assert in_semigroup(inverse(w), SemigroupId(base, inverted=True))
+        # array-valued draws, tested elementwise
+        for array_sid in (sid, SemigroupId(base, inverted=True)):
+            batch = random_in_semigroup(rng, array_sid, 1000)
+            assert np.shape(batch.xi3) == (1000,)
+            assert np.all(in_semigroup(batch, array_sid))
+            assert np.all(in_semigroup(multiply(batch, batch), array_sid))
 
 
 def test_semigroup_unknown_base():

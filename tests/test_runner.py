@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import heisenrep.suites
 from heisenrep.cli import main
 from heisenrep.errors import ConfigurationError
+from heisenrep.heisenberg import GroupElement
 from heisenrep.runner import report_json, run_suite
 from heisenrep.suites import SUITE_IDS, SuiteConfig
 
@@ -13,6 +15,23 @@ def test_suite_config_validation():
         SuiteConfig(suite="nope")
     with pytest.raises(ConfigurationError):
         SuiteConfig(suite="norms", tolerances={"seminorm-0": -1.0})
+    for bad in ({"epsilon": -1.0}, {"epsilon": 0.0}, {"epsilon": float("inf")},
+                {"epsilon": float("nan")}, {"max_moment": -1},
+                {"half_width": float("inf")}, {"size": 100}):
+        with pytest.raises(ConfigurationError):
+            SuiteConfig(suite="norms", **bad)
+
+
+def test_group_axioms_use_the_library_group_law(monkeypatch):
+    def skewed(xi, eta):
+        # adds x1^2 * y2 to the third component: not associative
+        return GroupElement(xi.xi1 + eta.xi1, xi.xi2 + eta.xi2,
+                            xi.xi3 + eta.xi3 + xi.xi1 * eta.xi2 + xi.xi1 ** 2 * eta.xi2)
+
+    monkeypatch.setattr(heisenrep.suites, "multiply", skewed)
+    rep = run_suite(SuiteConfig(suite="group-axioms"))
+    assoc = [c for c in rep["checks"] if c["check"] == "associativity"]
+    assert assoc and not assoc[0]["pass"]
 
 
 def test_report_schema_and_determinism():
@@ -67,6 +86,28 @@ def test_cli_failing_check_exits_one():
 def test_cli_config_error_exits_two(capsys):
     assert main(["--tolerance", "nonsense"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_capability_error_exits_two(capsys):
+    # the appendix-a mother bump supplies derivatives up to order 5 only
+    assert main(["--suite", "appendix-a", "--max-moment", "6"]) == 2
+    err = capsys.readouterr().err
+    assert "CapabilityError" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_class_membership_error_exits_two(capsys):
+    # the psi-invariance witnesses have vanishing moments only up to order 4
+    assert main(["--suite", "psi-invariance", "--max-moment", "9"]) == 2
+    err = capsys.readouterr().err
+    assert "ClassMembershipError" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_infinite_half_width_exits_two():
+    assert main(["--suite", "transforms", "--half-width", "inf"]) == 2
+
+
+def test_cli_negative_epsilon_exits_two():
+    assert main(["--suite", "norms", "--epsilon", "-1"]) == 2
 
 
 def test_cli_config_file_and_override(tmp_path):

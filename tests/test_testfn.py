@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from heisenrep import make_grid
-from heisenrep.errors import CapabilityError, NotExactlyIntegrable
+from heisenrep.errors import CapabilityError, ConfigurationError, NotExactlyIntegrable
 from heisenrep.testfn import (
-    Amplified, CompactBump, Derivative, GaussianPoly, Mirrored, Modulated,
-    Scaled, Summed, Translated, derivative, evaluate, exact_l1_norm,
+    Amplified, CompactBump, Derivative, GaussianPoly, Mirrored, Modulated, Piece,
+    PiecewisePoly, Scaled, Summed, Translated, derivative, evaluate, exact_l1_norm,
     exact_l2_norm, exact_moment, from_json, sample, smoothness_budget,
     support, to_json, to_piecewise,
 )
@@ -136,3 +136,33 @@ def test_json_roundtrip():
     assert again == desc
     x = np.linspace(-2.5, 1.0, 57)
     assert np.array_equal(evaluate(again, x), evaluate(desc, x))
+
+    # wire format: pieces untagged, complex values as [re, im], tuples as lists
+    tree = Summed((
+        Amplified(PiecewisePoly((Piece(0.5, 0.0, 1.0, (1.0, 2.0j), 0.5),), smooth=2),
+                  2.0 - 1.0j),
+        Translated(CompactBump(0.0, 1.0, 3), -1.5),
+        Modulated(GaussianPoly(0.0, 1.0, (1.0, 0.5)), 2.0, 0.5),
+    ))
+    golden = {"tag": "summed", "terms": [
+        {"tag": "amplified", "gain": [2.0, -1.0],
+         "inner": {"tag": "piecewise_poly", "smooth": 2,
+                   "pieces": [{"x0": 0.5, "a": 0.0, "b": 1.0, "scale": 0.5,
+                               "coefficients": [[1.0, 0.0], [0.0, 2.0]]}]}},
+        {"tag": "translated", "shift": -1.5,
+         "inner": {"tag": "compact_bump", "a": 0.0, "b": 1.0, "p": 3}},
+        {"tag": "modulated", "omega": 2.0, "theta": 0.5,
+         "inner": {"tag": "gaussian_poly", "center": 0.0, "width": 1.0,
+                   "coefficients": [1.0, 0.5]}},
+    ]}
+    assert to_json(tree) == golden
+    assert from_json(golden) == tree
+    # fields with a default may be left out; the others may not
+    assert from_json({"tag": "modulated", "omega": 2.0,
+                      "inner": golden["terms"][2]["inner"]}).theta == 0.0
+    with pytest.raises(ConfigurationError):
+        from_json({"tag": "translated", "shift": 1.0})
+    with pytest.raises(ConfigurationError):
+        from_json({"tag": "piecewise_poly", "pieces": [{"x0": 0.0, "a": -1.0, "b": 1.0}]})
+    with pytest.raises(ConfigurationError):
+        from_json({"tag": "no_such_tag"})
