@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 
 from .errors import ConfigurationError, HeisenrepError
@@ -58,6 +59,8 @@ def load_settings(args) -> dict:
         if not isinstance(raw, dict):
             raise ConfigurationError("config file must hold a JSON object")
         grid = raw.pop("grid", {})
+        if not isinstance(grid, dict):
+            raise ConfigurationError("config 'grid' must be an object")
         if grid:
             settings["half_width"] = grid.get("L", grid.get("half_width"))
             settings["size"] = grid.get("N", grid.get("size"))
@@ -67,6 +70,9 @@ def load_settings(args) -> dict:
         tols = raw.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ConfigurationError("config 'tolerances' must be an object")
+        for key, value in tols.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"config tolerance {key!r} must be a number, got {value!r}")
         settings["tolerances"] = {str(k): float(v) for k, v in tols.items()}
         unknown = set(raw) - {"suite", "seed", "max_moment", "epsilon", "out",
                               "emit_csv", "tolerances"}

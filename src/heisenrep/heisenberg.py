@@ -157,13 +157,16 @@ def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0):
     return out
 
 
-def norm_growth_check(xi: GroupElement, f: SampledFunction, n: int):
-    """Returns (||U(xi) f||_n, (1 + xi1^2 + xi2^2)^{n/2} ||f||_n)."""
-    from .schwartz import seminorm_iter
+def norm_growth_check(xis, f: SampledFunction, n: int) -> np.ndarray:
+    """Ratios ||U(xi) f||_k / ((1 + xi1^2 + xi2^2)^{k/2} ||f||_k), one row per
+    xi in xis and one column per order k = 0..n; f's tower is computed once."""
+    from .schwartz import seminorm_tower
 
-    lhs = seminorm_iter(act(xi, f, mode="spectral"), n)
-    rhs = (1.0 + xi.xi1 ** 2 + xi.xi2 ** 2) ** (n / 2.0) * seminorm_iter(f, n)
-    return lhs, rhs
+    f_tower = seminorm_tower(f, n)
+    return np.array([
+        [lhs / ((1.0 + xi.xi1 ** 2 + xi.xi2 ** 2) ** (k / 2.0) * f_tower[k])
+         for k, lhs in enumerate(seminorm_tower(act(xi, f, mode="spectral"), n))]
+        for xi in xis])
 
 
 def conjugate_by_fourier(xi: GroupElement) -> GroupElement:

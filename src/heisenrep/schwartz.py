@@ -24,8 +24,16 @@ SUP_SAMPLES = 8192
 
 
 def seminorm_iter(f: SampledFunction, n: int, max_order: int = 3) -> float:
-    """Iterative tower over the generators; ||f||_0 is the plain L^2 norm.
+    """||f||_n alone: the last entry of :func:`seminorm_tower`."""
+    return seminorm_tower(f, n, max_order)[n]
 
+
+def seminorm_tower(f: SampledFunction, n: int, max_order: int = 3) -> list:
+    """[||f||_0, ..., ||f||_n] of the iterative tower in one depth-first pass.
+
+    Each word in {M, D}^{<=n} is applied once (2^{n+1} - 2 generator calls)
+    and only one branch is held at a time.  Order k is summed as
+    ||Mf||_{k-1}^2 + ||Df||_{k-1}^2 + ||f||_{k-1}^2, the recursion's order.
     Spectral differentiation amplifies rounding roughly by N per order,
     so orders beyond max_order are refused rather than silently noisy.
     """
@@ -33,15 +41,17 @@ def seminorm_iter(f: SampledFunction, n: int, max_order: int = 3) -> float:
         raise CapabilityError("seminorm order must be nonnegative")
     if n > max_order:
         raise CapabilityError(f"seminorm order {n} exceeds max_order {max_order}")
-    return np.sqrt(_seminorm_sq(f, n))
+    return [np.sqrt(sq) for sq in _tower_sq(f, n)]
 
 
-def _seminorm_sq(f: SampledFunction, n: int) -> float:
-    if n == 0:
-        return norm(f) ** 2
-    mf = generator_apply("M", f)
-    df = generator_apply("D", f)
-    return _seminorm_sq(mf, n - 1) + _seminorm_sq(df, n - 1) + _seminorm_sq(f, n - 1)
+def _tower_sq(f: SampledFunction, n: int) -> list:
+    sq = [norm(f) ** 2]
+    if n > 0:
+        m_sq = _tower_sq(generator_apply("M", f), n - 1)
+        d_sq = _tower_sq(generator_apply("D", f), n - 1)
+        for k in range(n):
+            sq.append(m_sq[k] + d_sq[k] + sq[k])
+    return sq
 
 
 def seminorm_sup(tf, m: int, n: int) -> float:

@@ -414,11 +414,8 @@ def exact_moment(tf: TestFunction, n: int):
     Only descriptor trees that lower to piecewise polynomials qualify;
     Gaussian or modulated trees raise NotExactlyIntegrable.
     """
-    low = to_piecewise(tf)
-    m = complex(
-        math.fsum(_piece_moment(pc, n).real for pc in low.pieces),
-        math.fsum(_piece_moment(pc, n).imag for pc in low.pieces),
-    )
+    parts = [_piece_moment(pc, n) for pc in to_piecewise(tf).pieces]
+    m = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
     if abs(m.imag) <= 1e-14 * (1.0 + abs(m.real)):
         return m.real
     return m

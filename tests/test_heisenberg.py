@@ -118,11 +118,10 @@ def test_generator_convergence_first_order():
 
 def test_norm_growth_bound():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        xi = GroupElement(*(float(v) for v in rng.uniform(-5, 5, 3)))
-        for n in range(3):
-            lhs, rhs = norm_growth_check(xi, GAUSS, n)
-            assert lhs <= rhs * (1.0 + 1e-10)
+    xis = [GroupElement(*(float(v) for v in rng.uniform(-5, 5, 3))) for _ in range(20)]
+    ratios = norm_growth_check(xis, GAUSS, 2)
+    assert ratios.shape == (20, 3)
+    assert np.all(ratios <= 1.0 + 1e-10)
 
 
 def test_conjugate_by_fourier_formula():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import heisenrep.suites
+import heisenrep.transforms
 from heisenrep.cli import main
 from heisenrep.errors import ConfigurationError
 from heisenrep.heisenberg import GroupElement
@@ -17,7 +18,10 @@ def test_suite_config_validation():
         SuiteConfig(suite="norms", tolerances={"seminorm-0": -1.0})
     for bad in ({"epsilon": -1.0}, {"epsilon": 0.0}, {"epsilon": float("inf")},
                 {"epsilon": float("nan")}, {"max_moment": -1},
-                {"half_width": float("inf")}, {"size": 100}):
+                {"half_width": float("inf")}, {"size": 100}, {"seed": -1},
+                {"half_width": "32"}, {"size": 4096.0}, {"epsilon": True},
+                {"emit_csv": "yes"}, {"out": 5}, {"tolerances": [("x", 1.0)]},
+                {"tolerances": {"distance": "0.1"}}):
         with pytest.raises(ConfigurationError):
             SuiteConfig(suite="norms", **bad)
 
@@ -57,11 +61,16 @@ def test_seed_changes_draws_not_conclusions():
 
 
 def test_tolerance_override_applies():
-    rep = run_suite(SuiteConfig(suite="transforms",
-                                tolerances={"pv-lorentzian": 1e-9}))
-    failing = [c for c in rep["checks"] if c["check"] == "pv-lorentzian"]
-    assert failing and not failing[0]["pass"]
-    assert not rep["overall_pass"]
+    # every check's pass follows its recorded threshold, including the
+    # halving-ratio and strict-contraction checks
+    for suite, check in (("transforms", "pv-lorentzian"),
+                         ("generators", "convergence-M-n0"),
+                         ("semigroup-evolution", "strict-contrast")):
+        rep = run_suite(SuiteConfig(suite=suite, tolerances={check: 1e-9}))
+        failing = [c for c in rep["checks"] if c["check"] == check]
+        assert failing and failing[0]["threshold"] == 1e-9
+        assert failing[0]["measured"] > 1e-9 and not failing[0]["pass"]
+        assert not rep["overall_pass"]
 
 
 def test_cli_single_suite_pass(tmp_path, capsys):
@@ -124,6 +133,34 @@ def test_cli_config_file_and_override(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("entries", [
+    {"epsilon": "x"}, {"grid": {"L": "32"}}, {"max_moment": "3"}, {"max_moment": 2.5},
+    {"out": 5}, {"grid": 5}, {"tolerances": {"distance": "x"}}, {"seed": "a"},
+])
+def test_cli_mistyped_config_value_exits_two(tmp_path, capsys, entries):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(entries))
+    assert main(["--config", str(cfg), "--suite", "appendix-a"]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigurationError" in err and len(err.strip().splitlines()) == 1
+
+
+def test_generators_fourier_count(monkeypatch):
+    # pins the suite's transform count: one seminorm tower per function and
+    # per draw, each applying every operator word once
+    calls = []
+    fourier = heisenrep.transforms.fourier
+
+    def counting(f):
+        calls.append(f.grid.size)
+        return fourier(f)
+
+    monkeypatch.setattr(heisenrep.transforms, "fourier", counting)
+    monkeypatch.setattr(heisenrep.suites, "fourier", counting)
+    run_suite(SuiteConfig(suite="generators"))
+    assert len(calls) == 1980
 
 
 def test_cli_emit_csv_writes_curves(tmp_path):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import heisenrep.schwartz
 from heisenrep import fourier, make_grid, proj_hardy
 from heisenrep.errors import CapabilityError
 from heisenrep.schwartz import (
     class_defects, moment, moment_defect, n_defect, psi_norm, seminorm_iter,
-    seminorm_sup,
+    seminorm_sup, seminorm_tower,
 )
 from heisenrep.testfn import CompactBump, Derivative, GaussianPoly, Translated, sample
 
@@ -15,13 +16,27 @@ GRID = make_grid(32.0, 4096)
 GAUSS = sample(GaussianPoly(0.0, 1.0, (1.0,)), GRID)
 
 
-def test_seminorm_order_zero_is_l2():
-    assert abs(seminorm_iter(GAUSS, 0) - math.pi ** 0.25) < 1e-12
+@pytest.mark.parametrize("n", range(4))
+def test_seminorm_gaussian_oracle(n):
+    # ||e^{-x^2/2}||_n^2 = (n+1)! sqrt(pi) by Hermite algebra; order 0 is the
+    # L^2 norm pi^(1/4), order 1 is ||xf||^2 + ||f'||^2 + ||f||^2 = 2 sqrt(pi)
+    exact = (math.factorial(n + 1) * math.sqrt(math.pi)) ** 0.5
+    assert abs(seminorm_iter(GAUSS, n) - exact) < 1e-12
+    assert seminorm_tower(GAUSS, 3)[n] == seminorm_iter(GAUSS, n)
 
 
-def test_seminorm_order_one_oracle():
-    # ||f||_1^2 = ||xf||^2 + ||f'||^2 + ||f||^2 = sqrt(pi)/2 + sqrt(pi)/2 + sqrt(pi)
-    assert abs(seminorm_iter(GAUSS, 1) - (2.0 * math.sqrt(math.pi)) ** 0.5) < 1e-12
+def test_seminorm_tower_applies_each_word_once(monkeypatch):
+    calls = []
+    apply = heisenrep.schwartz.generator_apply
+
+    def counting(gen, f):
+        calls.append(gen)
+        return apply(gen, f)
+
+    monkeypatch.setattr(heisenrep.schwartz, "generator_apply", counting)
+    assert len(seminorm_tower(GAUSS, 3)) == 4
+    # the words of length 0, 1, 2 each get one M and one D
+    assert calls.count("M") == 7 and calls.count("D") == 7 and len(calls) == 14
 
 
 def test_seminorm_monotone_and_capped():
