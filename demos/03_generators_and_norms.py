@@ -23,7 +23,7 @@ gauss = sample(GaussianPoly(0.0, 1.0, (1.0,)), grid)
 print("difference-quotient error, order-1 seminorm:")
 t_list = [1e-1, 5e-2, 2.5e-2, 1.25e-2]
 for gen in ("M", "D", "C"):
-    errs = [e for _, e in generator_convergence(gen, gauss, t_list, n=1)]
+    errs = [e for _, e in generator_convergence(gen, gauss, t_list, n=1)[1]]
     ratios = " ".join(f"{errs[i] / errs[i + 1]:.3f}" for i in range(len(errs) - 1))
     print(f"  {gen}: errors {['%.2e' % e for e in errs]}, halving ratios {ratios}")
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
 2 configuration error (bad flag, bad config file, unknown suite, or any
-other typed library error the configuration leads to).
+other typed library error the configuration leads to), 3 internal error
+(any other exception; its type and message, then its traceback, go to
+stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import numbers
 import sys
+import traceback
 
 from .errors import ConfigurationError, HeisenrepError
 from .runner import run_all, run_suite, summarize
@@ -115,6 +118,10 @@ def main(argv=None) -> int:
     except HeisenrepError as exc:
         print(f"configuration error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     print(summarize(reports))
     return 0 if all(r["overall_pass"] for r in reports) else 1
 

@@ -376,8 +376,7 @@ def suite_generators(cfg: SuiteConfig, rec: Recorder) -> None:
 
     t_list = [1e-1 / 2 ** i for i in range(8)]
     for gen in ("M", "D", "C"):
-        for n in (0, 1, 2):
-            curve = generator_convergence(gen, gauss, t_list, n)
+        for n, curve in enumerate(generator_convergence(gen, gauss, t_list, 2)):
             errs = [e for _, e in curve]
             ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
             rec.check(f"convergence-{gen}-n{n}",
@@ -392,7 +391,7 @@ def suite_generators(cfg: SuiteConfig, rec: Recorder) -> None:
     # proportionally smaller to clear the same relative threshold.
     for gen, width, t_end in (("M", 1.0 / 3.0, 1e-5), ("D", 3.0, 1e-5), ("C", 1.0, 1e-6)):
         f = _gaussian(grid, width)
-        err = generator_convergence(gen, f, [t_end], 1)[0][1] / seminorm_iter(f, 1)
+        err = generator_convergence(gen, f, [t_end], 1)[1][0][1] / seminorm_iter(f, 1)
         rec.check(f"terminal-{gen}",
                   f"difference quotient for {gen} within 1e-6 of the generator "
                   f"at t={t_end:g}",

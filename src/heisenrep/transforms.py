@@ -10,6 +10,8 @@ inverse_fourier = conj . fourier . conj an exact inverse.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -27,11 +29,20 @@ def fourier(f: SampledFunction) -> SampledFunction:
     (dx/sqrt(2*pi)) sum_j f_j e^{-i x_j y_k} reduces to a standard FFT
     with alternating-sign pre/post twiddles (N/2 even kills the constant).
     """
-    n = f.grid.size
-    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    alt = _alternating_signs(f.grid.size)
     spec = alt * np.fft.fft(alt * f.values)
     spec *= f.grid.spacing / np.sqrt(2.0 * np.pi)
     return SampledFunction(dual_grid(f.grid), spec)
+
+
+@cache
+def _alternating_signs(n: int) -> np.ndarray:
+    """Read-only twiddle (+1, -1, +1, ...) of length n, built once per size;
+    sizes are powers of two, so all held twiddles take at most twice the
+    memory of the largest."""
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    alt.setflags(write=False)
+    return alt
 
 
 def inverse_fourier(f: SampledFunction) -> SampledFunction:

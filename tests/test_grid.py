@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from heisenrep import (
-    ConfigurationError, GridMismatchError, SampledFunction, dual_grid, inner,
-    integrate, make_grid, norm, restrict_halfline, zeros,
+    ConfigurationError, GridMismatchError, SampledFunction, dual_grid, fourier,
+    inner, integrate, inverse_fourier, make_grid, norm, restrict_halfline, zeros,
 )
 
 
@@ -36,6 +38,44 @@ def test_dual_grid_involutive():
     d = dual_grid(g)
     assert d.half_width == np.pi / g.spacing
     assert dual_grid(d) == g
+
+
+def test_grid_arrays_cached_and_read_only():
+    g = make_grid(32.0, 256)
+    assert dual_grid(g) is dual_grid(g)
+    assert g.points is g.points
+    # the cache is per instance, built by the original formula
+    assert np.array_equal(g.points, -32.0 + g.spacing * np.arange(256))
+    for x in (g.points, dual_grid(g).points):
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            x *= 2.0
+
+
+@pytest.mark.parametrize("half_width", [32.0, 100.0])  # round trip exact / inexact
+def test_repeated_transforms_reuse_grid_instances(half_width):
+    g = make_grid(half_width, 256)
+    assert (dual_grid(dual_grid(g)) == g) == (half_width == 32.0)
+    f = SampledFunction(g, np.exp(-g.points ** 2))
+    grids = set()
+    for _ in range(20):
+        f = inverse_fourier(fourier(f))
+        grids.add(id(f.grid))
+    # without a closed cycle every transform would cache one more grid
+    assert grids == {id(dual_grid(dual_grid(g)))}
+    d = dual_grid(g)
+    assert dual_grid(dual_grid(d)) is d
+
+
+def test_grid_pickles_without_caches():
+    g = make_grid(32.0, 64)
+    spec = fourier(SampledFunction(g, np.exp(-g.points ** 2)))
+    for back in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert back.grid == spec.grid
+        assert np.array_equal(back.values, spec.values)
+        assert np.array_equal(back.grid.points, spec.grid.points)
+        assert dual_grid(back.grid) == g
 
 
 def test_sampled_function_immutable():

@@ -3,7 +3,7 @@ import pytest
 
 from heisenrep import (
     GroupElement, LieElement, SampledFunction, SemigroupId, act, bracket,
-    dual_grid, inverse_fourier, make_grid, multiply, norm,
+    dual_grid, fourier, inverse_fourier, make_grid, multiply, norm,
 )
 from heisenrep.errors import ConfigurationError, PrecisionError
 from heisenrep.heisenberg import (
@@ -109,11 +109,47 @@ def test_generator_commutator():
 
 
 def test_generator_convergence_first_order():
+    t_list = [1e-2, 5e-3, 2.5e-3]
     for gen in ("M", "D", "C"):
-        curve = generator_convergence(gen, GAUSS, [1e-2, 5e-3, 2.5e-3], n=0)
-        errs = [e for _, e in curve]
-        assert 1.8 <= errs[0] / errs[1] <= 2.2
-        assert 1.8 <= errs[1] / errs[2] <= 2.2
+        curves = generator_convergence(gen, GAUSS, t_list, n=1)
+        assert len(curves) == 2
+        for curve in curves:
+            assert [t for t, _ in curve] == t_list
+            errs = [e for _, e in curve]
+            assert 1.8 <= errs[0] / errs[1] <= 2.2
+            assert 1.8 <= errs[1] / errs[2] <= 2.2
+
+
+def _act_reference(xi, f, mode):
+    """act with every phase formed as np.exp(1j * ...), its original formula."""
+    x = f.grid.points
+    if mode == "spectral":
+        spec = fourier(f)
+        y = dual_grid(f.grid).points
+        vals = inverse_fourier(SampledFunction(spec.grid, np.exp(1j * xi.xi1 * y) * spec.values)).values
+    else:
+        m = round(xi.xi1 / f.grid.spacing)
+        vals = np.zeros(f.grid.size, dtype=complex)
+        if m >= 0:
+            vals[: f.grid.size - m] = f.values[m:]
+        else:
+            vals[-m:] = f.values[: f.grid.size + m]
+    phase = np.exp(1j * xi.xi3) * np.exp(1j * xi.xi2 * x)
+    return phase * vals
+
+
+@pytest.mark.parametrize("mode", ["spectral", "grid"])
+def test_act_matches_exponential_phases(mode):
+    rng = np.random.default_rng(5)
+    f = SampledFunction(GRID, rng.standard_normal(GRID.size) + 1j * rng.standard_normal(GRID.size))
+    draws = [rng.uniform(-5, 5, 3) for _ in range(12)]
+    draws += [(0.0, 1.3, 0.7), (2.1, 0.0, -0.4), (0.0, 0.0, 0.9), (0.0, 0.0, 0.0)]
+    for x1, x2, x3 in draws:
+        if mode == "grid":
+            x1 = round(x1 / GRID.spacing) * GRID.spacing
+        xi = GroupElement(float(x1), float(x2), float(x3))
+        # np.array_equal counts 0.0 and -0.0 as equal
+        assert np.array_equal(act(xi, f, mode=mode).values, _act_reference(xi, f, mode))
 
 
 def test_norm_growth_bound():

@@ -148,8 +148,8 @@ def test_cli_mistyped_config_value_exits_two(tmp_path, capsys, entries):
 
 
 def test_generators_fourier_count(monkeypatch):
-    # pins the suite's transform count: one seminorm tower per function and
-    # per draw, each applying every operator word once
+    # pins the suite's transform count: one seminorm tower per function, per
+    # draw and per difference quotient, each applying every operator word once
     calls = []
     fourier = heisenrep.transforms.fourier
 
@@ -160,7 +160,26 @@ def test_generators_fourier_count(monkeypatch):
     monkeypatch.setattr(heisenrep.transforms, "fourier", counting)
     monkeypatch.setattr(heisenrep.suites, "fourier", counting)
     run_suite(SuiteConfig(suite="generators"))
-    assert len(calls) == 1980
+    assert len(calls) == 1832
+
+
+def test_grid_caches_keep_reports_independent_of_run_order():
+    small = SuiteConfig(suite="transforms", size=1024)
+    before = report_json(run_suite(small))
+    run_suite(SuiteConfig(suite="transforms", size=4096))
+    assert report_json(run_suite(small)) == before
+
+
+def test_cli_crash_exits_three(monkeypatch, capsys):
+    def crash(cfg, rec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(heisenrep.suites.SUITES, "norms", crash)
+    assert main(["--suite", "norms"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "internal error (RuntimeError): boom"
+    assert err[1] == "Traceback (most recent call last):"
+    assert err[-1] == "RuntimeError: boom"
 
 
 def test_cli_emit_csv_writes_curves(tmp_path):

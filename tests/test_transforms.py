@@ -7,6 +7,7 @@ from heisenrep import (
     inverse_fourier, make_grid, norm, proj_hardy,
 )
 from heisenrep.testfn import GaussianPoly, sample
+from heisenrep.transforms import _alternating_signs
 
 GRID = make_grid(32.0, 4096)
 
@@ -27,6 +28,28 @@ def _random(seed=0, band=10.0):
 def test_gaussian_is_fixed_point():
     fhat = fourier(_gauss())
     assert np.max(np.abs(fhat.values - np.exp(-fhat.grid.points ** 2 / 2))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 2 ** 10, 2 ** 12, 2 ** 16])
+def test_fourier_bitwise_equals_fresh_twiddle_formula(n):
+    grid = make_grid(16.0, n)
+    rng = np.random.default_rng(n)
+    f = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    # the transform with its twiddle built on every call
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    spec = alt * np.fft.fft(alt * f.values)
+    spec *= grid.spacing / np.sqrt(2.0 * np.pi)
+    for _ in range(2):  # first call builds the twiddle, the second reuses it
+        fhat = fourier(f)
+        assert fhat.grid == dual_grid(grid)
+        assert fhat.values.tobytes() == spec.tobytes()
+
+
+def test_twiddle_read_only():
+    alt = _alternating_signs(64)
+    assert alt is _alternating_signs(64)
+    with pytest.raises(ValueError):
+        alt[0] = -1.0
 
 
 def test_unitary_and_roundtrip():
