@@ -34,6 +34,15 @@ class GridSpec:
     half_width: float
     size: int
 
+    def __post_init__(self):
+        if not 0 < self.half_width < math.inf:
+            raise ConfigurationError(
+                f"half_width must be positive and finite, got {self.half_width}")
+        if not isinstance(self.size, (int, np.integer)) or not _is_power_of_two(int(self.size)):
+            raise ConfigurationError(f"size must be a power of two, got {self.size}")
+        if self.size < 4:
+            raise ConfigurationError(f"size must be at least 4, got {self.size}")
+
     @property
     def spacing(self) -> float:
         return 2.0 * self.half_width / self.size
@@ -62,14 +71,8 @@ class GridSpec:
 
 
 def make_grid(half_width: float, size: int) -> GridSpec:
-    """Validated GridSpec constructor."""
-    if not 0 < half_width < math.inf:
-        raise ConfigurationError(f"half_width must be positive and finite, got {half_width}")
-    if not isinstance(size, (int, np.integer)) or not _is_power_of_two(int(size)):
-        raise ConfigurationError(f"size must be a power of two, got {size}")
-    if size < 4:
-        raise ConfigurationError(f"size must be at least 4, got {size}")
-    return GridSpec(float(half_width), int(size))
+    """GridSpec with a float half-width; GridSpec validates (a size of 64.5 is refused)."""
+    return GridSpec(float(half_width), size)
 
 
 def dual_grid(grid: GridSpec) -> GridSpec:

@@ -10,11 +10,10 @@ down anywhere usable, so no cross-family comparison is attempted.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from . import testfn
 from .errors import CapabilityError
-from .grid import SampledFunction, integrate, norm
+from .grid import SampledFunction, integrate, norm, restrict_halfline
 from .heisenberg import generator_apply
 from .transforms import inverse_fourier, proj_hardy
 
@@ -55,7 +54,7 @@ def _tower_sq(f: SampledFunction, n: int) -> list:
 
 
 def seminorm_sup(tf, m: int, n: int) -> float:
-    """sup_x |x^m * (d^n tf)(x)| via dense scan plus bounded local refinement."""
+    """sup_x |x^m * (d^n tf)(x)| via a dense scan rerun on its own bracket."""
     d = testfn.derivative(tf, n)
     sup = testfn.support(d)
     if sup and sup[0][0] != -np.inf:
@@ -63,18 +62,19 @@ def seminorm_sup(tf, m: int, n: int) -> float:
         hi = max(iv[1] for iv in sup)
     else:
         lo, hi = -SUP_SPAN, SUP_SPAN
-    xs = np.linspace(lo, hi, SUP_SAMPLES)
-    vals = np.abs(xs ** m * testfn.evaluate(d, xs))
-    j = int(np.argmax(vals))
-    h = (hi - lo) / (SUP_SAMPLES - 1)
-    a = max(lo, xs[j] - 2 * h)
-    b = min(hi, xs[j] + 2 * h)
-    res = optimize.minimize_scalar(
-        lambda x: -abs(x ** m * complex(testfn.evaluate(d, x))),
-        bounds=(a, b), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return max(float(vals[j]), float(-res.fun))
+    best = 0.0
+    # one scan, then two rescans of the +-2-cell bracket around the argmax;
+    # each rescan shrinks the cell about 2,048-fold (1.6e-2 -> 3.7e-9 on the
+    # 128-wide window), and at a smooth maximum the value error goes as the
+    # square of the x-error, far below 1e-12 relative
+    for _ in range(3):
+        xs = np.linspace(lo, hi, SUP_SAMPLES)
+        vals = np.abs(xs ** m * testfn.evaluate(d, xs))
+        j = int(np.argmax(vals))
+        best = max(best, float(vals[j]))
+        h = (hi - lo) / (SUP_SAMPLES - 1)
+        lo, hi = max(lo, xs[j] - 2 * h), min(hi, xs[j] + 2 * h)
+    return best
 
 
 def moment(f: SampledFunction, n: int) -> complex:
@@ -107,8 +107,6 @@ def class_defects(f: SampledFunction, max_order: int = 8) -> dict:
     on the inverse transform (moments of f^ vanish iff derivatives of f
     vanish at the origin, and vice versa).
     """
-    from .grid import restrict_halfline
-
     nf = norm(f)
     if nf == 0.0:
         zero = 0.0

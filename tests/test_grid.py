@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heisenrep import (
-    ConfigurationError, GridMismatchError, SampledFunction, dual_grid, fourier,
+    ConfigurationError, GridMismatchError, GridSpec, SampledFunction, dual_grid, fourier,
     inner, integrate, inverse_fourier, make_grid, norm, restrict_halfline, zeros,
 )
 
@@ -31,6 +31,12 @@ def test_make_grid_validation():
         make_grid(math.inf, 64)
     with pytest.raises(ConfigurationError):
         make_grid(math.nan, 64)
+    with pytest.raises(ConfigurationError):
+        make_grid(32.0, 64.5)
+    # the dataclass itself validates, not only make_grid
+    for half_width, size in ((math.inf, 64), (math.nan, 64), (0.0, 64), (32.0, 6), (32.0, 2)):
+        with pytest.raises(ConfigurationError):
+            GridSpec(half_width, size)
 
 
 def test_dual_grid_involutive():

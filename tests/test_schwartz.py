@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 import heisenrep.schwartz
 from heisenrep import fourier, make_grid, proj_hardy
@@ -10,7 +11,9 @@ from heisenrep.schwartz import (
     class_defects, moment, moment_defect, n_defect, psi_norm, seminorm_iter,
     seminorm_sup, seminorm_tower,
 )
-from heisenrep.testfn import CompactBump, Derivative, GaussianPoly, Translated, sample
+from heisenrep.testfn import (
+    CompactBump, Derivative, GaussianPoly, Translated, derivative, sample,
+)
 
 GRID = make_grid(32.0, 4096)
 GAUSS = sample(GaussianPoly(0.0, 1.0, (1.0,)), GRID)
@@ -54,6 +57,27 @@ def test_seminorm_sup_oracles():
     assert abs(seminorm_sup(g, 1, 0) - math.exp(-0.5)) < 1e-10
     # sup |f'| = e^{-1/2}
     assert abs(seminorm_sup(g, 0, 1) - math.exp(-0.5)) < 1e-10
+
+
+def _sup_oracle(g, m, n):
+    # with u = x - c, x^m f^(n)(x) = r(u) e^{-u^2/(2w^2)}, r(u) = (u + c)^m q(u);
+    # its extrema sit at the real roots of r'(u) - u r(u)/w^2
+    q = derivative(g, n)
+    c, w = q.center, q.width
+    r = P.polymul(P.polypow([c, 1.0], m), q.coefficients)
+    roots = P.polyroots(P.polysub(P.polyder(r), P.polymul([0.0, 1.0 / w ** 2], r)))
+    u = roots[np.abs(roots.imag) < 1e-9].real
+    return float(np.max(np.abs(P.polyval(u, r)) * np.exp(-u ** 2 / (2 * w ** 2))))
+
+
+def test_seminorm_sup_random_gaussian_polys():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        g = GaussianPoly(rng.uniform(-5, 5), rng.uniform(0.3, 3.0),
+                         tuple(rng.normal(size=rng.integers(1, 5))))
+        m, n = (int(k) for k in rng.integers(0, 3, size=2))
+        exact = _sup_oracle(g, m, n)
+        assert abs(seminorm_sup(g, m, n) - exact) <= 1e-12 * exact
 
 
 def test_moment_oracles():
