@@ -15,10 +15,11 @@ algebra: the intervals grow too fast for any reasonable grid to hold them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import testfn
-from .errors import CapabilityError, ConfigurationError
+from .errors import CapabilityError, ConfigurationError, require_type
 from .testfn import (
     Amplified, Mirrored, Scaled, Summed, TestFunction, Translated,
     derivative, exact_l1_norm, exact_l2_norm, exact_moment, support,
@@ -33,12 +34,15 @@ class AnnihilatorConfig:
     mother: TestFunction
 
     def __post_init__(self):
+        require_type("K", self.K, numbers.Integral, "an integer")
+        require_type("epsilon", self.epsilon, numbers.Real, "a number")
+        require_type("a0", self.a0, numbers.Real, "a number")
         if self.K < 0:
             raise ConfigurationError("K must be nonnegative")
-        if not self.epsilon > 0:
-            raise ConfigurationError("epsilon must be positive")
-        if not self.a0 > 1:
-            raise ConfigurationError("a0 must exceed 1")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 1 < self.a0 < math.inf:
+            raise ConfigurationError(f"a0 must exceed 1 and be finite, got {self.a0}")
         sup = support(self.mother)
         if not sup or sup[0][0] < 0 or sup[-1][1] > self.a0:
             raise ConfigurationError(
@@ -142,11 +146,12 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
     gamma = _gamma(k, lambda_k, I, config.a0, h)
     shape = _block_shape(k, a_k, h, config)
     f_k = Amplified(shape, gamma)
-    norm_fk = exact_l2_norm(f_k)
+    low = testfn.to_piecewise(f_k)
+    norm_fk = exact_l2_norm(low)
     bound = _norm_bound(k, a_k1, config.epsilon)
     if lambda_k != 0.0:
         closed_form = ((-1.0) ** k * math.factorial(k) * I * gamma * (h / config.a0) ** (k + 1))
-        measured = exact_moment(f_k, k)
+        measured = exact_moment(low, k)
         rel = abs(measured - closed_form) / max(abs(closed_form), 1e-300)
         if rel > 1e-8:
             raise CapabilityError(
@@ -156,7 +161,7 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
         mass = abs(gamma) * exact_l1_norm(shape)
         for i in range(k):
             scale = mass * max(a_k1, 1.0) ** i
-            if abs(exact_moment(f_k, i)) > 1e-10 * max(scale, 1e-300):
+            if abs(exact_moment(low, i)) > 1e-10 * max(scale, 1e-300):
                 raise CapabilityError(f"block {k}: moment of order {i} fails to vanish")
         if norm_fk >= bound:
             raise CapabilityError(
@@ -166,7 +171,8 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
 
 
 def _moment_defects(parts, K: int):
-    """Relative residual moments of the assembled sum, orders 0..K.
+    """Relative residual moments of the assembled sum, orders 0..K, from
+    the parts lowered by `to_piecewise`.
 
     The scale is the sum of the absolute closed-form moments of the parts:
     the natural yardstick for how much cancellation each order achieved.
@@ -183,7 +189,8 @@ def _moment_defects(parts, K: int):
 def annihilate(config: AnnihilatorConfig):
     """Run the construction; returns (f, blocks, report)."""
     g = config.mother
-    I = float(exact_moment(g, 0))
+    lowered = [testfn.to_piecewise(g)]
+    I = float(exact_moment(lowered[0], 0))
     if abs(I) < 1e-12 * exact_l1_norm(g):
         raise ConfigurationError("mother integral is (numerically) zero")
 
@@ -191,13 +198,14 @@ def annihilate(config: AnnihilatorConfig):
     parts: list[TestFunction] = [g]
     a_k = config.a0
     for k in range(config.K + 1):
-        residual = math.fsum(complex(exact_moment(p, k)).real for p in parts)
+        residual = math.fsum(complex(exact_moment(p, k)).real for p in lowered)
         lambda_k = -residual
         a_k1 = choose_interval(k, a_k, lambda_k, config, I=I)
         block = build_block(k, a_k, a_k1, lambda_k, config, I=I)
         blocks.append(block)
         if block.gamma_k != 0.0:
             parts.append(block.f_k)
+            lowered.append(testfn.to_piecewise(block.f_k))
         a_k = a_k1
 
     f = Summed(tuple(parts))
@@ -211,7 +219,7 @@ def annihilate(config: AnnihilatorConfig):
              "lambda_k": b.lambda_k, "norm_fk": b.norm_fk, "bound": b.norm_bound}
             for b in blocks
         ],
-        "moment_defects": _moment_defects(parts, config.K),
+        "moment_defects": _moment_defects(lowered, config.K),
         "l2_distance": l2_distance,
     }
     return f, blocks, report

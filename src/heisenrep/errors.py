@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all heisenrep modules."""
+"""Exception hierarchy shared by all heisenrep modules, and the type check
+that raises its ConfigurationError."""
 
 
 class HeisenrepError(Exception):
@@ -31,3 +32,10 @@ class SemigroupDomainError(HeisenrepError, ValueError):
 
 class PrecisionError(HeisenrepError, ValueError):
     """Grid-mode operation requested with a non-commensurate parameter."""
+
+
+def require_type(name: str, value, kind, label: str) -> None:
+    """Raise ConfigurationError unless value is an instance of kind."""
+    # bool is an int subclass, so it passes isinstance and is refused here
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigurationError(f"{name} must be {label}, got {value!r}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import testfn
 from .annihilator import AnnihilatorConfig, annihilate, annihilate_negative
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_type
 from .grid import (
     GridSpec, SampledFunction, dual_grid, make_grid, norm, restrict_halfline,
 )
@@ -54,12 +54,6 @@ _FIELD_TYPES = {
 }
 
 
-def _require_type(name: str, value, kind, label: str) -> None:
-    # bool is an int subclass, so it passes isinstance and is refused here
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigurationError(f"{name} must be {label}, got {value!r}")
-
-
 @dataclass
 class SuiteConfig:
     suite: str
@@ -78,7 +72,7 @@ class SuiteConfig:
                 f"unknown suite {self.suite!r}; expected one of {SUITE_IDS}"
             )
         for name, (kind, label) in _FIELD_TYPES.items():
-            _require_type(name, getattr(self, name), kind, label)
+            require_type(name, getattr(self, name), kind, label)
         if not isinstance(self.emit_csv, bool):
             raise ConfigurationError(f"emit_csv must be true or false, got {self.emit_csv!r}")
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
@@ -86,7 +80,7 @@ class SuiteConfig:
         if not isinstance(self.tolerances, dict):
             raise ConfigurationError(f"tolerances must be a mapping, got {self.tolerances!r}")
         for key, value in self.tolerances.items():
-            _require_type(f"tolerance {key}", value, numbers.Real, "a number")
+            require_type(f"tolerance {key}", value, numbers.Real, "a number")
             if not value >= 0:
                 raise ConfigurationError(f"tolerance {key}={value} must be nonnegative")
         if not 0 < self.epsilon < math.inf:
@@ -476,10 +470,11 @@ def suite_appendix_a(cfg: SuiteConfig, rec: Recorder) -> None:
 
     worst_low = 0.0
     for b in blocks:
-        if b.gamma_k == 0.0:
+        if b.gamma_k == 0.0 or b.k == 0:
             continue
+        mass = testfn.exact_l1_norm(b.f_k)
         for i in range(b.k):
-            scale = testfn.exact_l1_norm(b.f_k) * max(b.a_k1, 1.0) ** i
+            scale = mass * max(b.a_k1, 1.0) ** i
             worst_low = max(worst_low, abs(float(testfn.exact_moment(b.f_k, i))) / scale)
     rec.check("blocks-lower-moments", "moments below each block's order vanish",
               "block condition 2", worst_low, 1e-10)
@@ -525,9 +520,10 @@ def suite_appendix_a(cfg: SuiteConfig, rec: Recorder) -> None:
 
     shifted = testfn.Translated(neg_f, -2.5)
     worst_shift = 0.0
+    neg_mass = testfn.exact_l1_norm(neg_f)
     for n_ord in range(cfg.max_moment + 1):
         m_val = abs(float(complex(testfn.exact_moment(shifted, n_ord)).real))
-        scale = testfn.exact_l1_norm(neg_f) * max(abs(sup[0][0]) + 2.5, 1.0) ** n_ord
+        scale = neg_mass * max(abs(sup[0][0]) + 2.5, 1.0) ** n_ord
         worst_shift = max(worst_shift, m_val / scale)
     rec.check("translation-invariance", "left translation preserves the vanishing moments",
               "binomial expansion of translated moments", worst_shift, 1e-10)

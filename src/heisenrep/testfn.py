@@ -16,14 +16,16 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 from typing import Tuple, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import CapabilityError, ConfigurationError, NotExactlyIntegrable
+from .errors import CapabilityError, ConfigurationError, NotExactlyIntegrable, require_type
 from .grid import GridSpec, SampledFunction
 
 # midpoint-rule cells per support interval in exact_l1_norm
@@ -58,6 +60,7 @@ class CompactBump:
     def __post_init__(self):
         if not self.a < self.b:
             raise ConfigurationError("CompactBump needs a < b")
+        require_type("CompactBump p", self.p, numbers.Integral, "an integer")
         if self.p < 1:
             raise ConfigurationError("CompactBump needs p >= 1")
 
@@ -313,21 +316,42 @@ def _deriv(tf, k):
 # ---------------------------------------------------------------------------
 # exact piecewise-polynomial lowering
 
+@functools.lru_cache(maxsize=None)
+def _pascal(n: int):
+    """Read-only [j, i] tables for degrees below n: comb(j, i), the power
+    j - i of the shift (0 where i > j), and the mask of the terms i <= j."""
+    j, i = np.ogrid[:n, :n]
+    tables = (np.array([[float(math.comb(jj, ii)) for ii in range(n)] for jj in range(n)]),
+              np.maximum(j - i, 0), i <= j)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _affine_poly(coeffs, alpha: float, beta: float) -> np.ndarray:
-    """Coefficients of P(alpha*w + beta) given those of P(v)."""
+    """Coefficients of P(alpha*w + beta) given those of P(v).
+
+    Output i sums the terms ((c_j * C(j, i)) * alpha^i) * beta^(j-i) over
+    j >= i in increasing j: a cumulative sum along j, not a pairwise np.sum.
+    """
     n = len(coeffs)
-    out = np.zeros(n, dtype=complex)
-    for j, cj in enumerate(coeffs):
-        for i in range(j + 1):
-            out[i] += cj * math.comb(j, i) * alpha ** i * beta ** (j - i)
-    return out
+    binom, shift, upper = _pascal(n)
+    c = np.asarray(coeffs)[:, None]
+    alpha_pow = np.array([alpha ** i for i in range(n)])
+    beta_pow = np.array([beta ** m for m in range(n)])[shift]
+    terms = np.where(upper, c * binom * alpha_pow * beta_pow, 0.0)
+    # [-1:] keeps an empty polynomial empty
+    return np.cumsum(terms, axis=0)[-1:].ravel()
 
 
 def _bump_to_piecewise(tf: CompactBump) -> PiecewisePoly:
     x0 = 0.5 * (tf.a + tf.b)
     half = 0.5 * (tf.b - tf.a)
-    # in v = (x - x0)/half:  (x-a)^p (b-x)^p = half^{2p} (1 - v^2)^p
-    c = P.polypow(np.array([1.0, 0.0, -1.0]), tf.p) * half ** (2 * tf.p)
+    # in v = (x - x0)/half:  (x-a)^p (b-x)^p = half^{2p} (1 - v^2)^p,
+    # whose coefficient of v^{2j} is (-1)^j C(p, j)
+    c = np.zeros(2 * tf.p + 1)
+    c[::2] = [(-1) ** j * math.comb(tf.p, j) for j in range(tf.p + 1)]
+    c = c * half ** (2 * tf.p)
     return PiecewisePoly((Piece(x0, tf.a, tf.b, tuple(c), half),), smooth=tf.p - 1)
 
 
@@ -395,28 +419,36 @@ def _piece_moment(pc: Piece, n: int) -> complex:
 
     Substituting x = x0 + scale*v keeps every power of v order-one; the
     large magnitudes enter only through x0^{n-i} * scale^{i+1} factors.
+    The terms w_i c_j (B^q - A^q) / q, q = i + j + 1, form one table; fsum
+    is correctly rounded, so the order in which they are summed is immaterial.
     """
     s = pc.scale
     A = (pc.a - pc.x0) / s
     B = (pc.b - pc.x0) / s
-    terms = []
-    for i in range(n + 1):
-        w = math.comb(n, i) * pc.x0 ** (n - i) * s ** (i + 1)
-        for j, cj in enumerate(pc.coefficients):
-            q = i + j + 1
-            terms.append(w * cj * (B ** q - A ** q) / q)
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    c = np.asarray(pc.coefficients)
+    q = np.add.outer(np.arange(n + 1), np.arange(1, len(c) + 1))
+    # Python's scalar pow, not np.power, whose vector kernel rounds differently
+    w = np.array([math.comb(n, i) * pc.x0 ** (n - i) * s ** (i + 1)
+                  for i in range(n + 1)])[:, None]
+    t = w * c * np.array([B ** m - A ** m for m in range(n + len(c) + 1)])[q]
+    if t.dtype.kind != "c":
+        return complex(math.fsum((t / q).ravel().tolist()), 0.0)
+    # numpy complex scalars divide by multiplying with 1/q, Python ones by dividing
+    by_reciprocal = [isinstance(cj, np.complexfloating) for cj in pc.coefficients]
+    re, im = (np.where(by_reciprocal, part * (1.0 / q), part / q) for part in (t.real, t.imag))
+    return complex(math.fsum(re.ravel().tolist()), math.fsum(im.ravel().tolist()))
 
 
 def exact_moment(tf: TestFunction, n: int):
     """Closed-form integral of x^n * tf(x) over the line.
 
     Only descriptor trees that lower to piecewise polynomials qualify;
-    Gaussian or modulated trees raise NotExactlyIntegrable.
+    Gaussian or modulated trees raise NotExactlyIntegrable.  The result is
+    a float when its imaginary part is at most 1e-14 of its real part.
     """
     parts = [_piece_moment(pc, n) for pc in to_piecewise(tf).pieces]
     m = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
-    if abs(m.imag) <= 1e-14 * (1.0 + abs(m.real)):
+    if abs(m.imag) <= 1e-14 * abs(m.real):
         return m.real
     return m
 

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from heisenrep import testfn
 from heisenrep.annihilator import (
     AnnihilatorConfig, annihilate, annihilate_negative, build_block,
     choose_interval,
@@ -36,6 +38,19 @@ def test_config_validation():
         # Gaussian mothers have unbounded support
         AnnihilatorConfig(K=2, epsilon=1e-2, a0=2.0,
                           mother=GaussianPoly(0.0, 1.0, (1.0,)))
+    # non-finite or non-numeric epsilon and a0, non-integer K
+    for bad in ({"epsilon": math.inf}, {"epsilon": math.nan}, {"epsilon": "x"},
+                {"epsilon": None}, {"epsilon": True}, {"a0": math.inf}, {"a0": "2"},
+                {"K": 1.5}, {"K": "2"}, {"K": True}, {"K": 2.0}):
+        kwargs = {"K": 2, "epsilon": 1e-2, "a0": 2.0, "mother": MOTHER, **bad}
+        with pytest.raises(ConfigurationError):
+            AnnihilatorConfig(**kwargs)
+    # the bump order must be an integer: the lowering expands (1 - v^2)^p
+    for p in (2.5, True, "6", 6.0):
+        with pytest.raises(ConfigurationError):
+            CompactBump(0.1, 0.9, p)
+    assert AnnihilatorConfig(K=np.int64(2), epsilon=np.float64(1e-2), a0=2,
+                             mother=CompactBump(0.1, 0.9, np.int64(6))).K == 2
 
 
 def test_choose_interval_passes_both_conditions():
@@ -100,3 +115,24 @@ def test_growth_cap_raises_clear_error():
     with pytest.raises(ConfigurationError, match="enlarge epsilon"):
         annihilate(AnnihilatorConfig(K=6, epsilon=1e-9, a0=1.0001,
                                      mother=CompactBump(0.1, 0.9, 8)))
+
+
+def test_annihilate_work_counts(monkeypatch):
+    # each part or block is lowered to pieces once, and every moment and
+    # norm of it runs on that lowering; bump coefficients come from the
+    # binomial theorem, never from a polynomial power
+    calls = []
+    lower = testfn.to_piecewise
+
+    def counting(tf):
+        calls.append(type(tf).__name__)
+        return lower(tf)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polypow called")
+
+    # recursive calls resolve the module attribute, so they are counted too
+    monkeypatch.setattr(testfn, "to_piecewise", counting)
+    monkeypatch.setattr(testfn.P, "polypow", refuse)
+    annihilate(_config())
+    assert len(calls) == 112

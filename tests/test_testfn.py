@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
 from heisenrep import make_grid
+from heisenrep import testfn as T
 from heisenrep.errors import CapabilityError, ConfigurationError, NotExactlyIntegrable
 from heisenrep.testfn import (
     Amplified, CompactBump, Derivative, GaussianPoly, Mirrored, Modulated, Piece,
@@ -108,6 +111,16 @@ def test_exact_l2_norm_scale_invariance_extreme():
         assert abs(exact_l2_norm(moved) / (ref * math.sqrt(h)) - 1.0) < 1e-9
 
 
+def test_exact_moment_keeps_small_imaginary_parts():
+    # whether a moment is real is judged relative to its real part, so a
+    # function of tiny magnitude keeps its imaginary part
+    tiny = CompactBump(0.0, 0.1, 5)
+    m = exact_moment(tiny, 0)
+    assert 0.0 < m < 1e-14
+    assert exact_moment(Amplified(tiny, 1.0 + 1.0j), 0) == complex(m, m)
+    assert isinstance(exact_moment(Amplified(tiny, 2.0 + 0.0j), 0), float)
+
+
 def test_exact_moment_refuses_gaussian():
     with pytest.raises(NotExactlyIntegrable):
         exact_moment(GaussianPoly(0.0, 1.0, (1.0,)), 0)
@@ -166,3 +179,140 @@ def test_json_roundtrip():
         from_json({"tag": "piecewise_poly", "pieces": [{"x0": 0.0, "a": -1.0, "b": 1.0}]})
     with pytest.raises(ConfigurationError):
         from_json({"tag": "no_such_tag"})
+
+
+# ---------------------------------------------------------------------------
+# the scalar closed forms the table-driven ones replaced, kept as references:
+# the tables keep every term's operand order, so results must be bit-identical
+
+def _piece_moment_scalar(pc, n):
+    s = pc.scale
+    A = (pc.a - pc.x0) / s
+    B = (pc.b - pc.x0) / s
+    terms = []
+    for i in range(n + 1):
+        w = math.comb(n, i) * pc.x0 ** (n - i) * s ** (i + 1)
+        for j, cj in enumerate(pc.coefficients):
+            q = i + j + 1
+            terms.append(w * cj * (B ** q - A ** q) / q)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def _affine_poly_scalar(coeffs, alpha, beta):
+    out = np.zeros(len(coeffs), dtype=complex)
+    for j, cj in enumerate(coeffs):
+        for i in range(j + 1):
+            out[i] += cj * math.comb(j, i) * alpha ** i * beta ** (j - i)
+    return out
+
+
+def _random_coefficients(rng, kind):
+    """Degree <= 25; numpy reals, Python complex, numpy complex, or a mix of
+    Python floats and complex (the element type decides scalar arithmetic)."""
+    size = int(rng.integers(1, 27))
+    re = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+    im = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+    if kind == "real":
+        return tuple(re)
+    if kind == "numpy complex":
+        return tuple(re + 1j * im)
+    if kind == "python complex":
+        return tuple(complex(r, i) for r, i in zip(re, im))
+    return tuple(complex(r, i) if k % 2 else float(r) for k, (r, i) in enumerate(zip(re, im)))
+
+
+KINDS = ("real", "numpy complex", "python complex", "mixed")
+
+
+def test_piece_moment_bit_identical_to_scalar_reference():
+    rng = np.random.default_rng(20)
+    for trial in range(400):
+        x0 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 13))
+        scale = float(10.0 ** rng.uniform(-6, 6))
+        lo, hi = sorted(rng.uniform(-1.5, 1.5, 2))
+        pc = Piece(x0, x0 + scale * lo, x0 + scale * hi,
+                   _random_coefficients(rng, KINDS[trial % 4]), scale)
+        for n in range(9):
+            assert T._piece_moment(pc, n) == _piece_moment_scalar(pc, n), (trial, n)
+
+
+def test_affine_poly_bit_identical_to_scalar_reference():
+    rng = np.random.default_rng(21)
+    for trial in range(400):
+        coeffs = _random_coefficients(rng, KINDS[trial % 4])
+        alpha = float(10.0 ** rng.uniform(-6, 0))
+        beta = float(rng.uniform(-1.0, 1.0))
+        got = T._affine_poly(coeffs, alpha, beta)
+        assert np.array_equal(got, _affine_poly_scalar(coeffs, alpha, beta)), trial
+
+
+def test_bump_coefficients_bit_identical_to_polypow():
+    for p in range(1, 13):
+        a, b = 0.1 * p, 0.1 * p + 0.37 * p
+        half = 0.5 * (b - a)
+        expected = P.polypow(np.array([1.0, 0.0, -1.0]), p) * half ** (2 * p)
+        assert to_piecewise(CompactBump(a, b, p)).pieces[0].coefficients == tuple(expected)
+
+
+# ---------------------------------------------------------------------------
+# property tests: closed forms against Gauss-Legendre quadrature of `evaluate`
+
+EPS = np.finfo(float).eps
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+@st.composite
+def polynomial_trees(draw):
+    """A bump of order p <= 8 under up to four wrappers, derivatives of
+    total order below p.  Every such tree is one polynomial piece on its
+    support, and the support stays in [-40, 40]."""
+    p = draw(st.integers(1, 8))
+    a = draw(st.floats(-3.0, 3.0))
+    tf = CompactBump(a, a + draw(st.floats(0.1, 4.0)), p)
+    budget = p - 1
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["translate", "scale", "mirror", "amplify", "derive"]))
+        if kind == "translate":
+            tf = Translated(tf, draw(st.floats(-5.0, 5.0)))
+        elif kind == "scale":
+            rate = draw(st.floats(0.5, 2.0))
+            tf = Scaled(tf, rate if draw(st.booleans()) else -rate)
+        elif kind == "mirror":
+            tf = Mirrored(tf)
+        elif kind == "amplify":
+            tf = Amplified(tf, complex(draw(st.floats(0.25, 3.0)), draw(st.floats(-3.0, 3.0))))
+        elif budget > 0:
+            k = draw(st.integers(1, budget))
+            budget -= k
+            tf = Derivative(tf, k)
+    return tf, p
+
+
+def _gauss_legendre(g, lo, hi, panels=4):
+    """Composite Gauss-Legendre integral of g over (lo, hi); 32 nodes per
+    panel integrate polynomials of degree <= 63 exactly."""
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * GL_NODES
+    return np.sum(half * GL_WEIGHTS * g(x))
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(polynomial_trees())
+def test_closed_forms_match_quadrature(tree):
+    # Both sides round O(1) times per monomial term, and the monomial form of
+    # (1 - v^2)^p and its derivatives amplifies rounding by at most
+    # kappa = sum_j |c_j| / int |f| <= 4^p (p <= 8): a bound of the family,
+    # not of any observed error.  A moment rounds like R^n int |f|, R the
+    # largest |x| on the support; the squared norm rounds like kappa^2 ||f||^2.
+    tf, p = tree
+    (lo, hi), = support(tf)
+    kappa = 4.0 ** p
+    mass = _gauss_legendre(lambda x: np.abs(evaluate(tf, x)), lo, hi)
+    radius = max(abs(lo), abs(hi))
+    for n in range(5):
+        quad = _gauss_legendre(lambda x: x ** n * evaluate(tf, x), lo, hi)
+        scale = radius ** n * mass
+        assert abs(complex(exact_moment(tf, n)) - quad) <= 64 * kappa * EPS * scale
+    norm_sq = _gauss_legendre(lambda x: np.abs(evaluate(tf, x)) ** 2, lo, hi)
+    assert abs(exact_l2_norm(tf) ** 2 - norm_sq) <= 64 * kappa ** 2 * EPS * norm_sq
