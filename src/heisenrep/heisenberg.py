@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PrecisionError
-from .grid import SampledFunction, dual_grid
+from .grid import GridSpec, SampledFunction, dual_grid
 from .transforms import spectral_multiply
 
 _SEMIGROUP_BASES = ("S1zero", "S1", "S2zero", "S2", "S3", "S4")
@@ -98,7 +98,7 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     xi1 be a multiple of the grid spacing.
     """
     if mode == "spectral":
-        vals = spectral_multiply(f, _cis(xi.xi1 * dual_grid(f.grid).points)).values
+        vals = spectral_multiply(f, _phase(xi.xi1, dual_grid(f.grid))).values
     elif mode == "grid":
         dx = f.grid.spacing
         m = xi.xi1 / dx
@@ -118,8 +118,25 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
                 vals[-m_round:] = f.values[: n + m_round]
     else:
         raise ConfigurationError(f"unknown act mode {mode!r}")
-    phase = np.exp(1j * xi.xi3) * _cis(xi.xi2 * f.grid.points)
-    return SampledFunction(f.grid, phase * vals)
+    return SampledFunction(f.grid, _phase(xi.xi2, f.grid, np.exp(1j * xi.xi3)) * vals)
+
+
+def _phase(a: float, grid: GridSpec, factor: complex = 1.0) -> np.ndarray:
+    """factor * e^{i a x_j} at the grid points x_j = x_0 + j*h, from two short tables.
+
+    With j = b*B + r and B = 2^floor(log2(N)/2), which divides every grid
+    size (a power of two), e^{i a x_j} = cis(a x_{bB}) * cis(a r h): the
+    outer product of an N/B-point coarse table, which holds the factor, and
+    a B-point fine one, so N/B + B cos/sin pairs are evaluated instead of N.
+    Both tables come from half_width and spacing (the coarse one reads the
+    grid points), never from a difference of points, so the error stays
+    that of rounding the argument a*x_j, plus a few ulps for the products.
+    """
+    n = int(grid.size)
+    block = 1 << ((n.bit_length() - 1) // 2)
+    coarse = factor * _cis(a * grid.points[::block])
+    fine = _cis(a * (grid.spacing * np.arange(block)))
+    return np.multiply.outer(coarse, fine).ravel()
 
 
 def _cis(t: np.ndarray) -> np.ndarray:

@@ -81,6 +81,12 @@ class Piece:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        if not self.coefficients:
+            raise ConfigurationError("piece needs at least one coefficient")
+        # a == b stays allowed: a narrow piece far from the origin can round
+        # to a single point
+        if not self.a <= self.b:
+            raise ConfigurationError(f"piece needs a <= b, got ({self.a}, {self.b})")
         if not self.scale > 0:
             raise ConfigurationError("piece scale must be positive")
 
@@ -340,8 +346,7 @@ def _affine_poly(coeffs, alpha: float, beta: float) -> np.ndarray:
     alpha_pow = np.array([alpha ** i for i in range(n)])
     beta_pow = np.array([beta ** m for m in range(n)])[shift]
     terms = np.where(upper, c * binom * alpha_pow * beta_pow, 0.0)
-    # [-1:] keeps an empty polynomial empty
-    return np.cumsum(terms, axis=0)[-1:].ravel()
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def _bump_to_piecewise(tf: CompactBump) -> PiecewisePoly:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import heisenrep.transforms
 from heisenrep.cli import main
 from heisenrep.errors import ConfigurationError
 from heisenrep.heisenberg import GroupElement
-from heisenrep.runner import report_json, run_suite
+from heisenrep.runner import report_json, run_all, run_suite
 from heisenrep.suites import SUITE_IDS, SuiteConfig
 
 
@@ -150,6 +151,17 @@ def test_cli_mistyped_config_value_exits_two(tmp_path, capsys, entries):
     assert main(["--config", str(cfg), "--suite", "appendix-a"]) == 2
     err = capsys.readouterr().err
     assert "ConfigurationError" in err and len(err.strip().splitlines()) == 1
+
+
+def test_default_report_bytes_pinned():
+    # every report of the default run, concatenated in suite order; a pure
+    # refactor keeps these bytes, a deliberate change of values records the
+    # new digest (measured with numpy 2.4.6, whose FFT fixes the last digits)
+    text = "".join(report_json(r) for r in run_all(SuiteConfig(suite=SUITE_IDS[0])))
+    data = text.encode()
+    assert len(data) == 23381
+    assert hashlib.sha256(data).hexdigest() == (
+        "851ffe80bd14a6cefa2e684ec907cb63df1f498e9a7d54537e4fbb3b2461d144")
 
 
 def test_generators_fourier_count(monkeypatch):

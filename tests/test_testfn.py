@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -316,3 +317,96 @@ def test_closed_forms_match_quadrature(tree):
         assert abs(complex(exact_moment(tf, n)) - quad) <= 64 * kappa * EPS * scale
     norm_sq = _gauss_legendre(lambda x: np.abs(evaluate(tf, x)) ** 2, lo, hi)
     assert abs(exact_l2_norm(tf) ** 2 - norm_sq) <= 64 * kappa ** 2 * EPS * norm_sq
+
+
+def _derivative_bound(c, k):
+    """sum_j |c_j| j!/(j-k)!: bounds |d^k/dv^k sum_j c_j v^j| on |v| <= 1."""
+    return sum(abs(cj) * math.perm(j, k) for j, cj in enumerate(c))
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(polynomial_trees())
+def test_derivative_matches_central_difference(tree):
+    # On its support the tree is one piece c(v), v = (x - x0)/s, |v| <= 1, so
+    # A_k = _derivative_bound(c, k) bounds the v-derivatives.  The central
+    # difference with step h errs by h^2/6 * A_3/s^3; each evaluation rounds
+    # by at most 2(d+1) eps A_0 in Horner's rule plus A_1 dv, dv the rounding
+    # of v; the derivative's own evaluation rounds like that with A_1, A_2.
+    # A bound of the family, doubled once, not fitted to any observed error.
+    tf, _ = tree
+    if smoothness_budget(tf) < 1:
+        with pytest.raises(CapabilityError):
+            derivative(tf, 1)
+        return
+    (pc,) = to_piecewise(tf).pieces
+    c, s, d = pc.coefficients, pc.scale, len(pc.coefficients) - 1
+    A = [_derivative_bound(c, k) for k in range(4)]
+    (lo, hi), = support(tf)
+    h = 1e-5 * s
+    dv = 4 * EPS * (max(abs(lo), abs(hi)) + h + abs(pc.x0)) / s
+    x = lo + (hi - lo) * np.linspace(0.05, 0.95, 19)
+    fd = (evaluate(tf, x + h) - evaluate(tf, x - h)) / (2 * h)
+    bound = 2 * (h * h / 6 * A[3] / s ** 3
+                 + (2 * (d + 1) * EPS * A[0] + A[1] * dv) / h
+                 + (2 * (d + 1) * EPS * A[1] + A[2] * dv) / s)
+    assert np.max(np.abs(evaluate(derivative(tf, 1), x) - fd)) <= bound
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(polynomial_trees())
+def test_support_matches_nonzero_samples(tree):
+    # outside the support every sample is exactly zero; inside, a nonzero
+    # polynomial of degree d has at most d roots, so at most d zero samples
+    tf, _ = tree
+    (lo, hi), = support(tf)
+    (pc,) = to_piecewise(tf).pieces
+    u = np.linspace(1e-3, 1.0, 50)
+    outside = np.concatenate([lo - (hi - lo) * u, hi + (hi - lo) * u])
+    assert np.all(evaluate(tf, outside) == 0)
+    inside = evaluate(tf, lo + (hi - lo) * np.linspace(0.01, 0.99, 99))
+    assert np.count_nonzero(inside == 0) <= len(pc.coefficients) - 1
+
+
+@st.composite
+def descriptor_trees(draw):
+    """Polynomial trees, alone, lowered to pieces, or summed with a
+    modulated Gaussian: every descriptor kind the JSON form encodes."""
+    tf, _ = draw(polynomial_trees())
+    form = draw(st.sampled_from(["tree", "lowered", "summed"]))
+    if form == "lowered":
+        return to_piecewise(tf)
+    if form == "summed":
+        coeffs = tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)))
+        gauss = GaussianPoly(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.25, 4.0)), coeffs)
+        return Summed((tf, Modulated(gauss, draw(st.floats(-5.0, 5.0)),
+                                     draw(st.floats(-3.0, 3.0)))))
+    return tf
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(descriptor_trees())
+def test_json_roundtrip_property(tf):
+    # through JSON text: floats keep their shortest round-trip repr, so the
+    # decoded tree is equal and evaluates bit for bit alike
+    again = from_json(json.loads(json.dumps(to_json(tf))))
+    assert again == tf
+    x = np.linspace(-45.0, 45.0, 181)
+    assert np.array_equal(evaluate(again, x), evaluate(tf, x))
+
+
+def test_piece_refuses_malformed_input():
+    with pytest.raises(ConfigurationError):
+        Piece(0.0, -1.0, 1.0, ())
+    with pytest.raises(ConfigurationError):
+        Piece(0.0, 1.0, -1.0, (1.0,))
+    with pytest.raises(ConfigurationError):
+        Piece(0.0, math.nan, 1.0, (1.0,))
+    for bad in ({"x0": 0.0, "a": -1.0, "b": 1.0, "coefficients": []},
+                {"x0": 0.0, "a": 1.0, "b": -1.0, "coefficients": [[1.0, 0.0]]}):
+        with pytest.raises(ConfigurationError):
+            from_json({"tag": "piecewise_poly", "pieces": [bad]})
+    # a == b stays allowed: a narrow piece far out rounds to one point
+    pc = Piece(1e13, 1e13 - 5e-7, 1e13 + 5e-7, (1.0,), 1e-6)
+    assert pc.a == pc.b
+    assert exact_moment(PiecewisePoly((pc,)), 0) == 0.0
+    assert exact_l2_norm(PiecewisePoly((pc,))) == 0.0

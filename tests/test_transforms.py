@@ -7,7 +7,10 @@ from heisenrep import (
     inverse_fourier, make_grid, norm, proj_hardy,
 )
 from heisenrep.testfn import GaussianPoly, sample
-from heisenrep.transforms import _alternating_signs
+from heisenrep.transforms import (
+    LINE_PADDING, _alternating_signs, _line_kernel_spectrum, _sign_of_frequency,
+    spectral_multiply,
+)
 
 GRID = make_grid(32.0, 4096)
 
@@ -113,6 +116,36 @@ def test_hilbert_line_gaussian_dawson():
     # is the periodization over the padded window
     f, target = _gauss_and_dawson()
     assert norm(hilbert(f, "line") - target) < 1e-3 * norm(target)
+
+
+def _hilbert_line_zero_padded(f):
+    """The line route as defined: the multiplier on the input zero-padded
+    onto a LINE_PADDING-fold wider grid, restricted back to f's window."""
+    n = f.grid.size
+    start = (LINE_PADDING - 1) * n // 2
+    values = np.zeros(LINE_PADDING * n, dtype=complex)
+    values[start:start + n] = f.values
+    wide = make_grid(LINE_PADDING * f.grid.half_width, LINE_PADDING * n)
+    back = spectral_multiply(SampledFunction(wide, values), -1j * _sign_of_frequency(wide))
+    return SampledFunction(f.grid, back.values[start:start + n])
+
+
+@pytest.mark.parametrize("half_width, n", [(32.0, 4096), (100.0, 1024), (3.0, 4)])
+def test_hilbert_line_matches_zero_padded_multiplier(half_width, n):
+    # the cached kernel convolution and the wide multiplier are the same
+    # linear operator; both round O(log N) times per sample
+    grid = make_grid(half_width, n)
+    x = grid.points
+    rng = np.random.default_rng(n)
+    for values in (1.0 / (1.0 + x ** 2), np.exp(-x ** 2),
+                   rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        f = SampledFunction(grid, values)
+        reference = _hilbert_line_zero_padded(f)
+        assert norm(hilbert(f, "line") - reference) <= 1e-14 * norm(reference)
+    spectrum = _line_kernel_spectrum(n)
+    assert spectrum is _line_kernel_spectrum(n) and spectrum.shape == (2 * n,)
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
 
 
 def test_hilbert_gaussian_sign():
