@@ -82,7 +82,7 @@ def _block_shape(k: int, a_k: float, h: float, config: AnnihilatorConfig) -> Tes
 
 
 def choose_interval(k: int, a_k: float, lambda_k: float,
-                    config: AnnihilatorConfig, I: float | None = None) -> float:
+                    config: AnnihilatorConfig, I: float) -> float:
     """Smallest a_{k+1} = a_k + 2^m passing the width inequality
 
         (a_{k+1} - a_k)^{k+3/2} / a_{k+1}^k
@@ -92,8 +92,6 @@ def choose_interval(k: int, a_k: float, lambda_k: float,
     The closed-form norm scaling behind the width inequality is checked
     directly because the two can disagree when the block is wider than a0.
     """
-    if I is None:
-        I = float(exact_moment(config.mother, 0))
     if lambda_k == 0.0:
         return a_k + 1.0
     gk_norm = exact_l2_norm(derivative(config.mother, k))
@@ -131,15 +129,13 @@ def choose_interval(k: int, a_k: float, lambda_k: float,
 
 
 def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
-                config: AnnihilatorConfig, I: float | None = None) -> BlockRecord:
+                config: AnnihilatorConfig, I: float) -> BlockRecord:
     """Assemble f_k and verify its invariants in closed form:
 
     moments below k vanish; the k-th moment equals lambda_k (the closed-form
     identity int x^k f_k = (-1)^k k! I gamma_k (h/a0)^{k+1} collapses to
     lambda_k after substituting gamma_k); the L^2 norm respects the budget.
     """
-    if I is None:
-        I = float(exact_moment(config.mother, 0))
     h = a_k1 - a_k
     if h <= 0:
         raise ConfigurationError("a_{k+1} must exceed a_k")
@@ -170,7 +166,7 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
     return BlockRecord(k, a_k, a_k1, gamma, lambda_k, f_k, norm_fk, bound)
 
 
-def _moment_defects(parts, K: int):
+def moment_defects(parts, K: int):
     """Relative residual moments of the assembled sum, orders 0..K, from
     the parts lowered by `to_piecewise`.
 
@@ -219,7 +215,7 @@ def annihilate(config: AnnihilatorConfig):
              "lambda_k": b.lambda_k, "norm_fk": b.norm_fk, "bound": b.norm_bound}
             for b in blocks
         ],
-        "moment_defects": _moment_defects(lowered, config.K),
+        "moment_defects": moment_defects(lowered, config.K),
         "l2_distance": l2_distance,
     }
     return f, blocks, report

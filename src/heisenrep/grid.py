@@ -96,12 +96,11 @@ class SampledFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.array(self.values, dtype=complex)
         if vals.shape != (self.grid.size,):
             raise GridMismatchError(
                 f"values shape {vals.shape} does not match grid size {self.grid.size}"
             )
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

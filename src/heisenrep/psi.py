@@ -180,16 +180,12 @@ def halfline_contraction(xi: GroupElement, f: SampledFunction):
     minus_mass = norm(restrict_halfline(f, "minus"))
     if minus_mass != 0.0:
         raise ClassMembershipError("input carries mass on x < 0")
-    return _contraction_pair(xi, f)
+    return contraction_contrast(xi, f)
 
 
 def contraction_contrast(xi: GroupElement, f: SampledFunction):
     """Same measurement without the semigroup guard: for xi1 > 0 part of the
     mass crosses into x < 0 and Q+ U(xi) genuinely loses norm."""
-    return _contraction_pair(xi, f)
-
-
-def _contraction_pair(xi: GroupElement, f: SampledFunction):
     xi1 = snap_to_grid(xi.xi1, f.grid)
     moved = act(GroupElement(xi1, xi.xi2, xi.xi3), f, mode="grid")
     return norm(f), norm(restrict_halfline(moved, "plus"))

@@ -20,26 +20,28 @@ from .transforms import inverse_fourier, proj_hardy
 # seminorm_sup scan: window for non-compact descriptors, and point count
 SUP_SPAN = 64.0
 SUP_SAMPLES = 8192
+# highest order of the iterative tower
+TOWER_MAX_ORDER = 3
 
 
-def seminorm_iter(f: SampledFunction, n: int, max_order: int = 3) -> float:
+def seminorm_iter(f: SampledFunction, n: int) -> float:
     """||f||_n alone: the last entry of :func:`seminorm_tower`."""
-    return seminorm_tower(f, n, max_order)[n]
+    return seminorm_tower(f, n)[n]
 
 
-def seminorm_tower(f: SampledFunction, n: int, max_order: int = 3) -> list:
+def seminorm_tower(f: SampledFunction, n: int) -> list:
     """[||f||_0, ..., ||f||_n] of the iterative tower in one depth-first pass.
 
     Each word in {M, D}^{<=n} is applied once (2^{n+1} - 2 generator calls)
     and only one branch is held at a time.  Order k is summed as
     ||Mf||_{k-1}^2 + ||Df||_{k-1}^2 + ||f||_{k-1}^2, the recursion's order.
     Spectral differentiation amplifies rounding roughly by N per order,
-    so orders beyond max_order are refused rather than silently noisy.
+    so orders beyond TOWER_MAX_ORDER are refused rather than silently noisy.
     """
     if n < 0:
         raise CapabilityError("seminorm order must be nonnegative")
-    if n > max_order:
-        raise CapabilityError(f"seminorm order {n} exceeds max_order {max_order}")
+    if n > TOWER_MAX_ORDER:
+        raise CapabilityError(f"seminorm order {n} exceeds TOWER_MAX_ORDER {TOWER_MAX_ORDER}")
     return [np.sqrt(sq) for sq in _tower_sq(f, n)]
 
 

@@ -78,65 +78,42 @@ def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
                       approximates the line transform of the input extended
                       by zeros outside [-L, L).  Restricted to the grid,
                       that wide circulant operator is a linear convolution
-                      over lags |m| < N with its kernel (_line_kernel_spectrum).
+                      over lags |m| < N with a closed-form kernel.
     principal_value:  the odd-point trapezoid rule
                       h_t = (2/pi) sum_{m odd} f_{t-m} / m (Kress & Martensen
                       1970; Weideman 1995), exact at the grid points on the
                       band-limited interpolant of the samples.
 
-    The line and principal-value routes are linear convolutions evaluated
-    through a zero-padded FFT.  All routes share the sign fixed by the
-    multiplier -i*sgn(y); on this convention the transform of a real even
-    function is real odd.
+    The line and principal-value routes are linear convolutions with odd
+    kernels, evaluated through a zero-padded FFT (three of length 2N).  All
+    routes share the sign fixed by the multiplier -i*sgn(y); on this
+    convention the transform of a real even function is real odd.
     """
     if method == "multiplier":
         return spectral_multiply(f, -1j * _sign_of_frequency(f.grid))
-    if method == "line":
-        return _convolve(f, _line_kernel_spectrum(f.grid.size))
-    if method == "principal_value":
+    if method in ("line", "principal_value"):
+        # odd kernels on lags |m| < N, lag m at index m mod 2N (index N, lag
+        # +-N, stays 0).  The wide multiplier's is (2/M) cot(pi m/M) on odd m
+        # plus i(-1)^m/M from its Nyquist bin, whose sign is -1, with
+        # M = LINE_PADDING*N; its M -> inf limit is the principal-value
+        # kernel 2/(pi m), whose entries 0 +- x are written exactly
         n = f.grid.size
-        # the odd kernel k_m = 2/(pi*m) on odd m and 0 on even m
         m = np.arange(1, n, 2)
-        kernel = np.zeros(2 * n)
-        kernel[m] = 2.0 / (np.pi * m)
-        kernel[2 * n - m] = -2.0 / (np.pi * m)
-        return _convolve(f, np.fft.fft(kernel))
+        if method == "line":
+            wide = LINE_PADDING * n
+            kernel = (1j / wide) * _alternating_signs(2 * n)
+            kernel[n] = 0.0
+            odd = 2.0 / (wide * np.tan(np.pi * m / wide))
+        else:
+            kernel = np.zeros(2 * n)
+            odd = 2.0 / (np.pi * m)
+        kernel[1:n:2] += odd  # lags m = 1, 3, ..., N - 1
+        kernel[:n:-2] -= odd  # lags -m, at indices 2N - m
+        del odd  # before the FFTs, which set the route's peak memory
+        # padding f to 2N keeps the circular wrap off the grid
+        conv = np.fft.ifft(np.fft.fft(f.values, 2 * n) * np.fft.fft(kernel))[:n]
+        return SampledFunction(f.grid, conv)
     raise ConfigurationError(f"unknown hilbert method {method!r}")
-
-
-def _convolve(f: SampledFunction, kernel_spectrum: np.ndarray) -> SampledFunction:
-    """Linear convolution sum_m k_{t-m} f_m of the samples with a kernel on
-    lags |m| < N, restricted to the grid.
-
-    `kernel_spectrum` is the length-2N FFT of the kernel stored circularly
-    (lag m at index m mod 2N); padding f to 2N keeps the wrap off the grid.
-    """
-    n = f.grid.size
-    conv = np.fft.ifft(np.fft.fft(f.values, 2 * n) * kernel_spectrum)[:n]
-    return SampledFunction(f.grid, conv)
-
-
-@cache
-def _line_kernel_spectrum(n: int) -> np.ndarray:
-    """Read-only kernel spectrum of the line route at grid size n.
-
-    The kernel is the response of the wide multiplier -i*sgn(y) to an
-    impulse at the centre c = M/2 of M = LINE_PADDING*n points.  On the wide
-    grid, fourier and its inverse are FFTs between alternating-sign
-    twiddles whose scale factors cancel, the frequency of bin k has the sign
-    of k - M/2, and the impulse's FFT is (-1)^k, so the response is
-    alt * ifft(alt * mult) whatever the half-width.  Lags |m| < n are kept.
-    """
-    wide = LINE_PADDING * n
-    alt = _alternating_signs(wide)
-    response = alt * np.fft.ifft(alt * (-1j * np.sign(np.arange(wide) - wide // 2)))
-    centre = wide // 2
-    kernel = np.zeros(2 * n, dtype=complex)
-    kernel[:n] = response[centre:centre + n]
-    kernel[n + 1:] = response[centre - n + 1:centre]
-    spectrum = np.fft.fft(kernel)
-    spectrum.setflags(write=False)
-    return spectrum
 
 
 def proj_hardy(f: SampledFunction, side: str) -> SampledFunction:

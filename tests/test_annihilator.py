@@ -55,16 +55,18 @@ def test_config_validation():
 
 def test_choose_interval_passes_both_conditions():
     cfg = _config()
-    a1 = choose_interval(0, cfg.a0, -0.5, cfg)
-    block = build_block(0, cfg.a0, a1, -0.5, cfg)
+    I = float(exact_moment(MOTHER, 0))
+    a1 = choose_interval(0, cfg.a0, -0.5, cfg, I)
+    block = build_block(0, cfg.a0, a1, -0.5, cfg, I)
     assert block.norm_fk < block.norm_bound
 
 
 def test_block_moment_identity_and_lower_orders():
     cfg = _config()
     lam = -0.3
-    a1 = choose_interval(1, 2.0, lam, cfg)
-    block = build_block(1, 2.0, a1, lam, cfg)
+    I = float(exact_moment(MOTHER, 0))
+    a1 = choose_interval(1, 2.0, lam, cfg, I)
+    block = build_block(1, 2.0, a1, lam, cfg, I)
     assert abs(float(exact_moment(block.f_k, 1)) - lam) < 1e-8 * abs(lam)
     assert abs(float(exact_moment(block.f_k, 0))) < 1e-10 * exact_l1_norm(block.f_k)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heisenrep import (
     GroupElement, LieElement, SampledFunction, SemigroupId, act, bracket,
@@ -121,24 +122,6 @@ def test_generator_convergence_first_order():
             assert 1.8 <= errs[1] / errs[2] <= 2.2
 
 
-def _act_reference(xi, f, mode):
-    """act with every phase formed as np.exp(1j * ...), its original formula."""
-    x = f.grid.points
-    if mode == "spectral":
-        spec = fourier(f)
-        y = dual_grid(f.grid).points
-        vals = inverse_fourier(SampledFunction(spec.grid, np.exp(1j * xi.xi1 * y) * spec.values)).values
-    else:
-        m = round(xi.xi1 / f.grid.spacing)
-        vals = np.zeros(f.grid.size, dtype=complex)
-        if m >= 0:
-            vals[: f.grid.size - m] = f.values[m:]
-        else:
-            vals[-m:] = f.values[: f.grid.size + m]
-    phase = np.exp(1j * xi.xi3) * np.exp(1j * xi.xi2 * x)
-    return phase * vals
-
-
 def _phase_bound(a, grid):
     """Error allowed for a phase e^{i a x} on `grid`, |x| <= half_width:
     rounding x and a*x moves the argument by at most eps*|a x|, and cos/sin,
@@ -223,3 +206,97 @@ def test_conjugate_by_fourier_formula():
 
 def test_element_from_lie():
     assert element_from_lie(CHI1, 0.5) == GroupElement(0.5, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# property tests: the group law and the representation
+#
+# Bounds come from the rounding model fl(a op b) = (a op b)(1 + d) + e with
+# |d| <= eps/2 and |e| <= TINY (gradual underflow), fixed before measuring.
+# Summing k terms and forming the products in them then errs by at most
+# about (k + 1) eps/2 times the sum of the magnitudes of the terms.
+
+TINY = np.finfo(float).smallest_subnormal
+PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None)
+coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+elements = st.builds(GroupElement, coords, coords, coords)
+
+
+def _close(got, want, terms, c):
+    """|got - want| <= c eps (sum |terms|) + c TINY, componentwise."""
+    return abs(got - want) <= c * EPS * sum(abs(t) for t in terms) + c * TINY
+
+
+@PROPERTY
+@given(elements, elements, elements)
+def test_group_law_associative(xi, eta, zeta):
+    # components 1, 2: two sums of three terms on each side, eps per side;
+    # component 3: five terms and three products on each side, 3 eps per
+    # side; c = 8 covers both sides of either
+    lhs = multiply(multiply(xi, eta), zeta)
+    rhs = multiply(xi, multiply(eta, zeta))
+    assert _close(lhs.xi1, rhs.xi1, (xi.xi1, eta.xi1, zeta.xi1), 8)
+    assert _close(lhs.xi2, rhs.xi2, (xi.xi2, eta.xi2, zeta.xi2), 8)
+    assert _close(lhs.xi3, rhs.xi3,
+                  (xi.xi3, eta.xi3, zeta.xi3, xi.xi1 * eta.xi2,
+                   xi.xi1 * zeta.xi2, eta.xi1 * zeta.xi2), 8)
+
+
+@PROPERTY
+@given(elements)
+def test_group_law_inverse_and_identity(xi):
+    # x + (-x) is exactly 0; the third component rounds one product and
+    # three sums of the terms xi3 and xi1*xi2, 2 eps at most, so c = 4
+    for prod in (multiply(xi, inverse(xi)), multiply(inverse(xi), xi)):
+        assert prod.xi1 == 0.0 and prod.xi2 == 0.0
+        assert _close(prod.xi3, 0.0, (xi.xi3, xi.xi1 * xi.xi2), 4)
+    # adding zeros and multiplying by zero round nothing: exact
+    assert multiply(xi, IDENTITY) == xi
+    assert multiply(IDENTITY, xi) == xi
+
+
+@PROPERTY
+@given(elements, elements)
+def test_conjugate_by_fourier_is_homomorphism(xi, eta):
+    # components 1, 2 are the same sums up to an exact negation; component
+    # 3 is six terms (xi3, eta3 and four cross products) with about 3 eps
+    # per side, so c = 8
+    lhs = conjugate_by_fourier(multiply(xi, eta))
+    rhs = multiply(conjugate_by_fourier(xi), conjugate_by_fourier(eta))
+    assert lhs.xi1 == rhs.xi1 and lhs.xi2 == rhs.xi2
+    assert _close(lhs.xi3, rhs.xi3,
+                  (xi.xi3, eta.xi3, xi.xi1 * eta.xi2, xi.xi1 * xi.xi2,
+                   eta.xi1 * eta.xi2, xi.xi2 * eta.xi1), 8)
+
+
+SMALL = make_grid(16.0, 256)
+BIN = np.pi / SMALL.half_width
+spans = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+commensurate = st.builds(
+    lambda x1, k, x3: GroupElement(x1, BIN * k, x3), spans, st.integers(-8, 8), spans)
+
+
+@PROPERTY
+@given(commensurate, commensurate, spans)
+def test_representation_homomorphism_spectral(xi, eta, center):
+    # bin-commensurate modulations shift the spectrum by whole bins, so
+    # U(xi)U(eta) = U(xi eta) holds exactly on samples up to the spectrum
+    # that wraps past the band edge, which for this Gaussian is below
+    # e^{-200}.  What remains is rounding: each of the six phase tables is
+    # within _phase_bound of exact pointwise, each of the six FFTs adds
+    # eps*log2(N) in l2, and the group law rounds the arguments of the
+    # right side's phases by eps times |xi1 + eta1| max|y|, |xi2 + eta2| L
+    # and twice the magnitudes in its third component
+    f = sample(GaussianPoly(center, 1.0, (1.0,)), SMALL)
+    dual = dual_grid(SMALL)
+    prod = multiply(xi, eta)
+    tol = (_phase_bound(xi.xi1, dual) + _phase_bound(eta.xi1, dual)
+           + _phase_bound(prod.xi1, dual)
+           + _phase_bound(xi.xi2, SMALL) + _phase_bound(eta.xi2, SMALL)
+           + _phase_bound(prod.xi2, SMALL)
+           + 6 * EPS * np.log2(SMALL.size)
+           + EPS * (abs(prod.xi1) * dual.half_width + abs(prod.xi2) * SMALL.half_width
+                    + 2 * (abs(xi.xi3) + abs(eta.xi3) + abs(xi.xi1 * eta.xi2))))
+    lhs = act(xi, act(eta, f, mode="spectral"), mode="spectral")
+    rhs = act(prod, f, mode="spectral")
+    assert norm(lhs - rhs) <= tol * norm(f)

@@ -13,6 +13,7 @@ from heisenrep.errors import ConfigurationError
 from heisenrep.heisenberg import GroupElement
 from heisenrep.runner import report_json, run_all, run_suite
 from heisenrep.suites import SUITE_IDS, SuiteConfig
+from heisenrep.testfn import Mirrored, Summed
 
 
 def test_suite_config_validation():
@@ -161,7 +162,19 @@ def test_default_report_bytes_pinned():
     data = text.encode()
     assert len(data) == 23381
     assert hashlib.sha256(data).hexdigest() == (
-        "851ffe80bd14a6cefa2e684ec907cb63df1f498e9a7d54537e4fbb3b2461d144")
+        "ecdc30eba78dbf7ad8ba11bd74acbb516bbf929b725df904e8aa329522262ece")
+
+
+def test_mirror_defects_detect_a_wrong_mirror(monkeypatch):
+    # a mirror that lost its last block no longer annihilates the top moment
+    def dropped_block(config):
+        f, blocks, report = heisenrep.suites.annihilate(config)
+        return Mirrored(Summed(f.terms[:-1])), blocks, report
+
+    monkeypatch.setattr(heisenrep.suites, "annihilate_negative", dropped_block)
+    checks = {c["check"]: c for c in run_suite(SuiteConfig(suite="appendix-a"))["checks"]}
+    assert not checks["mirror-defects"]["pass"]
+    assert checks["final-moments"]["pass"]
 
 
 def test_generators_fourier_count(monkeypatch):

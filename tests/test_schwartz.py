@@ -47,7 +47,6 @@ def test_seminorm_monotone_and_capped():
     assert all(vals[i + 1] >= vals[i] for i in range(3))
     with pytest.raises(CapabilityError):
         seminorm_iter(GAUSS, 4)
-    assert seminorm_iter(GAUSS, 4, max_order=4) > vals[-1]
 
 
 def test_seminorm_sup_oracles():

@@ -8,8 +8,7 @@ from heisenrep import (
 )
 from heisenrep.testfn import GaussianPoly, sample
 from heisenrep.transforms import (
-    LINE_PADDING, _alternating_signs, _line_kernel_spectrum, _sign_of_frequency,
-    spectral_multiply,
+    LINE_PADDING, _alternating_signs, _sign_of_frequency, spectral_multiply,
 )
 
 GRID = make_grid(32.0, 4096)
@@ -132,8 +131,8 @@ def _hilbert_line_zero_padded(f):
 
 @pytest.mark.parametrize("half_width, n", [(32.0, 4096), (100.0, 1024), (3.0, 4)])
 def test_hilbert_line_matches_zero_padded_multiplier(half_width, n):
-    # the cached kernel convolution and the wide multiplier are the same
-    # linear operator; both round O(log N) times per sample
+    # the closed-form kernel convolution and the wide multiplier are the
+    # same linear operator; both round O(log N) times per sample
     grid = make_grid(half_width, n)
     x = grid.points
     rng = np.random.default_rng(n)
@@ -142,10 +141,6 @@ def test_hilbert_line_matches_zero_padded_multiplier(half_width, n):
         f = SampledFunction(grid, values)
         reference = _hilbert_line_zero_padded(f)
         assert norm(hilbert(f, "line") - reference) <= 1e-14 * norm(reference)
-    spectrum = _line_kernel_spectrum(n)
-    assert spectrum is _line_kernel_spectrum(n) and spectrum.shape == (2 * n,)
-    with pytest.raises(ValueError):
-        spectrum[0] = 0.0
 
 
 def test_hilbert_gaussian_sign():
