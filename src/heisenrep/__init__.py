@@ -25,7 +25,6 @@ from .grid import (
     make_grid,
     norm,
     restrict_halfline,
-    zeros,
 )
 from .heisenberg import GroupElement, LieElement, SemigroupId, act, bracket, multiply
 from .transforms import fourier, hilbert, inverse_fourier, proj_hardy
@@ -57,7 +56,6 @@ __all__ = [
     "norm",
     "proj_hardy",
     "restrict_halfline",
-    "zeros",
 ]
 
 __version__ = "0.1.0"

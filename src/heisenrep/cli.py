@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import sys
 import traceback
 
@@ -35,10 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="heisenrep",
         description="Run the numerical verification suites.",
     )
-    parser.add_argument("--config", help="JSON config file; flags override its entries")
+    parser.add_argument("--config",
+                        help="JSON object keyed by SuiteConfig fields; flags override its entries")
     parser.add_argument("--suite", choices=SUITE_IDS,
                         help="run a single suite (default: all, in canonical order)")
-    parser.add_argument("--grid-size", type=int, help="number of samples N (power of two)")
+    parser.add_argument("--grid-size", dest="size", type=int,
+                        help="number of samples N (power of two)")
     parser.add_argument("--half-width", type=float, help="window half-width L")
     parser.add_argument("--tolerance", action="append", default=[], metavar="KEY=VAL",
                         help="override a per-check threshold (repeatable)")
@@ -52,69 +53,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_settings(args) -> dict:
+    """SuiteConfig fields from the config file's object, updated by each
+    flag given (a flag's dest is the field it sets), with the --tolerance
+    pairs merged over the file's tolerances."""
     settings = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                settings = json.load(fh)
+        except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read config file: {exc}") from exc
-        if not isinstance(raw, dict):
+        if not isinstance(settings, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        grid = raw.pop("grid", {})
-        if not isinstance(grid, dict):
-            raise ConfigurationError("config 'grid' must be an object")
-        if grid:
-            settings["half_width"] = grid.get("L", grid.get("half_width"))
-            settings["size"] = grid.get("N", grid.get("size"))
-        for key in ("suite", "seed", "max_moment", "epsilon", "out", "emit_csv"):
-            if key in raw:
-                settings[key] = raw[key]
-        tols = raw.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigurationError("config 'tolerances' must be an object")
-        for key, value in tols.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(f"config tolerance {key!r} must be a number, got {value!r}")
-        settings["tolerances"] = {str(k): float(v) for k, v in tols.items()}
-        unknown = set(raw) - {"suite", "seed", "max_moment", "epsilon", "out",
-                              "emit_csv", "tolerances"}
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-
-    overrides = {
-        "suite": args.suite,
-        "half_width": args.half_width,
-        "size": args.grid_size,
-        "seed": args.seed,
-        "max_moment": args.max_moment,
-        "epsilon": args.epsilon,
-        "out": args.out,
-        "emit_csv": args.emit_csv,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = value
-    tols = dict(settings.get("tolerances", {}))
-    for item in args.tolerance:
-        key, value = _parse_tolerance(item)
-        tols[key] = value
-    settings["tolerances"] = tols
-    settings = {k: v for k, v in settings.items() if v is not None}
+    settings.update((key, value) for key, value in vars(args).items()
+                    if value is not None and key not in ("config", "tolerance"))
+    tolerances = settings.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigurationError(f"config 'tolerances' must be an object, got {tolerances!r}")
+    settings["tolerances"] = {**tolerances, **dict(map(_parse_tolerance, args.tolerance))}
     return settings
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         settings = load_settings(args)
         suite = settings.pop("suite", None)
-        base = SuiteConfig(suite=suite or SUITE_IDS[0], **settings)
-        if suite:
-            reports = [run_suite(base)]
-        else:
-            reports = run_all(base)
+        base = SuiteConfig.from_settings(
+            {"suite": SUITE_IDS[0] if suite is None else suite, **settings})
+        reports = run_all(base) if suite is None else [run_suite(base)]
     except HeisenrepError as exc:
         print(f"configuration error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2

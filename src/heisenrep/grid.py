@@ -8,7 +8,6 @@ so Fourier transforms map SampledFunction -> SampledFunction.
 
 from __future__ import annotations
 
-import csv
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -42,6 +41,10 @@ class GridSpec:
             raise ConfigurationError(f"size must be a power of two, got {self.size}")
         if self.size < 4:
             raise ConfigurationError(f"size must be at least 4, got {self.size}")
+        if not 0 < self.spacing < math.inf:
+            raise ConfigurationError(
+                f"spacing 2*half_width/size must be positive and finite, got {self.spacing} "
+                f"(half_width={self.half_width}, size={self.size})")
 
     @property
     def spacing(self) -> float:
@@ -121,23 +124,10 @@ class SampledFunction:
     def __neg__(self) -> "SampledFunction":
         return SampledFunction(self.grid, -self.values)
 
-    def to_csv(self, path) -> None:
-        """Write columns x, re, im."""
-        xs = self.grid.points
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "re", "im"])
-            for x, v in zip(xs, self.values):
-                writer.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
-
 
 def _check_same_grid(f: SampledFunction, g: SampledFunction) -> None:
     if f.grid != g.grid:
         raise GridMismatchError("operands live on different grids")
-
-
-def zeros(grid: GridSpec) -> SampledFunction:
-    return SampledFunction(grid, np.zeros(grid.size, dtype=complex))
 
 
 def integrate(f: SampledFunction) -> complex:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,18 +46,21 @@ SUITE_IDS = (
 )
 
 
-# typed SuiteConfig fields: (accepted type, how an error message names it)
+# typed SuiteConfig fields: (accepted type, how an error message names it, the
+# type stored, so a report's environment is the same from file, flag or API)
 _FIELD_TYPES = {
-    "half_width": (numbers.Real, "a number"),
-    "size": (numbers.Integral, "an integer"),
-    "seed": (numbers.Integral, "an integer"),
-    "max_moment": (numbers.Integral, "an integer"),
-    "epsilon": (numbers.Real, "a number"),
+    "half_width": (numbers.Real, "a number", float),
+    "size": (numbers.Integral, "an integer", int),
+    "seed": (numbers.Integral, "an integer", int),
+    "max_moment": (numbers.Integral, "an integer", int),
+    "epsilon": (numbers.Real, "a number", float),
 }
 
 
 @dataclass
 class SuiteConfig:
+    """Harness settings: the one schema of config-file keys and CLI flags."""
+
     suite: str
     half_width: float = 32.0
     size: int = 4096
@@ -68,13 +71,22 @@ class SuiteConfig:
     out: str | None = None
     emit_csv: bool = False
 
+    @classmethod
+    def from_settings(cls, settings: dict) -> "SuiteConfig":
+        """SuiteConfig from a mapping keyed by field names; other keys are refused."""
+        unknown = set(settings) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**settings)
+
     def __post_init__(self):
         if self.suite not in SUITE_IDS:
             raise ConfigurationError(
                 f"unknown suite {self.suite!r}; expected one of {SUITE_IDS}"
             )
-        for name, (kind, label) in _FIELD_TYPES.items():
+        for name, (kind, label, stored) in _FIELD_TYPES.items():
             require_type(name, getattr(self, name), kind, label)
+            setattr(self, name, stored(getattr(self, name)))
         if not isinstance(self.emit_csv, bool):
             raise ConfigurationError(f"emit_csv must be true or false, got {self.emit_csv!r}")
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
@@ -85,6 +97,7 @@ class SuiteConfig:
             require_type(f"tolerance {key}", value, numbers.Real, "a number")
             if not value >= 0:
                 raise ConfigurationError(f"tolerance {key}={value} must be nonnegative")
+        self.tolerances = {key: float(value) for key, value in self.tolerances.items()}
         if not 0 < self.epsilon < math.inf:
             raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.seed < 0:
@@ -180,10 +193,21 @@ def _gaussian(grid: GridSpec, width: float = 1.0) -> SampledFunction:
     return testfn.sample(testfn.GaussianPoly(0.0, width, (1.0,)), grid)
 
 
+def _sample_fixed(tf, grid: GridSpec, dual: bool = False) -> SampledFunction:
+    """Samples of one of a suite's fixed test functions on the grid, or on its
+    dual; a grid on which they all vanish is refused, because a relative
+    measure of the suite would then divide by zero or measure nothing."""
+    f = testfn.sample(tf, dual_grid(grid) if dual else grid)
+    if not f.values.any():
+        raise ConfigurationError(
+            f"{tf!r} samples to zero on the {'dual of the ' if dual else ''}grid "
+            f"with half_width={grid.half_width}, size={grid.size}")
+    return f
+
+
 def _hardy_plus_function(grid: GridSpec, spectrum) -> SampledFunction:
     """Inverse transform of exact samples of a compactly supported spectrum."""
-    fhat = testfn.sample(spectrum, dual_grid(grid))
-    return inverse_fourier(fhat)
+    return inverse_fourier(_sample_fixed(spectrum, grid, dual=True))
 
 
 def _rel(a: SampledFunction, b: SampledFunction, scale: SampledFunction = None) -> float:
@@ -333,7 +357,7 @@ def suite_paley_wiener(cfg: SuiteConfig, rec: Recorder) -> None:
         "the two Hilbert transform definitions", mult_vs_pv, 1e-3)
 
     fine = make_grid(grid.half_width, max(grid.size, 8192))
-    bump = testfn.sample(testfn.CompactBump(1.0, 2.0, 4), fine)
+    bump = _sample_fixed(testfn.CompactBump(1.0, 2.0, 4), fine)
     pw_plus = norm(proj_hardy(fourier(bump), "plus")) / norm(bump)
     rec.check("pw-positive-support", "transform of a bump on (1,2) has no upper-Hardy mass",
               "support / half-plane analyticity duality", pw_plus, 1e-6)
@@ -443,8 +467,8 @@ def suite_norms(cfg: SuiteConfig, rec: Recorder) -> None:
 
     g = _edge_witness()
     h = _wide_witness()
-    gs = testfn.sample(g, grid)
-    hs = testfn.sample(h, grid)
+    gs = _sample_fixed(g, grid)
+    hs = _sample_fixed(h, grid)
     total = psi_norm(gs, hs, 1)
     sym = abs(total - psi_norm(hs, gs, 1)) / total
     rec.check("pair-norm-symmetry", "the four-term pair norm is symmetric in (g, h)",
@@ -641,7 +665,7 @@ def suite_semigroup_evolution(cfg: SuiteConfig, rec: Recorder) -> None:
     for _ in range(100):
         width = float(rng.uniform(0.5, 4.0))
         left = float(rng.uniform(0.1, 10.0))
-        f = testfn.sample(testfn.CompactBump(left, left + width, 4), grid)
+        f = _sample_fixed(testfn.CompactBump(left, left + width, 4), grid)
         xi = GroupElement(-float(rng.uniform(0, 5)), float(rng.uniform(-5, 5)),
                           float(rng.uniform(-5, 5)))
         before, after = halfline_contraction(xi, f)
@@ -649,7 +673,7 @@ def suite_semigroup_evolution(cfg: SuiteConfig, rec: Recorder) -> None:
     rec.check("contraction", "||Q+ U(xi) f|| <= ||f|| over 100 random right-shifts",
               "contraction representation on the half-line", worst, 1.0 + 1e-12)
 
-    f = testfn.sample(testfn.CompactBump(0.5, 1.5, 4), grid)
+    f = _sample_fixed(testfn.CompactBump(0.5, 1.5, 4), grid)
     before, after = contraction_contrast(GroupElement(1.0, 0.0, 0.0), f)
     rec.check("strict-contrast", "a forward shift across the origin loses >= 10% norm",
               "strict contraction away from the semigroup", after / before, 0.9)

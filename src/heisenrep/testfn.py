@@ -197,7 +197,11 @@ def _eval(tf, x) -> np.ndarray:
 
 
 def sample(tf: TestFunction, grid: GridSpec) -> SampledFunction:
-    return SampledFunction(grid, np.atleast_1d(evaluate(tf, grid.points)))
+    """Samples of tf on the grid points; NaN or infinite samples are refused."""
+    values = np.atleast_1d(evaluate(tf, grid.points))
+    if not np.isfinite(values).all():
+        raise ConfigurationError(f"{tf!r} has non-finite samples on the grid")
+    return SampledFunction(grid, values)
 
 
 # ---------------------------------------------------------------------------

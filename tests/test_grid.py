@@ -7,7 +7,7 @@ import pytest
 
 from heisenrep import (
     ConfigurationError, GridMismatchError, GridSpec, SampledFunction, dual_grid, fourier,
-    inner, integrate, inverse_fourier, make_grid, norm, restrict_halfline, zeros,
+    inner, integrate, inverse_fourier, make_grid, norm, restrict_halfline,
 )
 
 
@@ -34,7 +34,9 @@ def test_make_grid_validation():
     with pytest.raises(ConfigurationError):
         make_grid(32.0, 64.5)
     # the dataclass itself validates, not only make_grid
-    for half_width, size in ((math.inf, 64), (math.nan, 64), (0.0, 64), (32.0, 6), (32.0, 2)):
+    # 1e308 and 5e-324 leave the spacing 2L/N infinite or zero
+    for half_width, size in ((math.inf, 64), (math.nan, 64), (0.0, 64), (32.0, 6), (32.0, 2),
+                             (1e308, 4096), (5e-324, 4096)):
         with pytest.raises(ConfigurationError):
             GridSpec(half_width, size)
 
@@ -131,14 +133,3 @@ def test_restrict_halfline_partition():
     assert np.all(minus.values[g.points >= 0] == 0.0)
     with pytest.raises(ConfigurationError):
         restrict_halfline(f, "left")
-
-
-def test_zeros_and_csv(tmp_path):
-    g = make_grid(4.0, 8)
-    z = zeros(g)
-    assert norm(z) == 0.0
-    path = tmp_path / "f.csv"
-    z.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 9

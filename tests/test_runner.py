@@ -1,14 +1,16 @@
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import heisenrep.suites
 import heisenrep.transforms
-from heisenrep.cli import main
+from heisenrep.cli import build_parser, load_settings, main
 from heisenrep.errors import ConfigurationError
 from heisenrep.heisenberg import GroupElement
 from heisenrep.runner import report_json, run_all, run_suite
@@ -130,7 +132,8 @@ def test_cli_config_file_and_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "suite": "transforms",
-        "grid": {"L": 32, "N": 2048},
+        "half_width": 32,
+        "size": 2048,
         "seed": 7,
         "tolerances": {"pv-lorentzian": 0.02},
     }))
@@ -143,8 +146,10 @@ def test_cli_config_file_and_override(tmp_path):
 
 
 @pytest.mark.parametrize("entries", [
-    {"epsilon": "x"}, {"grid": {"L": "32"}}, {"max_moment": "3"}, {"max_moment": 2.5},
-    {"out": 5}, {"grid": 5}, {"tolerances": {"distance": "x"}}, {"seed": "a"},
+    {"epsilon": "x"}, {"half_width": "32"}, {"max_moment": "3"}, {"max_moment": 2.5},
+    {"out": 5}, {"size": 2048.0}, {"tolerances": {"distance": "x"}}, {"seed": "a"},
+    # keys that name no SuiteConfig field, and tolerances that are no object
+    {"grid": {"n": 2048}}, {"seed": 1, "seeds": 2}, {"tolerances": [["distance", 0.1]]},
 ])
 def test_cli_mistyped_config_value_exits_two(tmp_path, capsys, entries):
     cfg = tmp_path / "c.json"
@@ -152,6 +157,59 @@ def test_cli_mistyped_config_value_exits_two(tmp_path, capsys, entries):
     assert main(["--config", str(cfg), "--suite", "appendix-a"]) == 2
     err = capsys.readouterr().err
     assert "ConfigurationError" in err and len(err.strip().splitlines()) == 1
+
+
+def test_config_file_and_flags_share_the_suite_config_schema(tmp_path):
+    names = {f.name for f in dataclasses.fields(SuiteConfig)}
+    # every field is set by a file key of the same name
+    values = {"suite": "norms", "half_width": 16.0, "size": 1024, "seed": 3,
+              "max_moment": 2, "epsilon": 0.05, "tolerances": {"distance": 0.5},
+              "out": str(tmp_path / "reports"), "emit_csv": True}
+    assert set(values) == names
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(values))
+    config = SuiteConfig.from_settings(load_settings(build_parser().parse_args(
+        ["--config", str(cfg)])))
+    assert dataclasses.asdict(config) == values
+    # every setting flag's dest is the field it sets
+    dests = set(vars(build_parser().parse_args([]))) - {"config", "tolerance"}
+    assert dests == names - {"tolerances"}
+
+
+def test_suite_config_stores_checked_types():
+    # an environment does not depend on whether a value came as 32 or 32.0
+    cfg = SuiteConfig("norms", half_width=32, size=np.int64(4096), epsilon=1,
+                      tolerances={"distance": 1})
+    assert [type(v) for v in (cfg.half_width, cfg.size, cfg.epsilon)] == [float, int, float]
+    assert type(cfg.tolerances["distance"]) is float
+    with pytest.raises(ConfigurationError, match="unknown config keys"):
+        SuiteConfig.from_settings({"suite": "norms", "L": 32})
+
+
+def test_report_environment_is_a_config_file(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    code = main(["--suite", "norms", "--half-width", "16", "--grid-size", "2048",
+                 "--seed", "5", "--epsilon", "0.05", "--tolerance", "seminorm-0=1e-9",
+                 "--out", str(first)])
+    environment = json.loads((first / "norms.json").read_text())["environment"]
+    del environment["version"]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(environment))
+    assert main(["--config", str(cfg), "--suite", "norms", "--out", str(second)]) == code
+    assert (second / "norms.json").read_bytes() == (first / "norms.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "semigroup-evolution", "--half-width", "8"],  # contraction draws
+    ["--half-width", "0.5"],  # paley-wiener's bump on (1, 2)
+    ["--suite", "conjugation", "--half-width", "0.5"],  # a Hardy-plus spectrum
+    ["--suite", "norms", "--grid-size", "4"],  # the pair-norm witnesses
+])
+def test_cli_window_missing_a_fixed_function_exits_two(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "samples to zero" in err and "half_width=" in err and "size=" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_default_report_bytes_pinned():

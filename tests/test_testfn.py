@@ -143,6 +143,15 @@ def test_sample_matches_evaluate():
     assert np.array_equal(sample(b, g).values, evaluate(b, g.points).astype(complex))
 
 
+@pytest.mark.parametrize("tf", [
+    GaussianPoly(math.nan, 1.0, (1.0,)),  # NaN samples
+    GaussianPoly(0.0, 1.0, (math.inf,)),  # infinite samples
+])
+def test_sample_refuses_non_finite_values(tf):
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        sample(tf, make_grid(8.0, 64))
+
+
 def test_json_roundtrip():
     desc = Amplified(
         Translated(Derivative(CompactBump(0.0, 1.0, 10), 5), -1.0), 2.0 + 1j)
