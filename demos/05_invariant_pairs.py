@@ -10,7 +10,7 @@ from heisenrep.psi import (
     synthesize, tilde_norm, tilde_synthesize,
 )
 from heisenrep.schwartz import psi_norm
-from heisenrep.testfn import CompactBump, Derivative, Translated, sample
+from heisenrep.testfn import CompactBump, Translated, derivative, sample
 from heisenrep.transforms import fourier
 
 grid = make_grid(32.0, 4096)
@@ -19,8 +19,8 @@ grid = make_grid(32.0, 4096)
 # translating it onto (-1-w, -1) (resp. (-10-w, -10)) puts it strictly left
 # of the origin.  The narrow one hugs x = 0, the wide one carries spectral
 # weight near |y| = 1 — each is the sharp witness for a different breakage.
-edge = Translated(Derivative(CompactBump(0.0, 1.0, 10), 5), -1.0)
-wide = Translated(Derivative(CompactBump(0.0, 10.0, 10), 5), -10.0)
+edge = Translated(derivative(CompactBump(0.0, 1.0, 10), 5), -1.0)
+wide = Translated(derivative(CompactBump(0.0, 10.0, 10), 5), -10.0)
 
 for name, desc in (("edge", edge), ("wide", wide)):
     cert = certify_nminus(desc, grid, max_moment=4)

@@ -68,21 +68,18 @@ class BlockRecord:
     norm_bound: float
 
 
-def _norm_bound(k: int, a_k1: float, epsilon: float) -> float:
-    return epsilon / (2.0 ** (k + 1) * a_k1 ** k)
-
-
 def _gamma(k: int, lam: float, I: float, a0: float, h: float) -> float:
     return ((-1.0) ** k * lam) / (math.factorial(k) * I) * (a0 / h) ** (k + 1)
 
 
-def _block_shape(k: int, a_k: float, h: float, config: AnnihilatorConfig) -> TestFunction:
+def _block_shape(a_k: float, h: float, config: AnnihilatorConfig,
+                 gk: TestFunction) -> TestFunction:
     # g^(k)( a0 * (x - a_k) / h ); block f_k is gamma_k times this
-    return Translated(Scaled(derivative(config.mother, k), config.a0 / h), a_k)
+    return Translated(Scaled(gk, config.a0 / h), a_k)
 
 
 def choose_interval(k: int, a_k: float, lambda_k: float,
-                    config: AnnihilatorConfig, I: float) -> float:
+                    config: AnnihilatorConfig, I: float, gk: TestFunction) -> float:
     """Smallest a_{k+1} = a_k + 2^m passing the width inequality
 
         (a_{k+1} - a_k)^{k+3/2} / a_{k+1}^k
@@ -94,7 +91,7 @@ def choose_interval(k: int, a_k: float, lambda_k: float,
     """
     if lambda_k == 0.0:
         return a_k + 1.0
-    gk_norm = exact_l2_norm(derivative(config.mother, k))
+    gk_norm = exact_l2_norm(gk)
     # evaluate both conditions in log space: the widths can overflow any
     # float power long before the search terminates
     log_rhs = (math.log(abs(lambda_k)) + (k + 1) * math.log(2.0)
@@ -129,7 +126,7 @@ def choose_interval(k: int, a_k: float, lambda_k: float,
 
 
 def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
-                config: AnnihilatorConfig, I: float) -> BlockRecord:
+                config: AnnihilatorConfig, I: float, gk: TestFunction) -> BlockRecord:
     """Assemble f_k and verify its invariants in closed form:
 
     moments below k vanish; the k-th moment equals lambda_k (the closed-form
@@ -140,11 +137,11 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
     if h <= 0:
         raise ConfigurationError("a_{k+1} must exceed a_k")
     gamma = _gamma(k, lambda_k, I, config.a0, h)
-    shape = _block_shape(k, a_k, h, config)
+    shape = _block_shape(a_k, h, config, gk)
     f_k = Amplified(shape, gamma)
     low = testfn.to_piecewise(f_k)
     norm_fk = exact_l2_norm(low)
-    bound = _norm_bound(k, a_k1, config.epsilon)
+    bound = config.epsilon / (2.0 ** (k + 1) * a_k1 ** k)
     if lambda_k != 0.0:
         closed_form = ((-1.0) ** k * math.factorial(k) * I * gamma * (h / config.a0) ** (k + 1))
         measured = exact_moment(low, k)
@@ -196,8 +193,9 @@ def annihilate(config: AnnihilatorConfig):
     for k in range(config.K + 1):
         residual = math.fsum(complex(exact_moment(p, k)).real for p in lowered)
         lambda_k = -residual
-        a_k1 = choose_interval(k, a_k, lambda_k, config, I=I)
-        block = build_block(k, a_k, a_k1, lambda_k, config, I=I)
+        gk = derivative(g, k)
+        a_k1 = choose_interval(k, a_k, lambda_k, config, I, gk)
+        block = build_block(k, a_k, a_k1, lambda_k, config, I, gk)
         blocks.append(block)
         if block.gamma_k != 0.0:
             parts.append(block.f_k)
@@ -221,13 +219,15 @@ def annihilate(config: AnnihilatorConfig):
     return f, blocks, report
 
 
+def mirror(f: TestFunction, blocks):
+    """Reflection x -> -x of an annihilated sum and its blocks, which moves
+    the support into (-a_{K+1}, 0); returns (f_neg, blocks_neg)."""
+    return Mirrored(f), [BlockRecord(b.k, -b.a_k1, -b.a_k, b.gamma_k, b.lambda_k,
+                                     Mirrored(b.f_k), b.norm_fk, b.norm_bound)
+                         for b in blocks]
+
+
 def annihilate_negative(config: AnnihilatorConfig):
-    """Mirror image of :func:`annihilate`: support in (-a_{K+1}, 0)."""
+    """Mirror image of :func:`annihilate`: returns (f_neg, blocks_neg, report)."""
     f, blocks, report = annihilate(config)
-    f_neg = Mirrored(f)
-    blocks_neg = [
-        BlockRecord(b.k, -b.a_k1, -b.a_k, b.gamma_k, b.lambda_k,
-                    Mirrored(b.f_k), b.norm_fk, b.norm_bound)
-        for b in blocks
-    ]
-    return f_neg, blocks_neg, report
+    return (*mirror(f, blocks), report)

@@ -1,6 +1,9 @@
 """Exception hierarchy shared by all heisenrep modules, and the type check
 that raises its ConfigurationError."""
 
+import numbers
+import sys
+
 
 class HeisenrepError(Exception):
     """Base class for all library errors."""
@@ -35,7 +38,10 @@ class PrecisionError(HeisenrepError, ValueError):
 
 
 def require_type(name: str, value, kind, label: str) -> None:
-    """Raise ConfigurationError unless value is an instance of kind."""
+    """Raise ConfigurationError unless value is an instance of kind; a real
+    number must also convert to a float."""
     # bool is an int subclass, so it passes isinstance and is refused here
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigurationError(f"{name} must be {label}, got {value!r}")
+    if kind is numbers.Real and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigurationError(f"{name} is too large for a float")

@@ -41,9 +41,13 @@ class GridSpec:
             raise ConfigurationError(f"size must be a power of two, got {self.size}")
         if self.size < 4:
             raise ConfigurationError(f"size must be at least 4, got {self.size}")
-        if not 0 < self.spacing < math.inf:
+        try:
+            spacing = self.spacing
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigurationError("half_width and size must be within the float range") from None
+        if not 0 < spacing < math.inf:
             raise ConfigurationError(
-                f"spacing 2*half_width/size must be positive and finite, got {self.spacing} "
+                f"spacing 2*half_width/size must be positive and finite, got {spacing} "
                 f"(half_width={self.half_width}, size={self.size})")
 
     @property

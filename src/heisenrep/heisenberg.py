@@ -102,11 +102,11 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     elif mode == "grid":
         dx = f.grid.spacing
         m = xi.xi1 / dx
-        m_round = round(m)
-        if abs(m - m_round) > 1e-9:
+        if not (np.isfinite(m) and abs(m - round(m)) <= 1e-9):
             raise PrecisionError(
-                f"grid-mode translation needs xi1 a multiple of spacing {dx}, got {xi.xi1}"
+                f"grid-mode translation needs xi1 a finite multiple of spacing {dx}, got {xi.xi1}"
             )
+        m_round = round(m)
         n = f.grid.size
         vals = np.zeros(n, dtype=complex)
         # f(x + xi1): values move toward lower indices for xi1 > 0

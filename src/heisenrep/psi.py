@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import testfn
-from .errors import ClassMembershipError, SemigroupDomainError
+from .errors import ClassMembershipError, ConfigurationError, SemigroupDomainError
 from .grid import GridSpec, SampledFunction, norm, restrict_halfline
 from .heisenberg import GroupElement, SemigroupId, act, in_semigroup
 from .schwartz import moment_defect, n_defect, seminorm_iter
@@ -33,6 +33,8 @@ HARDY_INPUT_THRESHOLD = 1e-8
 
 def snap_to_grid(shift: float, grid: GridSpec) -> float:
     """Nearest multiple of the grid spacing; callers record the adjustment."""
+    if not math.isfinite(shift / grid.spacing):
+        raise ConfigurationError(f"a grid shift must be finite, got {shift}")
     return round(shift / grid.spacing) * grid.spacing
 
 

@@ -17,17 +17,13 @@ from .suites import SUITE_IDS, SUITES, Recorder, SuiteConfig
 
 
 def build_report(config: SuiteConfig, recorder: Recorder) -> dict:
+    # every setting except which suite runs and where its files go
+    environment = dataclasses.asdict(config)
+    for name in ("suite", "out", "emit_csv"):
+        del environment[name]
     return {
         "suite": config.suite,
-        "environment": {
-            "half_width": config.half_width,
-            "size": config.size,
-            "seed": config.seed,
-            "max_moment": config.max_moment,
-            "epsilon": config.epsilon,
-            "tolerances": dict(sorted(config.tolerances.items())),
-            "version": __version__,
-        },
+        "environment": {**environment, "version": __version__},
         "checks": recorder.checks,
         "overall_pass": all(c["pass"] for c in recorder.checks),
     }

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import testfn
 from .annihilator import (
-    AnnihilatorConfig, annihilate, annihilate_negative, moment_defects,
+    AnnihilatorConfig, annihilate, mirror, moment_defects,
 )
 from .errors import ConfigurationError, require_type
 from .grid import (
@@ -167,12 +167,12 @@ def _random_modulation(grid: GridSpec, rng) -> float:
 
 def _edge_witness():
     """Moment-free descriptor hugging x = 0: its translate spills fast."""
-    return testfn.Translated(testfn.Derivative(testfn.CompactBump(0.0, 1.0, 10), 5), -1.0)
+    return testfn.Translated(testfn.derivative(testfn.CompactBump(0.0, 1.0, 10), 5), -1.0)
 
 
 def _wide_witness():
     """Moment-free descriptor with spectral weight near |y| = 1."""
-    return testfn.Translated(testfn.Derivative(testfn.CompactBump(0.0, 10.0, 10), 5), -10.0)
+    return testfn.Translated(testfn.derivative(testfn.CompactBump(0.0, 10.0, 10), 5), -10.0)
 
 
 def _random_nminus(rng):
@@ -180,7 +180,7 @@ def _random_nminus(rng):
     width = float(rng.uniform(1.0, 6.0))
     gap = float(rng.uniform(0.5, 12.0))
     gain = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-    d = testfn.Derivative(testfn.CompactBump(0.0, width, 10), 5)
+    d = testfn.derivative(testfn.CompactBump(0.0, width, 10), 5)
     return testfn.Amplified(testfn.Translated(d, -(width + gap)), gain)
 
 
@@ -534,7 +534,7 @@ def suite_appendix_a(cfg: SuiteConfig, rec: Recorder) -> None:
     rec.check("distance", "||f - g|| stays below epsilon",
               "approximation within epsilon", report["l2_distance"], cfg.epsilon)
 
-    neg_f, _, _ = annihilate_negative(config)
+    neg_f, _ = mirror(f, blocks)
     # defects of the mirror's own parts; reflection multiplies every order-n
     # moment term by (-1)^n exactly, so a true mirror matches bit for bit
     neg_parts = [testfn.to_piecewise(testfn.Mirrored(p)) for p in neg_f.inner.terms]

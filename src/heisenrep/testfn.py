@@ -2,15 +2,14 @@
 
 Descriptors form an immutable tree.  Compactly supported polynomial trees
 lower to a canonical piecewise-polynomial form (`to_piecewise`) on which
-moments and L^2 norms are computed in closed form; Gaussian and modulated
-descriptors evaluate pointwise but signal `NotExactlyIntegrable` when an
-exact moment is requested.
+moments and L^2 norms are computed in closed form; Gaussian descriptors
+evaluate pointwise but signal `NotExactlyIntegrable` when an exact moment is
+requested.
 
 Conventions:
   Translated(f, s)(x) = f(x - s)      (support moves right for s > 0)
   Scaled(f, r)(x)     = f(r * x)
   Mirrored(f)(x)      = f(-x)
-  Modulated(f, w, t)(x) = exp(i t) exp(i w x) f(x)
   Amplified(f, g)(x)  = g * f(x)
 """
 
@@ -32,8 +31,8 @@ from .grid import GridSpec, SampledFunction
 L1_CELLS = 4096
 
 TestFunction = Union[
-    "GaussianPoly", "CompactBump", "PiecewisePoly", "Derivative",
-    "Translated", "Mirrored", "Scaled", "Modulated", "Amplified", "Summed",
+    "GaussianPoly", "CompactBump", "PiecewisePoly", "Translated",
+    "Mirrored", "Scaled", "Amplified", "Summed",
 ]
 
 
@@ -102,12 +101,6 @@ class PiecewisePoly:
 
 
 @dataclass(frozen=True)
-class Derivative:
-    inner: TestFunction
-    order: int
-
-
-@dataclass(frozen=True)
 class Translated:
     inner: TestFunction
     shift: float
@@ -126,13 +119,6 @@ class Scaled:
     def __post_init__(self):
         if self.rate == 0:
             raise ConfigurationError("Scaled rate must be nonzero")
-
-
-@dataclass(frozen=True)
-class Modulated:
-    inner: TestFunction
-    omega: float
-    theta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -176,16 +162,12 @@ def _eval(tf, x) -> np.ndarray:
                 v = (np.where(inside, x, pc.x0) - pc.x0) / pc.scale
                 acc = acc + np.where(inside, P.polyval(v, np.asarray(pc.coefficients)), 0.0)
         return acc
-    if isinstance(tf, Derivative):
-        return _eval(derivative(tf.inner, tf.order), x)
     if isinstance(tf, Translated):
         return _eval(tf.inner, x - tf.shift)
     if isinstance(tf, Mirrored):
         return _eval(tf.inner, -x)
     if isinstance(tf, Scaled):
         return _eval(tf.inner, tf.rate * x)
-    if isinstance(tf, Modulated):
-        return np.exp(1j * tf.theta) * np.exp(1j * tf.omega * x) * _eval(tf.inner, x)
     if isinstance(tf, Amplified):
         return tf.gain * _eval(tf.inner, x)
     if isinstance(tf, Summed):
@@ -215,9 +197,7 @@ def smoothness_budget(tf: TestFunction) -> float:
         return tf.p - 1
     if isinstance(tf, PiecewisePoly):
         return tf.smooth
-    if isinstance(tf, Derivative):
-        return smoothness_budget(tf.inner) - tf.order
-    if isinstance(tf, (Translated, Mirrored, Scaled, Modulated, Amplified)):
+    if isinstance(tf, (Translated, Mirrored, Scaled, Amplified)):
         return smoothness_budget(tf.inner)
     if isinstance(tf, Summed):
         return min((smoothness_budget(t) for t in tf.terms), default=math.inf)
@@ -232,8 +212,6 @@ def support(tf: TestFunction):
         return ((tf.a, tf.b),)
     if isinstance(tf, PiecewisePoly):
         return _merge_intervals([(pc.a, pc.b) for pc in tf.pieces])
-    if isinstance(tf, Derivative):
-        return support(tf.inner)
     if isinstance(tf, Translated):
         return tuple((lo + tf.shift, hi + tf.shift) for lo, hi in support(tf.inner))
     if isinstance(tf, Mirrored):
@@ -243,7 +221,7 @@ def support(tf: TestFunction):
         if tf.rate < 0:
             ivals = [(hi, lo) for lo, hi in ivals]
         return _merge_intervals(ivals)
-    if isinstance(tf, (Modulated, Amplified)):
+    if isinstance(tf, Amplified):
         return support(tf.inner)
     if isinstance(tf, Summed):
         acc = []
@@ -302,8 +280,6 @@ def _deriv(tf, k):
                 c = P.polyder(c) / pc.scale
             pieces.append(Piece(pc.x0, pc.a, pc.b, tuple(c), pc.scale))
         return PiecewisePoly(tuple(pieces), smooth=tf.smooth - k)
-    if isinstance(tf, Derivative):
-        return derivative(tf.inner, tf.order + k)
     if isinstance(tf, Translated):
         return Translated(_deriv(tf.inner, k), tf.shift)
     if isinstance(tf, Mirrored):
@@ -311,11 +287,6 @@ def _deriv(tf, k):
         return d if k % 2 == 0 else Amplified(d, -1.0)
     if isinstance(tf, Scaled):
         return Amplified(Scaled(_deriv(tf.inner, k), tf.rate), tf.rate ** k)
-    if isinstance(tf, Modulated):
-        inner = tf.inner
-        for _ in range(k):
-            inner = Summed((Amplified(inner, 1j * tf.omega), _deriv(inner, 1)))
-        return Modulated(inner, tf.omega, tf.theta)
     if isinstance(tf, Amplified):
         return Amplified(_deriv(tf.inner, k), tf.gain)
     if isinstance(tf, Summed):
@@ -370,8 +341,6 @@ def to_piecewise(tf: TestFunction) -> PiecewisePoly:
         return _bump_to_piecewise(tf)
     if isinstance(tf, PiecewisePoly):
         return tf
-    if isinstance(tf, Derivative):
-        return to_piecewise(derivative(tf.inner, tf.order))
     if isinstance(tf, Translated):
         inner = to_piecewise(tf.inner)
         s = tf.shift
@@ -452,7 +421,7 @@ def exact_moment(tf: TestFunction, n: int):
     """Closed-form integral of x^n * tf(x) over the line.
 
     Only descriptor trees that lower to piecewise polynomials qualify;
-    Gaussian or modulated trees raise NotExactlyIntegrable.  The result is
+    Gaussian trees raise NotExactlyIntegrable.  The result is
     a float when its imaginary part is at most 1e-14 of its real part.
     """
     parts = [_piece_moment(pc, n) for pc in to_piecewise(tf).pieces]
@@ -516,9 +485,9 @@ def exact_l1_norm(tf: TestFunction) -> float:
 
 _TAGS = {
     "gaussian_poly": GaussianPoly, "compact_bump": CompactBump,
-    "piecewise_poly": PiecewisePoly, "derivative": Derivative,
-    "translated": Translated, "mirrored": Mirrored, "scaled": Scaled,
-    "modulated": Modulated, "amplified": Amplified, "summed": Summed,
+    "piecewise_poly": PiecewisePoly, "translated": Translated,
+    "mirrored": Mirrored, "scaled": Scaled, "amplified": Amplified,
+    "summed": Summed,
 }
 _TAG_OF = {cls: tag for tag, cls in _TAGS.items()}
 

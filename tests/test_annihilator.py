@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from heisenrep import testfn
+from heisenrep import annihilator, testfn
 from heisenrep.annihilator import (
     AnnihilatorConfig, annihilate, annihilate_negative, build_block,
-    choose_interval,
+    choose_interval, mirror,
 )
 from heisenrep.errors import CapabilityError, ConfigurationError
 from heisenrep.testfn import (
-    CompactBump, GaussianPoly, Summed, exact_l1_norm, exact_l2_norm,
-    exact_moment, support,
+    CompactBump, GaussianPoly, Summed, derivative, exact_l1_norm,
+    exact_l2_norm, exact_moment, support,
 )
 
 MOTHER = CompactBump(0.1, 0.9, 6)
@@ -56,8 +56,8 @@ def test_config_validation():
 def test_choose_interval_passes_both_conditions():
     cfg = _config()
     I = float(exact_moment(MOTHER, 0))
-    a1 = choose_interval(0, cfg.a0, -0.5, cfg, I)
-    block = build_block(0, cfg.a0, a1, -0.5, cfg, I)
+    a1 = choose_interval(0, cfg.a0, -0.5, cfg, I, MOTHER)
+    block = build_block(0, cfg.a0, a1, -0.5, cfg, I, MOTHER)
     assert block.norm_fk < block.norm_bound
 
 
@@ -65,8 +65,9 @@ def test_block_moment_identity_and_lower_orders():
     cfg = _config()
     lam = -0.3
     I = float(exact_moment(MOTHER, 0))
-    a1 = choose_interval(1, 2.0, lam, cfg, I)
-    block = build_block(1, 2.0, a1, lam, cfg, I)
+    g1 = derivative(MOTHER, 1)
+    a1 = choose_interval(1, 2.0, lam, cfg, I, g1)
+    block = build_block(1, 2.0, a1, lam, cfg, I, g1)
     assert abs(float(exact_moment(block.f_k, 1)) - lam) < 1e-8 * abs(lam)
     assert abs(float(exact_moment(block.f_k, 0))) < 1e-10 * exact_l1_norm(block.f_k)
 
@@ -110,6 +111,9 @@ def test_annihilate_negative_mirrors():
     assert sup[-1][1] <= 0.0
     assert all(b.a_k1 <= 0.0 for b in blocks_neg)
     assert max(report["moment_defects"]) < 1e-6
+    # the mirror of one run, not a second construction
+    f, blocks, report = annihilate(cfg)
+    assert annihilate_negative(cfg) == (*mirror(f, blocks), report)
 
 
 def test_growth_cap_raises_clear_error():
@@ -138,3 +142,25 @@ def test_annihilate_work_counts(monkeypatch):
     monkeypatch.setattr(testfn.P, "polypow", refuse)
     annihilate(_config())
     assert len(calls) == 112
+
+
+def test_annihilate_derives_each_block_once(monkeypatch):
+    # one derivative of the mother per block, handed to choose_interval and
+    # build_block; the bump is lowered for the mother, once per derivative of
+    # order >= 1, and three times for the order-0 block, which is the bump
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    count(annihilator, "derivative")
+    count(testfn, "_bump_to_piecewise")
+    cfg = _config()
+    annihilate(cfg)
+    assert calls.count("derivative") == cfg.K + 1
+    assert calls.count("_bump_to_piecewise") <= 8

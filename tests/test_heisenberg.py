@@ -86,8 +86,9 @@ def test_act_grid_mode_exact_support():
     moved = act(xi, GAUSS, mode="grid")
     assert np.array_equal(moved.values[:-4], GAUSS.values[4:])
     assert np.all(moved.values[-4:] == 0.0)
-    with pytest.raises(PrecisionError):
-        act(GroupElement(0.1 * GRID.spacing, 0.0, 0.0), GAUSS, mode="grid")
+    for xi1 in (0.1 * GRID.spacing, np.nan, np.inf, -np.inf):
+        with pytest.raises(PrecisionError):
+            act(GroupElement(xi1, 0.0, 0.0), GAUSS, mode="grid")
 
 
 def test_homomorphism_spectral_commensurate_modulation():

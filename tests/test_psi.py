@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heisenrep import GroupElement, fourier, hilbert, make_grid, norm
-from heisenrep.errors import ClassMembershipError, SemigroupDomainError
+from heisenrep.errors import ClassMembershipError, ConfigurationError, SemigroupDomainError
 from heisenrep.psi import (
     act_psi, certify_nminus, coincidence_defect, contraction_contrast,
     halfline_contraction, hardy_semigroup_step, invariance_witness,
@@ -10,14 +10,14 @@ from heisenrep.psi import (
 )
 from heisenrep.schwartz import psi_norm
 from heisenrep.testfn import (
-    Amplified, CompactBump, Derivative, GaussianPoly, Translated, sample,
+    Amplified, CompactBump, GaussianPoly, Translated, derivative, sample,
 )
 from heisenrep.transforms import inverse_fourier
 from heisenrep.grid import dual_grid
 
 GRID = make_grid(32.0, 4096)
-EDGE = Translated(Derivative(CompactBump(0.0, 1.0, 10), 5), -1.0)
-WIDE = Translated(Derivative(CompactBump(0.0, 10.0, 10), 5), -10.0)
+EDGE = Translated(derivative(CompactBump(0.0, 1.0, 10), 5), -1.0)
+WIDE = Translated(derivative(CompactBump(0.0, 10.0, 10), 5), -10.0)
 
 
 def test_snap_to_grid():
@@ -43,7 +43,7 @@ def test_certify_rejects_nonvanishing_moments():
 
 
 def test_certify_rejects_window_overflow():
-    far = Translated(Derivative(CompactBump(0.0, 8.0, 10), 5), -40.0)
+    far = Translated(derivative(CompactBump(0.0, 8.0, 10), 5), -40.0)
     with pytest.raises(ClassMembershipError, match="window"):
         certify_nminus(far, GRID)
 
@@ -112,6 +112,9 @@ def test_contraction_contrast_loses_norm():
     f = sample(CompactBump(0.5, 1.5, 4), GRID)
     before, after = contraction_contrast(GroupElement(1.0, 0.0, 0.0), f)
     assert after <= 0.9 * before
+    for xi1 in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            contraction_contrast(GroupElement(xi1, 0.0, 0.0), f)
 
 
 def test_hardy_semigroup_step_directions():

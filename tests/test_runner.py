@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import heisenrep.annihilator
 import heisenrep.suites
 import heisenrep.transforms
 from heisenrep.cli import build_parser, load_settings, main
@@ -124,6 +125,10 @@ def test_cli_infinite_half_width_exits_two():
     assert main(["--suite", "transforms", "--half-width", "inf"]) == 2
 
 
+def test_cli_huge_grid_size_exits_two():
+    assert main(["--suite", "transforms", "--grid-size", str(2 ** 1400)]) == 2
+
+
 def test_cli_negative_epsilon_exits_two():
     assert main(["--suite", "norms", "--epsilon", "-1"]) == 2
 
@@ -150,6 +155,8 @@ def test_cli_config_file_and_override(tmp_path):
     {"out": 5}, {"size": 2048.0}, {"tolerances": {"distance": "x"}}, {"seed": "a"},
     # keys that name no SuiteConfig field, and tolerances that are no object
     {"grid": {"n": 2048}}, {"seed": 1, "seeds": 2}, {"tolerances": [["distance", 0.1]]},
+    # integers beyond the float range
+    {"half_width": 10 ** 400}, {"tolerances": {"seminorm-0": 10 ** 400}}, {"size": 2 ** 1400},
 ])
 def test_cli_mistyped_config_value_exits_two(tmp_path, capsys, entries):
     cfg = tmp_path / "c.json"
@@ -225,14 +232,28 @@ def test_default_report_bytes_pinned():
 
 def test_mirror_defects_detect_a_wrong_mirror(monkeypatch):
     # a mirror that lost its last block no longer annihilates the top moment
-    def dropped_block(config):
-        f, blocks, report = heisenrep.suites.annihilate(config)
-        return Mirrored(Summed(f.terms[:-1])), blocks, report
+    def dropped_block(f, blocks):
+        return Mirrored(Summed(f.terms[:-1])), blocks
 
-    monkeypatch.setattr(heisenrep.suites, "annihilate_negative", dropped_block)
+    monkeypatch.setattr(heisenrep.suites, "mirror", dropped_block)
     checks = {c["check"]: c for c in run_suite(SuiteConfig(suite="appendix-a"))["checks"]}
     assert not checks["mirror-defects"]["pass"]
     assert checks["final-moments"]["pass"]
+
+
+def test_appendix_a_annihilates_once(monkeypatch):
+    # the mirrored side reflects the construction the suite already holds
+    calls = []
+    annihilate = heisenrep.annihilator.annihilate
+
+    def counting(config):
+        calls.append(config)
+        return annihilate(config)
+
+    monkeypatch.setattr(heisenrep.annihilator, "annihilate", counting)
+    monkeypatch.setattr(heisenrep.suites, "annihilate", counting)
+    run_suite(SuiteConfig(suite="appendix-a"))
+    assert len(calls) == 1
 
 
 def test_generators_fourier_count(monkeypatch):

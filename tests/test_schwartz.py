@@ -12,7 +12,7 @@ from heisenrep.schwartz import (
     seminorm_sup, seminorm_tower,
 )
 from heisenrep.testfn import (
-    CompactBump, Derivative, GaussianPoly, Translated, derivative, sample,
+    CompactBump, GaussianPoly, Translated, derivative, sample,
 )
 
 GRID = make_grid(32.0, 4096)
@@ -88,7 +88,7 @@ def test_moment_oracles():
 def test_moment_defect_scales():
     # the descriptor's moments vanish exactly; the grid quadrature of x^n f
     # leaves only truncation error, well under the certificate threshold
-    d = sample(Translated(Derivative(CompactBump(0.0, 2.0, 10), 5), -3.0), GRID)
+    d = sample(Translated(derivative(CompactBump(0.0, 2.0, 10), 5), -3.0), GRID)
     assert n_defect(d, 4) < 1e-6
     assert moment_defect(GAUSS, 0) > 0.5  # a Gaussian has no vanishing moments
 
@@ -106,7 +106,7 @@ def test_class_defects_fields():
 
 def test_m_defect_detects_flat_spectrum():
     # moments of f vanish iff the transform is flat at 0: check via the dual
-    d = sample(Translated(Derivative(CompactBump(0.0, 2.0, 10), 5), -3.0), GRID)
+    d = sample(Translated(derivative(CompactBump(0.0, 2.0, 10), 5), -3.0), GRID)
     out = class_defects(d, 4)
     assert out["n_defect"] < 1e-6
     spec = fourier(d)
@@ -115,8 +115,8 @@ def test_m_defect_detects_flat_spectrum():
 
 
 def test_psi_norm_symmetric_and_positive():
-    g = sample(Translated(Derivative(CompactBump(0.0, 1.0, 10), 5), -1.0), GRID)
-    h = sample(Translated(Derivative(CompactBump(0.0, 10.0, 10), 5), -10.0), GRID)
+    g = sample(Translated(derivative(CompactBump(0.0, 1.0, 10), 5), -1.0), GRID)
+    h = sample(Translated(derivative(CompactBump(0.0, 10.0, 10), 5), -10.0), GRID)
     a = psi_norm(g, h, 1)
     assert a > 0
     assert abs(a - psi_norm(h, g, 1)) < 1e-12 * a
@@ -125,6 +125,6 @@ def test_psi_norm_symmetric_and_positive():
 def test_psi_norm_regression_anchor():
     # pinned once from this configuration; any drift signals a behavioral
     # change in the projections, the seminorm tower, or the descriptors
-    g = sample(Translated(Derivative(CompactBump(0.0, 1.0, 10), 5), -1.0), GRID)
-    h = sample(Translated(Derivative(CompactBump(0.0, 10.0, 10), 5), -10.0), GRID)
+    g = sample(Translated(derivative(CompactBump(0.0, 1.0, 10), 5), -1.0), GRID)
+    h = sample(Translated(derivative(CompactBump(0.0, 10.0, 10), 5), -10.0), GRID)
     assert abs(psi_norm(g, h, 1) / 2258002163555908.0 - 1.0) < 1e-10

@@ -10,10 +10,10 @@ from heisenrep import make_grid
 from heisenrep import testfn as T
 from heisenrep.errors import CapabilityError, ConfigurationError, NotExactlyIntegrable
 from heisenrep.testfn import (
-    Amplified, CompactBump, Derivative, GaussianPoly, Mirrored, Modulated, Piece,
-    PiecewisePoly, Scaled, Summed, Translated, derivative, evaluate, exact_l1_norm,
-    exact_l2_norm, exact_moment, from_json, sample, smoothness_budget,
-    support, to_json, to_piecewise,
+    Amplified, CompactBump, GaussianPoly, Mirrored, Piece, PiecewisePoly, Scaled,
+    Summed, Translated, derivative, evaluate, exact_l1_norm, exact_l2_norm,
+    exact_moment, from_json, sample, smoothness_budget, support, to_json,
+    to_piecewise,
 )
 
 
@@ -65,8 +65,6 @@ def test_wrappers_evaluate_consistently():
     assert np.allclose(evaluate(Amplified(b, 3.0 - 1j), x), (3.0 - 1j) * evaluate(b, x))
     assert np.allclose(evaluate(Summed((b, Translated(b, 1.0))), x),
                        evaluate(b, x) + evaluate(b, x - 1.0))
-    assert np.allclose(evaluate(Modulated(b, 2.0, 0.5), x),
-                       np.exp(1j * (2.0 * x + 0.5)) * evaluate(b, x))
 
 
 def test_exact_moment_bump():
@@ -90,7 +88,7 @@ def test_exact_moment_translation_binomial():
 
 
 def test_exact_moment_derivative_kills_low_orders():
-    d = Derivative(CompactBump(0.0, 1.0, 10), 5)
+    d = derivative(CompactBump(0.0, 1.0, 10), 5)
     scale = exact_l1_norm(d)
     for n in range(5):
         assert abs(complex(exact_moment(d, n))) < 1e-12 * scale
@@ -104,7 +102,7 @@ def test_exact_l2_norm_oracle():
 
 def test_exact_l2_norm_scale_invariance_extreme():
     # blocks far from the origin with huge widths must not lose precision
-    base = Derivative(CompactBump(0.0, 1.0, 8), 3)
+    base = derivative(CompactBump(0.0, 1.0, 8), 3)
     ref = exact_l2_norm(base)
     for h in (1.0, 1e6, 1e13):
         moved = Translated(Scaled(base, 1.0 / h), 1e13)
@@ -154,7 +152,7 @@ def test_sample_refuses_non_finite_values(tf):
 
 def test_json_roundtrip():
     desc = Amplified(
-        Translated(Derivative(CompactBump(0.0, 1.0, 10), 5), -1.0), 2.0 + 1j)
+        Translated(derivative(CompactBump(0.0, 1.0, 10), 5), -1.0), 2.0 + 1j)
     again = from_json(to_json(desc))
     assert again == desc
     x = np.linspace(-2.5, 1.0, 57)
@@ -165,7 +163,7 @@ def test_json_roundtrip():
         Amplified(PiecewisePoly((Piece(0.5, 0.0, 1.0, (1.0, 2.0j), 0.5),), smooth=2),
                   2.0 - 1.0j),
         Translated(CompactBump(0.0, 1.0, 3), -1.5),
-        Modulated(GaussianPoly(0.0, 1.0, (1.0, 0.5)), 2.0, 0.5),
+        Scaled(GaussianPoly(0.0, 1.0, (1.0, 0.5)), 2.0),
     ))
     golden = {"tag": "summed", "terms": [
         {"tag": "amplified", "gain": [2.0, -1.0],
@@ -174,15 +172,15 @@ def test_json_roundtrip():
                                "coefficients": [[1.0, 0.0], [0.0, 2.0]]}]}},
         {"tag": "translated", "shift": -1.5,
          "inner": {"tag": "compact_bump", "a": 0.0, "b": 1.0, "p": 3}},
-        {"tag": "modulated", "omega": 2.0, "theta": 0.5,
+        {"tag": "scaled", "rate": 2.0,
          "inner": {"tag": "gaussian_poly", "center": 0.0, "width": 1.0,
                    "coefficients": [1.0, 0.5]}},
     ]}
     assert to_json(tree) == golden
     assert from_json(golden) == tree
     # fields with a default may be left out; the others may not
-    assert from_json({"tag": "modulated", "omega": 2.0,
-                      "inner": golden["terms"][2]["inner"]}).theta == 0.0
+    pieces = golden["terms"][0]["inner"]["pieces"]
+    assert from_json({"tag": "piecewise_poly", "pieces": pieces}).smooth == 0
     with pytest.raises(ConfigurationError):
         from_json({"tag": "translated", "shift": 1.0})
     with pytest.raises(ConfigurationError):
@@ -294,7 +292,7 @@ def polynomial_trees(draw):
         elif budget > 0:
             k = draw(st.integers(1, budget))
             budget -= k
-            tf = Derivative(tf, k)
+            tf = derivative(tf, k)
     return tf, p
 
 
@@ -379,7 +377,8 @@ def test_support_matches_nonzero_samples(tree):
 @st.composite
 def descriptor_trees(draw):
     """Polynomial trees, alone, lowered to pieces, or summed with a
-    modulated Gaussian: every descriptor kind the JSON form encodes."""
+    translated, amplified Gaussian: every descriptor kind the JSON form
+    encodes."""
     tf, _ = draw(polynomial_trees())
     form = draw(st.sampled_from(["tree", "lowered", "summed"]))
     if form == "lowered":
@@ -387,8 +386,8 @@ def descriptor_trees(draw):
     if form == "summed":
         coeffs = tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)))
         gauss = GaussianPoly(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.25, 4.0)), coeffs)
-        return Summed((tf, Modulated(gauss, draw(st.floats(-5.0, 5.0)),
-                                     draw(st.floats(-3.0, 3.0)))))
+        gain = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+        return Summed((tf, Amplified(Translated(gauss, draw(st.floats(-5.0, 5.0))), gain)))
     return tf
 
 
