@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -10,8 +12,8 @@ from heisenrep.annihilator import (
 )
 from heisenrep.errors import CapabilityError, ConfigurationError
 from heisenrep.testfn import (
-    CompactBump, GaussianPoly, Summed, derivative, exact_l1_norm,
-    exact_l2_norm, exact_moment, support,
+    CompactBump, GaussianPoly, Mirrored, Summed, Translated, derivative,
+    exact_l1_norm, exact_l2_norm, exact_moment, support,
 )
 
 MOTHER = CompactBump(0.1, 0.9, 6)
@@ -164,3 +166,26 @@ def test_annihilate_derives_each_block_once(monkeypatch):
     annihilate(cfg)
     assert calls.count("derivative") == cfg.K + 1
     assert calls.count("_bump_to_piecewise") <= 8
+
+
+def test_closed_form_path_pinned():
+    # the annihilate reports, and the exact norms and moments of the sums
+    # translated and mirrored, over p = 2..8, K <= min(p - 1, 4) and two
+    # epsilons; a refactor of the descriptor algebra keeps every bit
+    h = hashlib.sha256()
+    for p in range(2, 9):
+        for K in range(min(p - 1, 4) + 1):
+            for eps in (1e-2, 1e-3):
+                cfg = AnnihilatorConfig(K=K, epsilon=eps, a0=1.0001,
+                                        mother=CompactBump(0.1, 0.9, p))
+                try:
+                    f, _, report = annihilate(cfg)
+                except (ConfigurationError, CapabilityError) as exc:
+                    h.update(f"{type(exc).__name__}: {exc}\n".encode())
+                    continue
+                h.update(json.dumps(report, sort_keys=True).encode())
+                for tf in (Translated(f, -2.5), Translated(f, 1e13), Mirrored(f)):
+                    values = [exact_l2_norm(tf)] + [exact_moment(tf, n) for n in range(K + 1)]
+                    h.update(repr([complex(v) for v in values]).encode())
+    assert h.hexdigest() == (
+        "4f7f2ada9273d061fcf768621fb373c6c06ce0cd38e40ffb8cf0c68115da698d")
