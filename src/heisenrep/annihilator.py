@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from . import testfn
 from .errors import CapabilityError, ConfigurationError, require_type
 from .testfn import (
-    Amplified, Mirrored, Scaled, Summed, TestFunction, Translated,
-    derivative, exact_l1_norm, exact_l2_norm, exact_moment, support,
+    Affine, Mirrored, PiecewisePoly, Summed, TestFunction, derivative,
+    exact_l1_norm, exact_l2_norm, exact_moment, support,
 )
 
 
@@ -72,12 +72,6 @@ def _gamma(k: int, lam: float, I: float, a0: float, h: float) -> float:
     return ((-1.0) ** k * lam) / (math.factorial(k) * I) * (a0 / h) ** (k + 1)
 
 
-def _block_shape(a_k: float, h: float, config: AnnihilatorConfig,
-                 gk: TestFunction) -> TestFunction:
-    # g^(k)( a0 * (x - a_k) / h ); block f_k is gamma_k times this
-    return Translated(Scaled(gk, config.a0 / h), a_k)
-
-
 def choose_interval(k: int, a_k: float, lambda_k: float,
                     config: AnnihilatorConfig, I: float, gk: TestFunction) -> float:
     """Smallest a_{k+1} = a_k + 2^m passing the width inequality
@@ -125,20 +119,21 @@ def choose_interval(k: int, a_k: float, lambda_k: float,
     raise ConfigurationError("interval search failed to terminate")
 
 
-def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
-                config: AnnihilatorConfig, I: float, gk: TestFunction) -> BlockRecord:
-    """Assemble f_k and verify its invariants in closed form:
+def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: AnnihilatorConfig,
+                I: float, gk: TestFunction) -> tuple[BlockRecord, PiecewisePoly]:
+    """Assemble f_k(x) = gamma_k g^(k)(a0 (x - a_k) / h) and verify its
+    invariants in closed form:
 
     moments below k vanish; the k-th moment equals lambda_k (the closed-form
     identity int x^k f_k = (-1)^k k! I gamma_k (h/a0)^{k+1} collapses to
     lambda_k after substituting gamma_k); the L^2 norm respects the budget.
+    Returns the record and f_k lowered by `to_piecewise`.
     """
     h = a_k1 - a_k
     if h <= 0:
         raise ConfigurationError("a_{k+1} must exceed a_k")
     gamma = _gamma(k, lambda_k, I, config.a0, h)
-    shape = _block_shape(a_k, h, config, gk)
-    f_k = Amplified(shape, gamma)
+    f_k = Affine(gk, config.a0 / h, a_k, gamma)
     low = testfn.to_piecewise(f_k)
     norm_fk = exact_l2_norm(low)
     bound = config.epsilon / (2.0 ** (k + 1) * a_k1 ** k)
@@ -151,7 +146,7 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
                 f"block {k}: closed-form k-th moment {closed_form} vs exact "
                 f"integration {measured} disagree (rel {rel:.3e})"
             )
-        mass = abs(gamma) * exact_l1_norm(shape)
+        mass = exact_l1_norm(f_k)
         for i in range(k):
             scale = mass * max(a_k1, 1.0) ** i
             if abs(exact_moment(low, i)) > 1e-10 * max(scale, 1e-300):
@@ -160,7 +155,7 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float,
             raise CapabilityError(
                 f"block {k}: norm {norm_fk} violates budget {bound}"
             )
-    return BlockRecord(k, a_k, a_k1, gamma, lambda_k, f_k, norm_fk, bound)
+    return BlockRecord(k, a_k, a_k1, gamma, lambda_k, f_k, norm_fk, bound), low
 
 
 def moment_defects(parts, K: int):
@@ -195,11 +190,11 @@ def annihilate(config: AnnihilatorConfig):
         lambda_k = -residual
         gk = derivative(g, k)
         a_k1 = choose_interval(k, a_k, lambda_k, config, I, gk)
-        block = build_block(k, a_k, a_k1, lambda_k, config, I, gk)
+        block, low = build_block(k, a_k, a_k1, lambda_k, config, I, gk)
         blocks.append(block)
         if block.gamma_k != 0.0:
             parts.append(block.f_k)
-            lowered.append(testfn.to_piecewise(block.f_k))
+            lowered.append(low)
         a_k = a_k1
 
     f = Summed(tuple(parts))

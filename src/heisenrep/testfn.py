@@ -7,10 +7,11 @@ evaluate pointwise but signal `NotExactlyIntegrable` when an exact moment is
 requested.
 
 Conventions:
-  Translated(f, s)(x) = f(x - s)      (support moves right for s > 0)
-  Scaled(f, r)(x)     = f(r * x)
-  Mirrored(f)(x)      = f(-x)
-  Amplified(f, g)(x)  = g * f(x)
+  Affine(f, r, s, g)(x) = g * f(r * (x - s))   (r != 0)
+  Translated(f, s)      = Affine(f, shift=s):  f(x - s), support moves right for s > 0
+  Scaled(f, r)          = Affine(f, rate=r):   f(r * x)
+  Mirrored(f)           = Affine(f, rate=-1):  f(-x)
+  Amplified(f, g)       = Affine(f, gain=g):   g * f(x)
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
@@ -30,10 +31,7 @@ from .grid import GridSpec, SampledFunction
 # midpoint-rule cells per support interval in exact_l1_norm
 L1_CELLS = 4096
 
-TestFunction = Union[
-    "GaussianPoly", "CompactBump", "PiecewisePoly", "Translated",
-    "Mirrored", "Scaled", "Amplified", "Summed",
-]
+TestFunction = Union["GaussianPoly", "CompactBump", "PiecewisePoly", "Affine", "Summed"]
 
 
 @dataclass(frozen=True)
@@ -101,30 +99,32 @@ class PiecewisePoly:
 
 
 @dataclass(frozen=True)
-class Translated:
+class Affine:
+    """gain * inner(rate * (x - shift)): a change of variable times a constant."""
     inner: TestFunction
-    shift: float
-
-
-@dataclass(frozen=True)
-class Mirrored:
-    inner: TestFunction
-
-
-@dataclass(frozen=True)
-class Scaled:
-    inner: TestFunction
-    rate: float
+    rate: float = 1.0
+    shift: float = 0.0
+    gain: complex = 1.0
 
     def __post_init__(self):
         if self.rate == 0:
-            raise ConfigurationError("Scaled rate must be nonzero")
+            raise ConfigurationError("Affine rate must be nonzero")
 
 
-@dataclass(frozen=True)
-class Amplified:
-    inner: TestFunction
-    gain: complex
+def Translated(inner: TestFunction, shift: float) -> Affine:
+    return Affine(inner, shift=shift)
+
+
+def Mirrored(inner: TestFunction) -> Affine:
+    return Affine(inner, rate=-1.0)
+
+
+def Scaled(inner: TestFunction, rate: float) -> Affine:
+    return Affine(inner, rate=rate)
+
+
+def Amplified(inner: TestFunction, gain: complex) -> Affine:
+    return Affine(inner, gain=gain)
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,11 @@ def _eval(tf, x) -> np.ndarray:
                 v = (np.where(inside, x, pc.x0) - pc.x0) / pc.scale
                 acc = acc + np.where(inside, P.polyval(v, np.asarray(pc.coefficients)), 0.0)
         return acc
-    if isinstance(tf, Translated):
-        return _eval(tf.inner, x - tf.shift)
-    if isinstance(tf, Mirrored):
-        return _eval(tf.inner, -x)
-    if isinstance(tf, Scaled):
-        return _eval(tf.inner, tf.rate * x)
-    if isinstance(tf, Amplified):
-        return tf.gain * _eval(tf.inner, x)
+    if isinstance(tf, Affine):
+        # identity steps are skipped, so each array operation is one the node needs
+        u = x if tf.shift == 0 else x - tf.shift
+        out = _eval(tf.inner, u if tf.rate == 1 else tf.rate * u)
+        return out if tf.gain == 1 else tf.gain * out
     if isinstance(tf, Summed):
         acc = np.zeros(np.shape(x), dtype=complex)
         for t in tf.terms:
@@ -197,7 +194,7 @@ def smoothness_budget(tf: TestFunction) -> float:
         return tf.p - 1
     if isinstance(tf, PiecewisePoly):
         return tf.smooth
-    if isinstance(tf, (Translated, Mirrored, Scaled, Amplified)):
+    if isinstance(tf, Affine):
         return smoothness_budget(tf.inner)
     if isinstance(tf, Summed):
         return min((smoothness_budget(t) for t in tf.terms), default=math.inf)
@@ -212,17 +209,10 @@ def support(tf: TestFunction):
         return ((tf.a, tf.b),)
     if isinstance(tf, PiecewisePoly):
         return _merge_intervals([(pc.a, pc.b) for pc in tf.pieces])
-    if isinstance(tf, Translated):
-        return tuple((lo + tf.shift, hi + tf.shift) for lo, hi in support(tf.inner))
-    if isinstance(tf, Mirrored):
-        return _merge_intervals([(-hi, -lo) for lo, hi in support(tf.inner)])
-    if isinstance(tf, Scaled):
-        ivals = [(lo / tf.rate, hi / tf.rate) for lo, hi in support(tf.inner)]
-        if tf.rate < 0:
-            ivals = [(hi, lo) for lo, hi in ivals]
-        return _merge_intervals(ivals)
-    if isinstance(tf, Amplified):
-        return support(tf.inner)
+    if isinstance(tf, Affine):
+        r, s = tf.rate, tf.shift
+        return _merge_intervals([tuple(sorted((lo / r + s, hi / r + s)))
+                                 for lo, hi in support(tf.inner)])
     if isinstance(tf, Summed):
         acc = []
         for t in tf.terms:
@@ -280,15 +270,9 @@ def _deriv(tf, k):
                 c = P.polyder(c) / pc.scale
             pieces.append(Piece(pc.x0, pc.a, pc.b, tuple(c), pc.scale))
         return PiecewisePoly(tuple(pieces), smooth=tf.smooth - k)
-    if isinstance(tf, Translated):
-        return Translated(_deriv(tf.inner, k), tf.shift)
-    if isinstance(tf, Mirrored):
-        d = Mirrored(_deriv(tf.inner, k))
-        return d if k % 2 == 0 else Amplified(d, -1.0)
-    if isinstance(tf, Scaled):
-        return Amplified(Scaled(_deriv(tf.inner, k), tf.rate), tf.rate ** k)
-    if isinstance(tf, Amplified):
-        return Amplified(_deriv(tf.inner, k), tf.gain)
+    if isinstance(tf, Affine):
+        # d^k/dx^k g f(r (x - s)) = g r^k f^(k)(r (x - s))
+        return Affine(_deriv(tf.inner, k), tf.rate, tf.shift, tf.gain * tf.rate ** k)
     if isinstance(tf, Summed):
         return Summed(tuple(_deriv(t, k) for t in tf.terms))
     raise TypeError(f"not a TestFunction descriptor: {tf!r}")
@@ -341,41 +325,20 @@ def to_piecewise(tf: TestFunction) -> PiecewisePoly:
         return _bump_to_piecewise(tf)
     if isinstance(tf, PiecewisePoly):
         return tf
-    if isinstance(tf, Translated):
+    if isinstance(tf, Affine):
+        # x0 -> x0/r + s, scale -> scale/|r|, c(v) -> gain c(sign(r) v): the
+        # coefficients see only signs and the gain, so no rate over/underflows
         inner = to_piecewise(tf.inner)
-        s = tf.shift
-        return PiecewisePoly(
-            tuple(Piece(pc.x0 + s, pc.a + s, pc.b + s, pc.coefficients, pc.scale)
-                  for pc in inner.pieces),
-            smooth=inner.smooth,
-        )
-    if isinstance(tf, Mirrored):
-        inner = to_piecewise(tf.inner)
+        r, s = tf.rate, tf.shift
         pieces = []
         for pc in inner.pieces:
-            c = tuple(cj * (-1.0) ** j for j, cj in enumerate(pc.coefficients))
-            pieces.append(Piece(-pc.x0, -pc.b, -pc.a, c, pc.scale))
+            c = pc.coefficients
+            if r < 0:
+                c = tuple(cj * (-1.0) ** j for j, cj in enumerate(c))
+            a, b = sorted((pc.a / r + s, pc.b / r + s))
+            pieces.append(Piece(pc.x0 / r + s, a, b, tuple(tf.gain * cj for cj in c),
+                                pc.scale / abs(r)))
         return PiecewisePoly(tuple(pieces), smooth=inner.smooth)
-    if isinstance(tf, Scaled):
-        r = tf.rate
-        if r < 0:
-            return to_piecewise(Scaled(Mirrored(tf.inner), -r))
-        inner = to_piecewise(tf.inner)
-        # f(r x): only the local frame moves; coefficients are untouched,
-        # which keeps extreme dilation rates free of over/underflow
-        return PiecewisePoly(
-            tuple(Piece(pc.x0 / r, pc.a / r, pc.b / r, pc.coefficients, pc.scale / r)
-                  for pc in inner.pieces),
-            smooth=inner.smooth,
-        )
-    if isinstance(tf, Amplified):
-        inner = to_piecewise(tf.inner)
-        return PiecewisePoly(
-            tuple(Piece(pc.x0, pc.a, pc.b,
-                        tuple(tf.gain * cj for cj in pc.coefficients), pc.scale)
-                  for pc in inner.pieces),
-            smooth=inner.smooth,
-        )
     if isinstance(tf, Summed):
         pieces = []
         smooth = math.inf
@@ -476,55 +439,3 @@ def exact_l1_norm(tf: TestFunction) -> float:
         xs = np.linspace(lo, hi, L1_CELLS, endpoint=False) + 0.5 * (hi - lo) / L1_CELLS
         total += float(np.mean(np.abs(evaluate(tf, xs))) * (hi - lo))
     return total
-
-
-# ---------------------------------------------------------------------------
-# JSON form: the tag plus the dataclass fields.  Field annotations pick the
-# encoding: descriptors recurse, pieces are untagged field dicts, complex
-# values are [re, im] and tuples are lists.
-
-_TAGS = {
-    "gaussian_poly": GaussianPoly, "compact_bump": CompactBump,
-    "piecewise_poly": PiecewisePoly, "translated": Translated,
-    "mirrored": Mirrored, "scaled": Scaled, "amplified": Amplified,
-    "summed": Summed,
-}
-_TAG_OF = {cls: tag for tag, cls in _TAGS.items()}
-
-
-def _convert(value, kind: str, decode: bool):
-    """Encode (or decode) one field value by its annotation `kind`."""
-    if kind.startswith("Tuple["):  # "Tuple[X, ...]" holds X
-        items = [_convert(v, kind[6:-6], decode) for v in value]
-        return tuple(items) if decode else items
-    if kind == "complex":
-        return complex(*value) if decode else [complex(value).real, complex(value).imag]
-    if kind == "TestFunction":
-        return from_json(value) if decode else to_json(value)
-    if kind == "Piece":
-        return _fields_from_json(Piece, value) if decode else _fields_to_json(value)
-    return value
-
-
-def _fields_to_json(obj) -> dict:
-    return {f.name: _convert(getattr(obj, f.name), f.type, False) for f in fields(obj)}
-
-
-def _fields_from_json(cls, obj: dict):
-    missing = [f.name for f in fields(cls) if f.name not in obj and f.default is MISSING]
-    if missing:
-        raise ConfigurationError(f"{cls.__name__} JSON lacks fields {missing}")
-    kwargs = {f.name: _convert(obj[f.name], f.type, True) for f in fields(cls) if f.name in obj}
-    return cls(**kwargs)
-
-
-def to_json(tf: TestFunction) -> dict:
-    if type(tf) not in _TAG_OF:
-        raise TypeError(f"not a TestFunction descriptor: {tf!r}")
-    return {"tag": _TAG_OF[type(tf)], **_fields_to_json(tf)}
-
-
-def from_json(obj: dict) -> TestFunction:
-    if obj.get("tag") not in _TAGS:
-        raise ConfigurationError(f"unknown descriptor tag {obj.get('tag')!r}")
-    return _fields_from_json(_TAGS[obj["tag"]], obj)

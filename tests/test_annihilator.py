@@ -59,8 +59,9 @@ def test_choose_interval_passes_both_conditions():
     cfg = _config()
     I = float(exact_moment(MOTHER, 0))
     a1 = choose_interval(0, cfg.a0, -0.5, cfg, I, MOTHER)
-    block = build_block(0, cfg.a0, a1, -0.5, cfg, I, MOTHER)
+    block, low = build_block(0, cfg.a0, a1, -0.5, cfg, I, MOTHER)
     assert block.norm_fk < block.norm_bound
+    assert low == testfn.to_piecewise(block.f_k)
 
 
 def test_block_moment_identity_and_lower_orders():
@@ -69,7 +70,7 @@ def test_block_moment_identity_and_lower_orders():
     I = float(exact_moment(MOTHER, 0))
     g1 = derivative(MOTHER, 1)
     a1 = choose_interval(1, 2.0, lam, cfg, I, g1)
-    block = build_block(1, 2.0, a1, lam, cfg, I, g1)
+    block, _ = build_block(1, 2.0, a1, lam, cfg, I, g1)
     assert abs(float(exact_moment(block.f_k, 1)) - lam) < 1e-8 * abs(lam)
     assert abs(float(exact_moment(block.f_k, 0))) < 1e-10 * exact_l1_norm(block.f_k)
 
@@ -143,13 +144,14 @@ def test_annihilate_work_counts(monkeypatch):
     monkeypatch.setattr(testfn, "to_piecewise", counting)
     monkeypatch.setattr(testfn.P, "polypow", refuse)
     annihilate(_config())
-    assert len(calls) == 112
+    assert len(calls) == 82
 
 
 def test_annihilate_derives_each_block_once(monkeypatch):
     # one derivative of the mother per block, handed to choose_interval and
     # build_block; the bump is lowered for the mother, once per derivative of
-    # order >= 1, and three times for the order-0 block, which is the bump
+    # order >= 1, and twice for the order-0 block, which is the bump: for the
+    # norm in choose_interval and for the lowering build_block hands back
     calls = []
 
     def count(module, name):
@@ -165,7 +167,7 @@ def test_annihilate_derives_each_block_once(monkeypatch):
     cfg = _config()
     annihilate(cfg)
     assert calls.count("derivative") == cfg.K + 1
-    assert calls.count("_bump_to_piecewise") <= 8
+    assert calls.count("_bump_to_piecewise") == 1 + cfg.K + 2
 
 
 def test_closed_form_path_pinned():

@@ -121,6 +121,21 @@ def test_cli_class_membership_error_exits_two(capsys):
     assert "ClassMembershipError" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("suite", ["psi-invariance", "tilde-space"])
+def test_cli_unbounded_max_moment_exits_two(suite):
+    # certification stops at the first order that fails (order 5 for the
+    # witnesses), however far max_moment reaches; a child process, so a
+    # regression times out instead of hanging the run
+    proc = _run_fresh("import sys, time\nimport heisenrep.cli\n"
+                      "start = time.perf_counter()\n"
+                      f"code = heisenrep.cli.main(['--suite', '{suite}', "
+                      f"'--max-moment', '{10 ** 12}'])\n"
+                      "print(time.perf_counter() - start)\nsys.exit(code)", timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "ClassMembershipError" in proc.stderr and "at order 5 " in proc.stderr
+    assert float(proc.stdout.split()[-1]) < 5.0
+
+
 def test_cli_infinite_half_width_exits_two():
     assert main(["--suite", "transforms", "--half-width", "inf"]) == 2
 
@@ -305,13 +320,13 @@ def test_suite_registry_complete():
     assert len(SUITE_IDS) == 10
 
 
-def _run_fresh(code: str) -> subprocess.CompletedProcess:
+def _run_fresh(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
     # a fresh interpreter: this process has scipy loaded by other test modules
     src = os.path.dirname(os.path.dirname(heisenrep.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_runtime_imports_no_scipy():
