@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import testfn
 from .errors import CapabilityError, ConfigurationError, require_type
@@ -66,6 +66,10 @@ class BlockRecord:
     f_k: TestFunction
     norm_fk: float
     norm_bound: float
+    # relative error of the closed-form k-th moment, and the largest moment
+    # below k relative to its scale (both 0.0 where lambda_k == 0)
+    moment_error: float
+    lower_defect: float
 
 
 def _gamma(k: int, lam: float, I: float, a0: float, h: float) -> float:
@@ -86,6 +90,8 @@ def choose_interval(k: int, a_k: float, lambda_k: float,
     if lambda_k == 0.0:
         return a_k + 1.0
     gk_norm = exact_l2_norm(gk)
+    if gk_norm == 0.0:  # g^(k) of a nonzero mother whose square underflows
+        raise ConfigurationError(f"block {k}: the L^2 norm of g^({k}) underflows to zero")
     # evaluate both conditions in log space: the widths can overflow any
     # float power long before the search terminates
     log_rhs = (math.log(abs(lambda_k)) + (k + 1) * math.log(2.0)
@@ -127,6 +133,7 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: Annihi
     moments below k vanish; the k-th moment equals lambda_k (the closed-form
     identity int x^k f_k = (-1)^k k! I gamma_k (h/a0)^{k+1} collapses to
     lambda_k after substituting gamma_k); the L^2 norm respects the budget.
+    The record keeps the measured moment error and lower-moment defect.
     Returns the record and f_k lowered by `to_piecewise`.
     """
     h = a_k1 - a_k
@@ -137,25 +144,29 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: Annihi
     low = testfn.to_piecewise(f_k)
     norm_fk = exact_l2_norm(low)
     bound = config.epsilon / (2.0 ** (k + 1) * a_k1 ** k)
+    moment_error = lower_defect = 0.0
     if lambda_k != 0.0:
         closed_form = ((-1.0) ** k * math.factorial(k) * I * gamma * (h / config.a0) ** (k + 1))
         measured = exact_moment(low, k)
-        rel = abs(measured - closed_form) / max(abs(closed_form), 1e-300)
-        if rel > 1e-8:
+        moment_error = abs(measured - closed_form) / max(abs(closed_form), 1e-300)
+        if moment_error > 1e-8:
             raise CapabilityError(
                 f"block {k}: closed-form k-th moment {closed_form} vs exact "
-                f"integration {measured} disagree (rel {rel:.3e})"
+                f"integration {measured} disagree (rel {moment_error:.3e})"
             )
-        mass = exact_l1_norm(f_k)
+        mass = exact_l1_norm(f_k) if k else 0.0  # order 0 has no lower moments
         for i in range(k):
-            scale = mass * max(a_k1, 1.0) ** i
-            if abs(exact_moment(low, i)) > 1e-10 * max(scale, 1e-300):
+            m_i = abs(exact_moment(low, i))
+            scale = max(mass * max(a_k1, 1.0) ** i, 1e-300)
+            if m_i > 1e-10 * scale:
                 raise CapabilityError(f"block {k}: moment of order {i} fails to vanish")
+            lower_defect = max(lower_defect, m_i / scale)
         if norm_fk >= bound:
             raise CapabilityError(
                 f"block {k}: norm {norm_fk} violates budget {bound}"
             )
-    return BlockRecord(k, a_k, a_k1, gamma, lambda_k, f_k, norm_fk, bound), low
+    return BlockRecord(k, a_k, a_k1, gamma, lambda_k, f_k, norm_fk, bound,
+                       moment_error, lower_defect), low
 
 
 def moment_defects(parts, K: int):
@@ -179,7 +190,7 @@ def annihilate(config: AnnihilatorConfig):
     g = config.mother
     lowered = [testfn.to_piecewise(g)]
     I = float(exact_moment(lowered[0], 0))
-    if abs(I) < 1e-12 * exact_l1_norm(g):
+    if not abs(I) > 1e-12 * exact_l1_norm(g):  # also refuses an I that underflows to 0
         raise ConfigurationError("mother integral is (numerically) zero")
 
     blocks: list[BlockRecord] = []
@@ -217,8 +228,7 @@ def annihilate(config: AnnihilatorConfig):
 def mirror(f: TestFunction, blocks):
     """Reflection x -> -x of an annihilated sum and its blocks, which moves
     the support into (-a_{K+1}, 0); returns (f_neg, blocks_neg)."""
-    return Mirrored(f), [BlockRecord(b.k, -b.a_k1, -b.a_k, b.gamma_k, b.lambda_k,
-                                     Mirrored(b.f_k), b.norm_fk, b.norm_bound)
+    return Mirrored(f), [replace(b, a_k=-b.a_k1, a_k1=-b.a_k, f_k=Mirrored(b.f_k))
                          for b in blocks]
 
 

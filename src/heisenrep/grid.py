@@ -9,7 +9,6 @@ so Fourier transforms map SampledFunction -> SampledFunction.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,14 +61,10 @@ class GridSpec:
 
     @cached_property
     def _dual(self) -> "GridSpec":
+        # the pair is built once: the dual's dual is this grid, whether or
+        # not pi/(pi/dx) rounds back to dx
         dual = GridSpec(np.pi / self.spacing, self.size)
-        # When the round trip is exact, the dual's dual is this grid: a weak
-        # link (no reference cycle) lets a chain of transforms reuse two
-        # instances instead of caching a new grid per transform.  When it is
-        # not exact, the next step closes the cycle (checked on 200,000
-        # random half-widths and sizes).
-        if GridSpec(np.pi / dual.spacing, dual.size) == self:
-            object.__setattr__(dual, "_dual_of", weakref.ref(self))
+        dual.__dict__["_dual"] = self
         return dual
 
     def __getstate__(self):
@@ -85,14 +80,10 @@ def make_grid(half_width: float, size: int) -> GridSpec:
 def dual_grid(grid: GridSpec) -> GridSpec:
     """Frequency grid matching `grid`: spacing pi/L, half-width pi/dx.
 
-    Involutive up to rounding: dual_grid(dual_grid(g)) == g whenever the
-    round trip of the spacing is exact, as for a power-of-two L (L = 100
-    with N = 256 is off by one ulp).  The same instance is returned on every
-    call, so its points are computed once.
+    Involutive: dual_grid(dual_grid(g)) is g.  The same instance is returned
+    on every call, so its points are computed once.
     """
-    source = getattr(grid, "_dual_of", None)
-    back = source() if source is not None else None
-    return back if back is not None else grid._dual
+    return grid._dual
 
 
 @dataclass(frozen=True)

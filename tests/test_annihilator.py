@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from heisenrep import annihilator, testfn
 from heisenrep.annihilator import (
@@ -191,3 +192,39 @@ def test_closed_form_path_pinned():
                     h.update(repr([complex(v) for v in values]).encode())
     assert h.hexdigest() == (
         "4f7f2ada9273d061fcf768621fb373c6c06ce0cd38e40ffb8cf0c68115da698d")
+
+
+@st.composite
+def annihilator_configs(draw):
+    a0 = draw(st.floats(1.0001, 30.0))
+    a = draw(st.floats(0.0, a0))
+    b = draw(st.floats(a, a0))
+    assume(a < b)
+    return dict(K=draw(st.integers(0, 8)), epsilon=10.0 ** draw(st.floats(-8.0, 0.5)),
+                a0=a0, mother=(a, b, draw(st.integers(1, 13))))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(annihilator_configs())
+# a bump this narrow has an integral (p = 2) or an L^2 norm (p = 1) that
+# underflows to zero; both used to end in ZeroDivisionError or ValueError
+@example({"K": 0, "epsilon": 1.0, "a0": 2.0, "mother": (0.0, 3.868247328619375e-98, 2)})
+@example({"K": 0, "epsilon": 1.0, "a0": 2.0, "mother": (0.0, 3.868247328619375e-98, 1)})
+def test_annihilator_config_fuzz(draw):
+    # every configuration either is refused with a typed error or yields
+    # blocks that satisfy each invariant the construction promises
+    try:
+        cfg = AnnihilatorConfig(**{**draw, "mother": CompactBump(*draw["mother"])})
+        _, blocks, report = annihilate(cfg)
+    except (ConfigurationError, CapabilityError):
+        return
+    hi = cfg.a0
+    for b in blocks:
+        assert hi <= b.a_k < b.a_k1
+        if b.gamma_k != 0.0:
+            assert b.a_k <= support(b.f_k)[0][0] and support(b.f_k)[-1][1] <= b.a_k1
+        assert b.lower_defect <= 1e-10 and b.moment_error <= 1e-8
+        assert b.norm_fk < b.norm_bound
+        hi = b.a_k1
+    assert max(report["moment_defects"]) <= 1e-6
+    assert report["l2_distance"] < cfg.epsilon

@@ -7,8 +7,9 @@ import pytest
 
 from heisenrep import (
     ConfigurationError, GridMismatchError, GridSpec, SampledFunction, dual_grid, fourier,
-    inner, integrate, inverse_fourier, make_grid, norm, restrict_halfline,
+    hilbert, inner, integrate, inverse_fourier, make_grid, norm, proj_hardy, restrict_halfline,
 )
+from heisenrep.heisenberg import generator_apply
 
 
 def test_make_grid_layout():
@@ -42,10 +43,12 @@ def test_make_grid_validation():
 
 
 def test_dual_grid_involutive():
-    g = make_grid(32.0, 256)
-    d = dual_grid(g)
-    assert d.half_width == np.pi / g.spacing
-    assert dual_grid(d) == g
+    # pi/(pi/dx) rounds back to dx at L = 32; at L = 100 and 12.5 it is one ulp off
+    for half_width in (32.0, 100.0, 12.5):
+        g = make_grid(half_width, 256)
+        d = dual_grid(g)
+        assert d.half_width == np.pi / g.spacing
+        assert dual_grid(d) is g
 
 
 def test_grid_arrays_cached_and_read_only():
@@ -64,7 +67,7 @@ def test_grid_arrays_cached_and_read_only():
 @pytest.mark.parametrize("half_width", [32.0, 100.0])  # round trip exact / inexact
 def test_repeated_transforms_reuse_grid_instances(half_width):
     g = make_grid(half_width, 256)
-    assert (dual_grid(dual_grid(g)) == g) == (half_width == 32.0)
+    assert dual_grid(dual_grid(g)) is g
     f = SampledFunction(g, np.exp(-g.points ** 2))
     grids = set()
     for _ in range(20):
@@ -74,6 +77,23 @@ def test_repeated_transforms_reuse_grid_instances(half_width):
     assert grids == {id(dual_grid(dual_grid(g)))}
     d = dual_grid(g)
     assert dual_grid(dual_grid(d)) is d
+
+
+def test_spectral_results_stay_on_the_input_grid():
+    # L = 100 does not round-trip the spacing; every result is still on f.grid
+    g = make_grid(100.0, 256)
+    f = SampledFunction(g, np.exp(-(g.points / 10.0) ** 2))
+    results = [
+        inverse_fourier(fourier(f)),
+        generator_apply("D", f),
+        proj_hardy(f, "plus") + proj_hardy(f, "minus"),
+        hilbert(f),
+    ]
+    for out in results:
+        assert out.grid is g
+        assert (out - f).grid is g
+    assert norm(results[0] - f) < 1e-13 * norm(f)
+    assert norm(results[2] - f) < 1e-13 * norm(f)
 
 
 def test_grid_pickles_without_caches():

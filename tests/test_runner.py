@@ -226,12 +226,20 @@ def test_report_environment_is_a_config_file(tmp_path):
     ["--half-width", "0.5"],  # paley-wiener's bump on (1, 2)
     ["--suite", "conjugation", "--half-width", "0.5"],  # a Hardy-plus spectrum
     ["--suite", "norms", "--grid-size", "4"],  # the pair-norm witnesses
+    ["--suite", "norms", "--half-width", "1e6"],  # x^n times the moment function
+    ["--suite", "norms", "--half-width", "1e-300"],
 ])
 def test_cli_window_missing_a_fixed_function_exits_two(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "samples to zero" in err and "half_width=" in err and "size=" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("half_width", ["50", "100"])  # pi/(pi/dx) is one ulp off dx at 100
+@pytest.mark.parametrize("suite", ["transforms", "generators", "conjugation", "norms"])
+def test_cli_window_without_exact_spacing_round_trip(suite, half_width):
+    assert main(["--suite", suite, "--half-width", half_width]) == 0
 
 
 def test_default_report_bytes_pinned():
@@ -253,6 +261,20 @@ def test_mirror_defects_detect_a_wrong_mirror(monkeypatch):
     monkeypatch.setattr(heisenrep.suites, "mirror", dropped_block)
     checks = {c["check"]: c for c in run_suite(SuiteConfig(suite="appendix-a"))["checks"]}
     assert not checks["mirror-defects"]["pass"]
+    assert checks["final-moments"]["pass"]
+
+
+@pytest.mark.parametrize("field,check", [("moment_error", "block-moment-identity"),
+                                         ("lower_defect", "blocks-lower-moments")])
+def test_block_checks_read_the_records(monkeypatch, field, check):
+    # the suite reports what build_block measured; it does not re-derive it
+    def wrong_record(config):
+        f, blocks, report = heisenrep.annihilator.annihilate(config)
+        return f, [*blocks[:-1], dataclasses.replace(blocks[-1], **{field: 1.0})], report
+
+    monkeypatch.setattr(heisenrep.suites, "annihilate", wrong_record)
+    checks = {c["check"]: c for c in run_suite(SuiteConfig(suite="appendix-a"))["checks"]}
+    assert not checks[check]["pass"]
     assert checks["final-moments"]["pass"]
 
 
