@@ -10,7 +10,7 @@ from heisenrep.psi import (
     synthesize, tilde_norm, tilde_synthesize,
 )
 from heisenrep.schwartz import psi_norm
-from heisenrep.testfn import CompactBump, Translated, derivative, sample
+from heisenrep.testfn import CompactBump, Translated, derivative
 from heisenrep.transforms import fourier
 
 grid = make_grid(32.0, 4096)
@@ -22,21 +22,21 @@ grid = make_grid(32.0, 4096)
 edge = Translated(derivative(CompactBump(0.0, 1.0, 10), 5), -1.0)
 wide = Translated(derivative(CompactBump(0.0, 10.0, 10), 5), -10.0)
 
+# a certificate returns the samples, which vanish on x >= 0, and the worst
+# relative moment defect over orders 0..4
 for name, desc in (("edge", edge), ("wide", wide)):
-    cert = certify_nminus(desc, grid, max_moment=4)
-    print(f"{name}: certified; support defect {cert['support_plus']:.1e}, "
-          f"moment defect {cert['n_defect']:.3e}")
+    _, defect = certify_nminus(desc, grid, max_moment=4)
+    print(f"{name}: certified; moment defect {defect:.3e}")
 
-# synthesis f = -i P+ g + i P- h; both projections agree on (0, inf)
+# synthesis f = -i P+ g + i P- h keeps the certified samples g and h
 psi = synthesize(edge, wide, grid)
 print(f"\ncoincidence defect of the two projections on (0, inf): "
       f"{coincidence_defect(edge, grid):.3e}")
-print(f"pair norm ||(g,h)||_1 = {psi_norm(sample(edge, grid), sample(wide, grid), 1):.6e}")
+print(f"pair norm ||(g,h)||_1 = {psi_norm(psi.g, psi.h, 1):.6e}")
 
-# forward translations keep the class; the certificate survives
+# forward translations keep the class; the moved pair is certified again
 moved, snapped = act_psi(GroupElement(1.0, 0.0, 0.3), psi)
-cert = certify_nminus(moved.g_desc, grid, max_moment=4)
-print(f"\nafter U(xi), xi1 = {snapped.xi1}: moment defect {cert['n_defect']:.3e} "
+print(f"\nafter U(xi), xi1 = {snapped.xi1}: moment defect {moved.n_defect:.3e} "
       "(certificate survives)")
 
 # backward translations and modulations break it, measurably
@@ -48,11 +48,11 @@ print(f"witness xi2 = 1   (zeroth moment reappears): {w2:.4f}")
 
 # the transform-side picture: sign-split synthesis equals the Fourier route,
 # and the norms agree through either side
-phi = tilde_synthesize(edge, wide, grid)
+phi = tilde_synthesize(psi.g, psi.h)
 via = fourier(psi.samples)
 print(f"\ntransform-side synthesis vs Fourier route: rel err "
       f"{norm(phi - via) / norm(via):.3e}")
 for n in (0, 1, 2):
-    a = tilde_norm(edge, wide, grid, n)
-    b = psi_norm(sample(edge, grid), sample(wide, grid), n)
+    a = tilde_norm(psi.g, psi.h, n)
+    b = psi_norm(psi.g, psi.h, n)
     print(f"norm route agreement at n={n}: rel gap {abs(a - b) / b:.3e}")

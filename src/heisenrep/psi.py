@@ -38,14 +38,15 @@ def snap_to_grid(shift: float, grid: GridSpec) -> float:
     return round(shift / grid.spacing) * grid.spacing
 
 
-def certify_nminus(desc, grid: GridSpec, max_moment: int = 4) -> dict:
+def certify_nminus(desc, grid: GridSpec,
+                   max_moment: int = 4) -> tuple[SampledFunction, float]:
     """Certificate for the negatively supported vanishing-moment class.
 
     Requires: closed-form support inside (-L, 0]; exactly zero samples on
     x >= 0; relative moment defects below CERTIFICATE_THRESHOLD for orders
     0..max_moment.
-    Returns the measured defects; raises ClassMembershipError naming the
-    first failed requirement.
+    Returns the samples and the worst moment defect; raises
+    ClassMembershipError naming the first failed requirement.
     """
     sup = testfn.support(desc)
     if not sup:
@@ -62,9 +63,9 @@ def certify_nminus(desc, grid: GridSpec, max_moment: int = 4) -> dict:
     nf = norm(f)
     if nf == 0.0:
         raise ClassMembershipError("descriptor samples to zero")
-    support_plus = norm(restrict_halfline(f, "plus")) / nf
-    if support_plus != 0.0:
-        raise ClassMembershipError(f"samples leak onto x >= 0 (defect {support_plus})")
+    leak = norm(restrict_halfline(f, "plus")) / nf
+    if leak != 0.0:
+        raise ClassMembershipError(f"samples leak onto x >= 0 (defect {leak})")
     # orders upward, stopping at the first that fails (a NaN defect fails):
     # a max_moment beyond what desc certifies is refused at once, however large
     worst = 0.0
@@ -76,25 +77,28 @@ def certify_nminus(desc, grid: GridSpec, max_moment: int = 4) -> dict:
                 f"{CERTIFICATE_THRESHOLD:.1e}"
             )
         worst = max(worst, defect)
-    return {"support_plus": support_plus, "n_defect": worst}
+    return f, worst
 
 
 @dataclass(frozen=True)
 class PsiElement:
+    """A synthesized pair: its descriptors, their certified samples g and h,
+    the larger of their two moment defects, and f = -i P+ g + i P- h."""
     g_desc: object
     h_desc: object
     grid: GridSpec
     samples: SampledFunction
+    g: SampledFunction
+    h: SampledFunction
+    n_defect: float
 
 
 def synthesize(g_desc, h_desc, grid: GridSpec, max_moment: int = 4) -> PsiElement:
     """f = -i P+ g + i P- h from two certified descriptors."""
-    certify_nminus(g_desc, grid, max_moment)
-    certify_nminus(h_desc, grid, max_moment)
-    g = testfn.sample(g_desc, grid)
-    h = testfn.sample(h_desc, grid)
+    g, g_defect = certify_nminus(g_desc, grid, max_moment)
+    h, h_defect = certify_nminus(h_desc, grid, max_moment)
     samples = proj_hardy(g, "plus") * (-1j) + proj_hardy(h, "minus") * 1j
-    return PsiElement(g_desc, h_desc, grid, samples)
+    return PsiElement(g_desc, h_desc, grid, samples, g, h, max(g_defect, h_defect))
 
 
 def coincidence_defect(desc, grid: GridSpec) -> float:
@@ -136,40 +140,37 @@ def invariance_witness(xi: GroupElement, psi: PsiElement) -> float:
     xi2 != 0: relative order-0 moment defect of e^{i x xi2} g.
     xi in the invariant semigroup: the (tiny) order-0 defect after acting.
     """
-    g = testfn.sample(psi.g_desc, psi.grid)
     if xi.xi1 < 0:
         xi1 = snap_to_grid(xi.xi1, psi.grid)
-        moved = act(GroupElement(xi1, 0.0, 0.0), g, mode="grid")
-        return norm(restrict_halfline(moved, "plus")) / norm(g)
+        moved = act(GroupElement(xi1, 0.0, 0.0), psi.g, mode="grid")
+        return norm(restrict_halfline(moved, "plus")) / norm(psi.g)
     if xi.xi2 != 0:
-        return moment_defect(act(GroupElement(0.0, xi.xi2, 0.0), g, mode="grid"), 0)
+        return moment_defect(act(GroupElement(0.0, xi.xi2, 0.0), psi.g, mode="grid"), 0)
     xi1 = snap_to_grid(xi.xi1, psi.grid)
-    moved = act(GroupElement(xi1, 0.0, xi.xi3), g, mode="grid")
+    moved = act(GroupElement(xi1, 0.0, xi.xi3), psi.g, mode="grid")
     return moment_defect(moved, 0)
 
 
 # ---------------------------------------------------------------------------
 # Fourier-conjugate construction
 
-def tilde_synthesize(g_desc, h_desc, grid: GridSpec, max_moment: int = 4) -> SampledFunction:
+def tilde_synthesize(g: SampledFunction, h: SampledFunction) -> SampledFunction:
     """phi(y) = -(i/2)(1 + sgn y) ghat(y) + (i/2)(1 - sgn y) hhat(y).
 
     Lives on the dual grid; by construction it equals the Fourier transform
     of the direct synthesis, so the two routes cross-check each other.
     """
-    certify_nminus(g_desc, grid, max_moment)
-    certify_nminus(h_desc, grid, max_moment)
-    ghat = fourier(testfn.sample(g_desc, grid))
-    hhat = fourier(testfn.sample(h_desc, grid))
+    ghat = fourier(g)
+    hhat = fourier(h)
     s = np.sign(ghat.grid.points)
     vals = -0.5j * (1.0 + s) * ghat.values + 0.5j * (1.0 - s) * hhat.values
     return SampledFunction(ghat.grid, vals)
 
 
-def tilde_norm(g_desc, h_desc, grid: GridSpec, n: int) -> float:
+def tilde_norm(g: SampledFunction, h: SampledFunction, n: int) -> float:
     """Norm of phi through the transform pair: (||ghat||_n^2 + ||hhat||_n^2)^(1/2)."""
-    ghat = fourier(testfn.sample(g_desc, grid))
-    hhat = fourier(testfn.sample(h_desc, grid))
+    ghat = fourier(g)
+    hhat = fourier(h)
     return math.hypot(seminorm_iter(ghat, n), seminorm_iter(hhat, n))
 
 

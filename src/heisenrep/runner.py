@@ -49,7 +49,7 @@ def run_all(base_config: SuiteConfig) -> list[dict]:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(report: dict, out_dir: str) -> str:

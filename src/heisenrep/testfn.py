@@ -9,9 +9,8 @@ requested.
 Conventions:
   Affine(f, r, s, g)(x) = g * f(r * (x - s))   (r != 0)
   Translated(f, s)      = Affine(f, shift=s):  f(x - s), support moves right for s > 0
-  Scaled(f, r)          = Affine(f, rate=r):   f(r * x)
   Mirrored(f)           = Affine(f, rate=-1):  f(-x)
-  Amplified(f, g)       = Affine(f, gain=g):   g * f(x)
+  CompactBump(a, b, p)  = one PiecewisePoly piece: (x - a)^p (b - x)^p on (a, b)
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .grid import GridSpec, SampledFunction
 # midpoint-rule cells per support interval in exact_l1_norm
 L1_CELLS = 4096
 
-TestFunction = Union["GaussianPoly", "CompactBump", "PiecewisePoly", "Affine", "Summed"]
+TestFunction = Union["GaussianPoly", "PiecewisePoly", "Affine", "Summed"]
 
 
 @dataclass(frozen=True)
@@ -45,21 +44,6 @@ class GaussianPoly:
         if self.width <= 0:
             raise ConfigurationError("GaussianPoly width must be positive")
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
-
-
-@dataclass(frozen=True)
-class CompactBump:
-    """(x - a)^p (b - x)^p on (a, b), zero outside; C^(p-1) on the line."""
-    a: float
-    b: float
-    p: int
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ConfigurationError("CompactBump needs a < b")
-        require_type("CompactBump p", self.p, numbers.Integral, "an integer")
-        if self.p < 1:
-            raise ConfigurationError("CompactBump needs p >= 1")
 
 
 @dataclass(frozen=True)
@@ -119,12 +103,23 @@ def Mirrored(inner: TestFunction) -> Affine:
     return Affine(inner, rate=-1.0)
 
 
-def Scaled(inner: TestFunction, rate: float) -> Affine:
-    return Affine(inner, rate=rate)
+def CompactBump(a: float, b: float, p: int) -> PiecewisePoly:
+    """(x - a)^p (b - x)^p on (a, b), zero outside; C^(p-1) on the line.
 
-
-def Amplified(inner: TestFunction, gain: complex) -> Affine:
-    return Affine(inner, gain=gain)
+    One piece in v = (x - x0)/half: half^{2p} (1 - v^2)^p, whose coefficient
+    of v^{2j} is (-1)^j C(p, j) half^{2p}.
+    """
+    if not a < b:
+        raise ConfigurationError("CompactBump needs a < b")
+    require_type("CompactBump p", p, numbers.Integral, "an integer")
+    if p < 1:
+        raise ConfigurationError("CompactBump needs p >= 1")
+    x0 = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    c = np.zeros(2 * p + 1)
+    c[::2] = [(-1) ** j * math.comb(p, j) for j in range(p + 1)]
+    c = c * half ** (2 * p)
+    return PiecewisePoly((Piece(x0, a, b, tuple(c), half),), smooth=p - 1)
 
 
 @dataclass(frozen=True)
@@ -149,11 +144,6 @@ def _eval(tf, x) -> np.ndarray:
     if isinstance(tf, GaussianPoly):
         u = x - tf.center
         return P.polyval(u, tf.coefficients) * np.exp(-(u * u) / (2.0 * tf.width ** 2)) + 0j
-    if isinstance(tf, CompactBump):
-        inside = (x > tf.a) & (x < tf.b)
-        u = np.where(inside, x, tf.a)
-        val = (u - tf.a) ** tf.p * (tf.b - u) ** tf.p
-        return np.where(inside, val, 0.0) + 0j
     if isinstance(tf, PiecewisePoly):
         acc = np.zeros(np.shape(x), dtype=complex)
         for pc in tf.pieces:
@@ -190,8 +180,6 @@ def smoothness_budget(tf: TestFunction) -> float:
     """Largest derivative order that keeps the descriptor in closed form."""
     if isinstance(tf, GaussianPoly):
         return math.inf
-    if isinstance(tf, CompactBump):
-        return tf.p - 1
     if isinstance(tf, PiecewisePoly):
         return tf.smooth
     if isinstance(tf, Affine):
@@ -205,8 +193,6 @@ def support(tf: TestFunction):
     """Finite union of intervals, as a tuple of (lo, hi) pairs (may be infinite)."""
     if isinstance(tf, GaussianPoly):
         return ((-math.inf, math.inf),)
-    if isinstance(tf, CompactBump):
-        return ((tf.a, tf.b),)
     if isinstance(tf, PiecewisePoly):
         return _merge_intervals([(pc.a, pc.b) for pc in tf.pieces])
     if isinstance(tf, Affine):
@@ -260,8 +246,6 @@ def _deriv(tf, k):
             # d/dx [p(u) e^{-u^2/2w^2}] = (p'(u) - p(u) u / w^2) e^{-u^2/2w^2}
             c = P.polysub(P.polyder(c), P.polymul([0.0, 1.0 / tf.width ** 2], c))
         return GaussianPoly(tf.center, tf.width, tuple(c))
-    if isinstance(tf, CompactBump):
-        return _deriv(_bump_to_piecewise(tf), k)
     if isinstance(tf, PiecewisePoly):
         pieces = []
         for pc in tf.pieces:
@@ -308,21 +292,8 @@ def _affine_poly(coeffs, alpha: float, beta: float) -> np.ndarray:
     return np.cumsum(terms, axis=0)[-1]
 
 
-def _bump_to_piecewise(tf: CompactBump) -> PiecewisePoly:
-    x0 = 0.5 * (tf.a + tf.b)
-    half = 0.5 * (tf.b - tf.a)
-    # in v = (x - x0)/half:  (x-a)^p (b-x)^p = half^{2p} (1 - v^2)^p,
-    # whose coefficient of v^{2j} is (-1)^j C(p, j)
-    c = np.zeros(2 * tf.p + 1)
-    c[::2] = [(-1) ** j * math.comb(tf.p, j) for j in range(tf.p + 1)]
-    c = c * half ** (2 * tf.p)
-    return PiecewisePoly((Piece(x0, tf.a, tf.b, tuple(c), half),), smooth=tf.p - 1)
-
-
 def to_piecewise(tf: TestFunction) -> PiecewisePoly:
     """Canonical compact piecewise-polynomial form; exact for polynomial trees."""
-    if isinstance(tf, CompactBump):
-        return _bump_to_piecewise(tf)
     if isinstance(tf, PiecewisePoly):
         return tf
     if isinstance(tf, Affine):

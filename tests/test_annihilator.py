@@ -150,25 +150,19 @@ def test_annihilate_work_counts(monkeypatch):
 
 def test_annihilate_derives_each_block_once(monkeypatch):
     # one derivative of the mother per block, handed to choose_interval and
-    # build_block; the bump is lowered for the mother, once per derivative of
-    # order >= 1, and twice for the order-0 block, which is the bump: for the
-    # norm in choose_interval and for the lowering build_block hands back
+    # build_block; the bump was lowered when it was built, so lowering the
+    # mother hands it back unchanged
     calls = []
+    original = annihilator.derivative
 
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counting(*args):
-            calls.append(name)
-            return original(*args)
-        monkeypatch.setattr(module, name, counting)
-
-    count(annihilator, "derivative")
-    count(testfn, "_bump_to_piecewise")
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(annihilator, "derivative", counting)
     cfg = _config()
     annihilate(cfg)
-    assert calls.count("derivative") == cfg.K + 1
-    assert calls.count("_bump_to_piecewise") == 1 + cfg.K + 2
+    assert len(calls) == cfg.K + 1
+    assert testfn.to_piecewise(cfg.mother) is cfg.mother
 
 
 def test_closed_form_path_pinned():

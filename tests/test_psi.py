@@ -10,7 +10,7 @@ from heisenrep.psi import (
 )
 from heisenrep.schwartz import psi_norm
 from heisenrep.testfn import (
-    Amplified, CompactBump, GaussianPoly, Translated, derivative, sample,
+    Affine, CompactBump, GaussianPoly, Translated, derivative, sample,
 )
 from heisenrep.transforms import inverse_fourier
 from heisenrep.grid import dual_grid
@@ -27,9 +27,9 @@ def test_snap_to_grid():
 
 def test_certify_accepts_edge_and_wide():
     for desc in (EDGE, WIDE):
-        cert = certify_nminus(desc, GRID, 4)
-        assert cert["support_plus"] == 0.0
-        assert cert["n_defect"] < 1e-6
+        samples, defect = certify_nminus(desc, GRID, 4)
+        assert np.array_equal(samples.values, sample(desc, GRID).values)
+        assert defect < 1e-6
 
 
 def test_certify_rejects_positive_support():
@@ -51,6 +51,11 @@ def test_certify_rejects_window_overflow():
 def test_synthesize_and_coincidence():
     psi = synthesize(EDGE, WIDE, GRID)
     assert norm(psi.samples) > 0
+    # the certified samples and the larger of the two certificates' defects
+    (g, g_defect), (h, h_defect) = (certify_nminus(d, GRID, 4) for d in (EDGE, WIDE))
+    assert np.array_equal(psi.g.values, g.values)
+    assert np.array_equal(psi.h.values, h.values)
+    assert psi.n_defect == max(g_defect, h_defect)
     assert coincidence_defect(EDGE, GRID) < 1e-12
 
 
@@ -72,8 +77,7 @@ def test_act_psi_moves_support_left():
     psi = synthesize(EDGE, WIDE, GRID)
     moved, snapped = act_psi(GroupElement(1.0, 0.0, 0.5), psi)
     assert snapped.xi1 == snap_to_grid(1.0, GRID)
-    cert = certify_nminus(moved.g_desc, GRID, 4)
-    assert cert["n_defect"] < 1e-6
+    assert moved.n_defect < 1e-6
 
 
 def test_invariance_witness_directions():
@@ -85,15 +89,17 @@ def test_invariance_witness_directions():
 
 
 def test_tilde_routes_agree():
-    phi = tilde_synthesize(EDGE, WIDE, GRID)
-    via = fourier(synthesize(EDGE, WIDE, GRID).samples)
+    psi = synthesize(EDGE, WIDE, GRID)
+    phi = tilde_synthesize(psi.g, psi.h)
+    via = fourier(psi.samples)
     assert norm(phi - via) < 1e-12 * norm(via)
 
 
 def test_tilde_norm_matches_pair_norm():
+    g, h = sample(EDGE, GRID), sample(WIDE, GRID)
     for n in (0, 1, 2):
-        a = tilde_norm(EDGE, WIDE, GRID, n)
-        b = psi_norm(sample(EDGE, GRID), sample(WIDE, GRID), n)
+        a = tilde_norm(g, h, n)
+        b = psi_norm(g, h, n)
         assert abs(a - b) < 1e-6 * b
 
 
@@ -129,6 +135,5 @@ def test_hardy_semigroup_step_directions():
 
 
 def test_amplified_descriptor_certifies():
-    desc = Amplified(EDGE, 2.0 - 1j)
-    cert = certify_nminus(desc, GRID, 4)
-    assert cert["n_defect"] < 1e-6
+    _, defect = certify_nminus(Affine(EDGE, gain=2.0 - 1j), GRID, 4)
+    assert defect < 1e-6

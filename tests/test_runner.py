@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from heisenrep.cli import build_parser, load_settings, main
 from heisenrep.errors import ConfigurationError
 from heisenrep.heisenberg import GroupElement
 from heisenrep.runner import report_json, run_all, run_suite
-from heisenrep.suites import SUITE_IDS, SuiteConfig
+from heisenrep.suites import SUITE_IDS, Recorder, SuiteConfig
 from heisenrep.testfn import Mirrored, Summed
 
 
@@ -236,6 +237,63 @@ def test_cli_window_missing_a_fixed_function_exits_two(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the difference-quotient errors are all 0, so their ratios are 0/0
+    (["--suite", "generators", "--half-width", "1e-300", "--grid-size", "64"],
+     "check convergence-M-n0 measured nan"),
+    (["--suite", "norms", "--tolerance", "seminorm-0=inf"], "finite"),
+])
+def test_cli_non_finite_value_exits_two(tmp_path, capsys, argv, message):
+    # a report holds finite numbers only, so it is strict JSON; no report
+    # is written for a run refused this way
+    out = tmp_path / "reports"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigurationError" in err and message in err
+    assert len(err.strip().splitlines()) == 1
+    if "generators" in argv:
+        assert "half_width=1e-300" in err and "size=64" in err
+    assert not out.exists()
+
+
+def test_non_finite_measurement_refused():
+    rec = Recorder(SuiteConfig(suite="norms"))
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match="check c measured"):
+            rec.check("c", "d", "r", value, 1.0)
+    assert rec.checks == []
+    with pytest.raises(ValueError):
+        report_json({"measured": math.nan})
+
+
+def test_default_reports_are_strict_json():
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    for rep in run_all(SuiteConfig(suite=SUITE_IDS[0])):
+        assert json.loads(report_json(rep), parse_constant=refuse) == rep
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["--suite", "norms", "--tolerance", "seminorm-O=1e-30"], "['seminorm-O']"),
+    # a check id of a suite that did not run sets nothing either
+    (["--suite", "norms", "--tolerance", "distance=0.1",
+      "--tolerance", "seminorm-0=1e-3"], "['distance']"),
+])
+def test_cli_unknown_tolerance_key_exits_two(capsys, argv, unknown):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "ConfigurationError" in err and unknown in err
+
+
+def test_cli_unknown_tolerance_key_in_config_file_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tolerances": {"seminorm-O": 1e-30, "pv-lorentzain": 1.0}}))
+    assert main(["--config", str(cfg), "--suite", "norms",
+                 "--tolerance", "sup-00=1e-3"]) == 2
+    assert "['pv-lorentzain', 'seminorm-O']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("half_width", ["50", "100"])  # pi/(pi/dx) is one ulp off dx at 100
 @pytest.mark.parametrize("suite", ["transforms", "generators", "conjugation", "norms"])
 def test_cli_window_without_exact_spacing_round_trip(suite, half_width):
@@ -248,9 +306,9 @@ def test_default_report_bytes_pinned():
     # new digest (measured with numpy 2.4.6, whose FFT fixes the last digits)
     text = "".join(report_json(r) for r in run_all(SuiteConfig(suite=SUITE_IDS[0])))
     data = text.encode()
-    assert len(data) == 23381
+    assert len(data) == 23380
     assert hashlib.sha256(data).hexdigest() == (
-        "ecdc30eba78dbf7ad8ba11bd74acbb516bbf929b725df904e8aa329522262ece")
+        "6d3b3542c0a83becea8ff13e06bb8f90ec56af8369ba341c423d4ea543463ccf")
 
 
 def test_mirror_defects_detect_a_wrong_mirror(monkeypatch):

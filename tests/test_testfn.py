@@ -9,10 +9,12 @@ from heisenrep import make_grid
 from heisenrep import testfn as T
 from heisenrep.errors import CapabilityError, ConfigurationError, NotExactlyIntegrable
 from heisenrep.testfn import (
-    Affine, Amplified, CompactBump, GaussianPoly, Mirrored, Piece, PiecewisePoly,
-    Scaled, Summed, Translated, derivative, evaluate, exact_l1_norm, exact_l2_norm,
-    exact_moment, sample, smoothness_budget, support, to_piecewise,
+    Affine, CompactBump, GaussianPoly, Mirrored, Piece, PiecewisePoly, Summed,
+    Translated, derivative, evaluate, exact_l1_norm, exact_l2_norm, exact_moment,
+    sample, smoothness_budget, support, to_piecewise,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_gaussian_evaluate():
@@ -59,8 +61,8 @@ def test_wrappers_evaluate_consistently():
     x = np.linspace(-3, 3, 241)
     assert np.allclose(evaluate(Translated(b, 2.0), x), evaluate(b, x - 2.0))
     assert np.allclose(evaluate(Mirrored(b), x), evaluate(b, -x))
-    assert np.allclose(evaluate(Scaled(b, 2.0), x), evaluate(b, 2.0 * x))
-    assert np.allclose(evaluate(Amplified(b, 3.0 - 1j), x), (3.0 - 1j) * evaluate(b, x))
+    assert np.allclose(evaluate(Affine(b, rate=2.0), x), evaluate(b, 2.0 * x))
+    assert np.allclose(evaluate(Affine(b, gain=3.0 - 1j), x), (3.0 - 1j) * evaluate(b, x))
     assert np.allclose(evaluate(Summed((b, Translated(b, 1.0))), x),
                        evaluate(b, x) + evaluate(b, x - 1.0))
 
@@ -103,7 +105,7 @@ def test_exact_l2_norm_scale_invariance_extreme():
     base = derivative(CompactBump(0.0, 1.0, 8), 3)
     ref = exact_l2_norm(base)
     for h in (1.0, 1e6, 1e13):
-        moved = Translated(Scaled(base, 1.0 / h), 1e13)
+        moved = Translated(Affine(base, rate=1.0 / h), 1e13)
         # dilation by h scales the L2 norm by sqrt(h)
         assert abs(exact_l2_norm(moved) / (ref * math.sqrt(h)) - 1.0) < 1e-9
 
@@ -114,8 +116,8 @@ def test_exact_moment_keeps_small_imaginary_parts():
     tiny = CompactBump(0.0, 0.1, 5)
     m = exact_moment(tiny, 0)
     assert 0.0 < m < 1e-14
-    assert exact_moment(Amplified(tiny, 1.0 + 1.0j), 0) == complex(m, m)
-    assert isinstance(exact_moment(Amplified(tiny, 2.0 + 0.0j), 0), float)
+    assert exact_moment(Affine(tiny, gain=1.0 + 1.0j), 0) == complex(m, m)
+    assert isinstance(exact_moment(Affine(tiny, gain=2.0 + 0.0j), 0), float)
 
 
 def test_exact_moment_refuses_gaussian():
@@ -125,12 +127,44 @@ def test_exact_moment_refuses_gaussian():
 
 def test_to_piecewise_touches_only_frame():
     b = CompactBump(0.0, 1.0, 4)
-    pw = to_piecewise(Translated(Scaled(b, 0.5), 7.0))
+    pw = to_piecewise(Translated(Affine(b, rate=0.5), 7.0))
     base = to_piecewise(b)
     assert pw.pieces[0].coefficients == base.pieces[0].coefficients
     assert pw.pieces[0].scale == 2.0 * base.pieces[0].scale
     x = np.linspace(6.0, 10.0, 101)
     assert np.allclose(evaluate(pw, x), evaluate(b, 0.5 * (x - 7.0)))
+
+
+def test_bump_is_one_piece():
+    b = CompactBump(1.0, 3.0, 4)
+    assert isinstance(b, PiecewisePoly)
+    (pc,) = b.pieces
+    assert (pc.x0, pc.a, pc.b, pc.scale, b.smooth) == (2.0, 1.0, 3.0, 1.0, 3)
+    for bad in ((1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 0)):
+        with pytest.raises(ConfigurationError):
+            CompactBump(*bad)
+
+
+def test_bump_evaluate_matches_factored_form():
+    # The bump is half^{2p} (1 - v^2)^p in v = (x - x0)/half, summed by
+    # Horner's rule over 2p + 1 coefficients whose absolute sum is
+    # 2^p half^{2p}: that rounds by at most 2(2p + 1) eps 2^p half^{2p} on
+    # |v| <= 1.  v itself rounds by about 2 eps (|x0| + half)/half, and the
+    # monomial form's slope is at most 2p 2^p half^{2p}.  The factored
+    # reference (x - a)^p (b - x)^p rounds by about 2p eps times its value,
+    # below the first term.  A bound derived from the form, not fitted.
+    rng = np.random.default_rng(22)
+    for _ in range(500):
+        a = float(rng.uniform(-50.0, 50.0))
+        b = a + float(10.0 ** rng.uniform(-3.0, math.log10(30.0)))
+        p = int(rng.integers(1, 14))
+        x0, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = np.concatenate([[a, b], a + (b - a) * rng.uniform(0.0, 1.0, 64)])
+        x = x[(x >= a) & (x <= b)]
+        factored = np.where((x > a) & (x < b), (x - a) ** p * (b - x) ** p, 0.0)
+        bound = (EPS * 2.0 ** p * (2 * (2 * p + 1) + 2 * p * (abs(x0) + half) / half)
+                 * half ** (2 * p))
+        assert np.max(np.abs(evaluate(CompactBump(a, b, p), x) - factored)) <= bound, (a, b, p)
 
 
 def test_sample_matches_evaluate():
@@ -224,7 +258,6 @@ def test_bump_coefficients_bit_identical_to_polypow():
 # ---------------------------------------------------------------------------
 # property tests: closed forms against Gauss-Legendre quadrature of `evaluate`
 
-EPS = np.finfo(float).eps
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
@@ -236,11 +269,11 @@ def _wrapped(draw, tf, budget):
             tf = Translated(tf, draw(st.floats(-5.0, 5.0)))
         elif kind == "scale":
             rate = draw(st.floats(0.5, 2.0))
-            tf = Scaled(tf, rate if draw(st.booleans()) else -rate)
+            tf = Affine(tf, rate=rate if draw(st.booleans()) else -rate)
         elif kind == "mirror":
             tf = Mirrored(tf)
         elif kind == "amplify":
-            tf = Amplified(tf, complex(draw(st.floats(0.25, 3.0)), draw(st.floats(-3.0, 3.0))))
+            tf = Affine(tf, gain=complex(draw(st.floats(0.25, 3.0)), draw(st.floats(-3.0, 3.0))))
         elif budget > 0:
             k = draw(st.integers(1, budget))
             budget -= k
@@ -371,7 +404,7 @@ def test_affine_matches_nested_wrappers(tree, rate, negative, s, g):
     tf, polynomial = tree
     r = -rate if negative else rate
     fused = Affine(tf, r, s, g)
-    nested = Amplified(Translated(Scaled(tf, r), s), g)
+    nested = Affine(Translated(Affine(tf, rate=r), s), gain=g)
     x = s + np.linspace(-50.0, 50.0, 201) / r
     assert np.array_equal(evaluate(fused, x), evaluate(nested, x))
     assert support(fused) == support(nested)
