@@ -8,10 +8,10 @@ import math
 import numpy as np
 
 from heisenrep import GroupElement, make_grid, norm
-from heisenrep.heisenberg import (
-    generator_apply, generator_convergence, norm_growth_check,
+from heisenrep.heisenberg import generator_apply
+from heisenrep.schwartz import (
+    generator_convergence, moment, norm_growth_check, seminorm_sup, seminorm_tower,
 )
-from heisenrep.schwartz import moment, seminorm_sup, seminorm_tower
 from heisenrep.testfn import GaussianPoly, sample
 from heisenrep.transforms import fourier
 

@@ -32,5 +32,5 @@ print("(disjoint supports make this exactly the root-sum-square of block norms)"
 # everything above is closed-form descriptor arithmetic: the last interval
 # ends near 1.8e13, far beyond any feasible grid
 print(f"\nlast interval endpoint: {blocks[-1].a_k1:.4e}")
-print(f"raw zeroth moment of the mother:        {float(exact_moment(config.mother, 0)):.4e}")
-print(f"zeroth moment of the assembled sum:     {float(exact_moment(f, 0)):.4e}")
+print(f"raw zeroth moment of the mother:        {exact_moment(config.mother, 0).real:.4e}")
+print(f"zeroth moment of the assembled sum:     {exact_moment(f, 0).real:.4e}")

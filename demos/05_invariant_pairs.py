@@ -40,9 +40,8 @@ print(f"\nafter U(xi), xi1 = {snapped.xi1}: moment defect {moved.n_defect:.3e} "
       "(certificate survives)")
 
 # backward translations and modulations break it, measurably
-w1 = invariance_witness(GroupElement(-0.5, 0.0, 0.0), psi)
-psi_ww = synthesize(wide, wide, grid)
-w2 = invariance_witness(GroupElement(0.0, 1.0, 0.0), psi_ww)
+w1 = invariance_witness(GroupElement(-0.5, 0.0, 0.0), psi.g)
+w2 = invariance_witness(GroupElement(0.0, 1.0, 0.0), psi.h)
 print(f"witness xi1 = -0.5 (support spills right): {w1:.4f}")
 print(f"witness xi2 = 1   (zeroth moment reappears): {w2:.4f}")
 

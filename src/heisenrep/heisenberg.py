@@ -8,14 +8,13 @@ is applied first and modulation second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, PrecisionError
 from .grid import GridSpec, SampledFunction, dual_grid
 from .transforms import spectral_multiply
-
-_SEMIGROUP_BASES = ("S1zero", "S1", "S2zero", "S2", "S3", "S4")
 
 
 @dataclass(frozen=True)
@@ -38,15 +37,42 @@ CHI2 = LieElement(0.0, 1.0, 0.0)
 CHI3 = LieElement(0.0, 0.0, 1.0)
 
 
+class Semigroup(NamedTuple):
+    """One subsemigroup: its exact, elementwise membership predicate on
+    (x1, x2, x3); a stored member whose inverse falls outside it; and its
+    sampler, which maps the draws x1, x2 in [0, 5) and x3 in [-5, 5) to a
+    member's components, taking any further coordinate from draw(low, high)."""
+    contains: Callable
+    witness: GroupElement
+    sample: Callable
+
+
+SEMIGROUPS = {
+    "S1zero": Semigroup(lambda x1, x2, x3: (x1 >= 0) & (x2 == 0), GroupElement(1.0, 0.0, 0.0),
+                        lambda x1, x2, x3, draw: (x1, 0.0, x3)),
+    "S1": Semigroup(lambda x1, x2, x3: x1 >= 0, GroupElement(1.0, 2.0, 3.0),
+                    lambda x1, x2, x3, draw: (x1, draw(-5.0, 5.0), x3)),
+    "S2zero": Semigroup(lambda x1, x2, x3: (x1 == 0) & (x2 >= 0), GroupElement(0.0, 1.0, 0.0),
+                        lambda x1, x2, x3, draw: (0.0, x2, x3)),
+    "S2": Semigroup(lambda x1, x2, x3: x2 >= 0, GroupElement(1.0, 2.0, 3.0),
+                    lambda x1, x2, x3, draw: (draw(-5.0, 5.0), x2, x3)),
+    "S3": Semigroup(lambda x1, x2, x3: (x1 >= 0) & (x2 >= 0), GroupElement(1.0, 2.0, 3.0),
+                    lambda x1, x2, x3, draw: (x1, x2, x3)),
+    "S4": Semigroup(lambda x1, x2, x3: (x1 >= 0) & (x2 >= 0) & (x1 * x2 >= x3) & (x3 >= 0),
+                    GroupElement(1.0, 2.0, 1.0),
+                    lambda x1, x2, x3, draw: (x1, x2, draw(0.0, 1.0) * x1 * x2)),
+}
+
+
 @dataclass(frozen=True)
 class SemigroupId:
     base: str
     inverted: bool = False
 
     def __post_init__(self):
-        if self.base not in _SEMIGROUP_BASES:
+        if self.base not in SEMIGROUPS:
             raise ConfigurationError(
-                f"unknown semigroup {self.base!r}; expected one of {_SEMIGROUP_BASES}"
+                f"unknown semigroup {self.base!r}; expected one of {tuple(SEMIGROUPS)}"
             )
 
 
@@ -69,21 +95,8 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
 def in_semigroup(xi: GroupElement, sid: SemigroupId):
     """Exact, elementwise membership predicate; inverse-flagged ids test inverse(xi)."""
     if sid.inverted:
-        return in_semigroup(inverse(xi), SemigroupId(sid.base))
-    x1, x2, x3 = xi.xi1, xi.xi2, xi.xi3
-    if sid.base == "S1zero":
-        return (x1 >= 0) & (x2 == 0)
-    if sid.base == "S1":
-        return x1 >= 0
-    if sid.base == "S2zero":
-        return (x1 == 0) & (x2 >= 0)
-    if sid.base == "S2":
-        return x2 >= 0
-    if sid.base == "S3":
-        return (x1 >= 0) & (x2 >= 0)
-    if sid.base == "S4":
-        return (x1 >= 0) & (x2 >= 0) & (x1 * x2 >= x3) & (x3 >= 0)
-    raise ConfigurationError(f"unknown semigroup base {sid.base!r}")
+        xi = inverse(xi)
+    return SEMIGROUPS[sid.base].contains(xi.xi1, xi.xi2, xi.xi3)
 
 
 # ---------------------------------------------------------------------------
@@ -162,45 +175,6 @@ def generator_apply(gen: str, f: SampledFunction) -> SampledFunction:
     raise ConfigurationError(f"unknown generator {gen!r}; expected 'M', 'D' or 'C'")
 
 
-# one-parameter subgroups matched to their infinitesimal generators:
-# D <-> translations t*chi1, M <-> modulations t*chi2, C <-> phases t*chi3
-_GENERATOR_DIRECTION = {"D": CHI1, "M": CHI2, "C": CHI3}
-
-
-def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0) -> list:
-    """Difference-quotient error curves ||((U(t chi) - I)/t - X) f||_k per t.
-
-    Returns one curve [(t, error), ...] for each order k = 0..n; each
-    quotient is built once and measured by one seminorm tower.
-    """
-    from .schwartz import seminorm_tower
-
-    if gen not in _GENERATOR_DIRECTION:
-        raise ConfigurationError(f"unknown generator {gen!r}")
-    exact = generator_apply(gen, f)
-    curves = [[] for _ in range(n + 1)]
-    for t in t_list:
-        if not t > 0:
-            raise ConfigurationError("t_list entries must be positive")
-        step = element_from_lie(_GENERATOR_DIRECTION[gen], t)
-        quotient = (act(step, f, mode="spectral") - f) * (1.0 / t)
-        for curve, err in zip(curves, seminorm_tower(quotient - exact, n)):
-            curve.append((t, err))
-    return curves
-
-
-def norm_growth_check(xis, f: SampledFunction, n: int) -> np.ndarray:
-    """Ratios ||U(xi) f||_k / ((1 + xi1^2 + xi2^2)^{k/2} ||f||_k), one row per
-    xi in xis and one column per order k = 0..n; f's tower is computed once."""
-    from .schwartz import seminorm_tower
-
-    f_tower = seminorm_tower(f, n)
-    return np.array([
-        [lhs / ((1.0 + xi.xi1 ** 2 + xi.xi2 ** 2) ** (k / 2.0) * f_tower[k])
-         for k, lhs in enumerate(seminorm_tower(act(xi, f, mode="spectral"), n))]
-        for xi in xis])
-
-
 def conjugate_by_fourier(xi: GroupElement) -> GroupElement:
     """F U(xi) F^{-1} = U((-xi2, xi1, xi3 - xi1*xi2))."""
     return GroupElement(-xi.xi2, xi.xi1, xi.xi3 - xi.xi1 * xi.xi2)
@@ -212,42 +186,18 @@ def random_in_semigroup(rng: np.random.Generator, sid: SemigroupId,
 
     size as in numpy: None draws one element, n gives array components.
     Draw order: x1, x2, x3, then the extra coordinate of S1, S2 or S4."""
-    if sid.inverted:
-        return inverse(random_in_semigroup(rng, SemigroupId(sid.base), size))
-    scale = 5.0
-    x1 = rng.uniform(0.0, scale, size)
-    x2 = rng.uniform(0.0, scale, size)
-    x3 = rng.uniform(-scale, scale, size)
-    base = sid.base
-    if base == "S1zero":
-        return GroupElement(x1, 0.0, x3)
-    if base == "S1":
-        return GroupElement(x1, rng.uniform(-scale, scale, size), x3)
-    if base == "S2zero":
-        return GroupElement(0.0, x2, x3)
-    if base == "S2":
-        return GroupElement(rng.uniform(-scale, scale, size), x2, x3)
-    if base == "S3":
-        return GroupElement(x1, x2, x3)
-    if base == "S4":
-        return GroupElement(x1, x2, rng.uniform(0.0, 1.0, size) * x1 * x2)
-    raise ConfigurationError(f"unknown semigroup base {base!r}")
+    x1 = rng.uniform(0.0, 5.0, size)
+    x2 = rng.uniform(0.0, 5.0, size)
+    x3 = rng.uniform(-5.0, 5.0, size)
+    xi = GroupElement(*SEMIGROUPS[sid.base].sample(
+        x1, x2, x3, lambda low, high: rng.uniform(low, high, size)))
+    return inverse(xi) if sid.inverted else xi
 
 
 def semigroup_noninverse_witness(sid: SemigroupId) -> GroupElement:
     """A stored element of the semigroup whose inverse falls outside it."""
-    witnesses = {
-        "S1zero": GroupElement(1.0, 0.0, 0.0),
-        "S1": GroupElement(1.0, 2.0, 3.0),
-        "S2zero": GroupElement(0.0, 1.0, 0.0),
-        "S2": GroupElement(1.0, 2.0, 3.0),
-        "S3": GroupElement(1.0, 2.0, 3.0),
-        "S4": GroupElement(1.0, 2.0, 1.0),
-    }
-    xi = witnesses[sid.base]
-    if sid.inverted:
-        xi = inverse(xi)
-    return xi
+    xi = SEMIGROUPS[sid.base].witness
+    return inverse(xi) if sid.inverted else xi
 
 
 def element_from_lie(v: LieElement, t: float = 1.0) -> GroupElement:

@@ -82,11 +82,12 @@ def certify_nminus(desc, grid: GridSpec,
 
 @dataclass(frozen=True)
 class PsiElement:
-    """A synthesized pair: its descriptors, their certified samples g and h,
-    the larger of their two moment defects, and f = -i P+ g + i P- h."""
+    """A synthesized pair: its descriptors, the moment order 0..max_moment
+    they were certified to, f = -i P+ g + i P- h, their certified samples g
+    and h, and the larger of their two moment defects."""
     g_desc: object
     h_desc: object
-    grid: GridSpec
+    max_moment: int
     samples: SampledFunction
     g: SampledFunction
     h: SampledFunction
@@ -94,11 +95,12 @@ class PsiElement:
 
 
 def synthesize(g_desc, h_desc, grid: GridSpec, max_moment: int = 4) -> PsiElement:
-    """f = -i P+ g + i P- h from two certified descriptors."""
+    """f = -i P+ g + i P- h from two certified descriptors; one descriptor
+    passed as both g and h is certified once."""
     g, g_defect = certify_nminus(g_desc, grid, max_moment)
-    h, h_defect = certify_nminus(h_desc, grid, max_moment)
+    h, h_defect = (g, g_defect) if h_desc is g_desc else certify_nminus(h_desc, grid, max_moment)
     samples = proj_hardy(g, "plus") * (-1j) + proj_hardy(h, "minus") * 1j
-    return PsiElement(g_desc, h_desc, grid, samples, g, h, max(g_defect, h_defect))
+    return PsiElement(g_desc, h_desc, max_moment, samples, g, h, max(g_defect, h_defect))
 
 
 def coincidence_defect(desc, grid: GridSpec) -> float:
@@ -112,42 +114,44 @@ def coincidence_defect(desc, grid: GridSpec) -> float:
     return norm(restrict_halfline(combined, "plus")) / norm(u)
 
 
-def act_psi(xi: GroupElement, psi: PsiElement, max_moment: int = 4):
+def act_psi(xi: GroupElement, psi: PsiElement):
     """Translate/re-phase a certified pair by xi = (xi1, 0, xi3), xi1 >= 0.
 
-    xi1 is snapped to the grid so support semantics stay exact; returns the
-    new element together with the snapped group parameter.  Elements outside
-    the semigroup are refused — measure the failure with invariance_witness.
+    xi1 is snapped to the grid so support semantics stay exact; the moved
+    pair is certified again to psi's own order.  Returns the new element
+    together with the snapped group parameter.  Elements outside the
+    semigroup are refused — measure the failure with invariance_witness.
     """
     if not in_semigroup(xi, SemigroupId("S1zero")):
         raise SemigroupDomainError(
             f"({xi.xi1}, {xi.xi2}, {xi.xi3}) lies outside the xi1>=0, xi2=0 "
             "semigroup; use invariance_witness to quantify the breakage"
         )
-    xi1 = snap_to_grid(xi.xi1, psi.grid)
+    xi1 = snap_to_grid(xi.xi1, psi.g.grid)
     snapped = GroupElement(xi1, 0.0, xi.xi3)
     phase = complex(np.exp(1j * xi.xi3))
     # (U(xi) u)(x) = e^{i xi3} u(x + xi1): support moves left by xi1
     g_new = testfn.Affine(psi.g_desc, shift=-xi1, gain=phase)
     h_new = testfn.Affine(psi.h_desc, shift=-xi1, gain=phase)
-    return synthesize(g_new, h_new, psi.grid, max_moment), snapped
+    return synthesize(g_new, h_new, psi.g.grid, psi.max_moment), snapped
 
 
-def invariance_witness(xi: GroupElement, psi: PsiElement) -> float:
-    """How badly U(xi) breaks the certificate of psi's g component.
+def invariance_witness(xi: GroupElement, g: SampledFunction) -> float:
+    """How badly U(xi) breaks the certificate of certified samples g,
+    such as a PsiElement's g or h.
 
     xi1 < 0: plus-side support mass of the translated g (grid translation).
     xi2 != 0: relative order-0 moment defect of e^{i x xi2} g.
     xi in the invariant semigroup: the (tiny) order-0 defect after acting.
     """
     if xi.xi1 < 0:
-        xi1 = snap_to_grid(xi.xi1, psi.grid)
-        moved = act(GroupElement(xi1, 0.0, 0.0), psi.g, mode="grid")
-        return norm(restrict_halfline(moved, "plus")) / norm(psi.g)
+        xi1 = snap_to_grid(xi.xi1, g.grid)
+        moved = act(GroupElement(xi1, 0.0, 0.0), g, mode="grid")
+        return norm(restrict_halfline(moved, "plus")) / norm(g)
     if xi.xi2 != 0:
-        return moment_defect(act(GroupElement(0.0, xi.xi2, 0.0), psi.g, mode="grid"), 0)
-    xi1 = snap_to_grid(xi.xi1, psi.grid)
-    moved = act(GroupElement(xi1, 0.0, xi.xi3), psi.g, mode="grid")
+        return moment_defect(act(GroupElement(0.0, xi.xi2, 0.0), g, mode="grid"), 0)
+    xi1 = snap_to_grid(xi.xi1, g.grid)
+    moved = act(GroupElement(xi1, 0.0, xi.xi3), g, mode="grid")
     return moment_defect(moved, 0)
 
 

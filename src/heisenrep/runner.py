@@ -13,6 +13,7 @@ import json
 import os
 
 from . import __version__
+from .errors import ConfigurationError
 from .suites import SUITE_IDS, SUITES, Recorder, SuiteConfig
 
 
@@ -30,22 +31,37 @@ def build_report(config: SuiteConfig, recorder: Recorder) -> dict:
 
 
 def run_suite(config: SuiteConfig) -> dict:
-    recorder = Recorder(config)
-    SUITES[config.suite](config, recorder)
-    report = build_report(config, recorder)
-    if config.out:
-        write_report(report, config.out)
-        if config.emit_csv:
-            write_curves(config.suite, recorder.curves, config.out)
-    return report
+    return _run(config, [config.suite])[0]
 
 
 def run_all(base_config: SuiteConfig) -> list[dict]:
     """Run every suite with the shared settings of base_config, in the
     canonical order (sequentially, so artifact bytes never depend on
     scheduling)."""
-    return [run_suite(dataclasses.replace(base_config, suite=suite_id))
-            for suite_id in SUITE_IDS]
+    return _run(base_config, SUITE_IDS)
+
+
+def _run(base: SuiteConfig, suite_ids) -> list[dict]:
+    """Run each suite with the other settings of base, refuse tolerance keys
+    that name no check of them, and only then write reports and curves, so
+    a refused run writes no file."""
+    runs = []
+    for suite_id in suite_ids:
+        config = dataclasses.replace(base, suite=suite_id)
+        recorder = Recorder(config)
+        SUITES[suite_id](config, recorder)
+        runs.append((build_report(config, recorder), recorder.curves))
+    # a tolerance key is a check id; one that names no check that ran (a
+    # typo, or a check of a suite not selected) would set nothing
+    unknown = set(base.tolerances) - {c["check"] for r, _ in runs for c in r["checks"]}
+    if unknown:
+        raise ConfigurationError(f"tolerances {sorted(unknown)} name no check of the suites run")
+    if base.out:
+        for report, curves in runs:
+            write_report(report, base.out)
+            if base.emit_csv:
+                write_curves(report["suite"], curves, base.out)
+    return [report for report, _ in runs]
 
 
 def report_json(report: dict) -> str:

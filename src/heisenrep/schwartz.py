@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import testfn
-from .errors import CapabilityError
+from .errors import CapabilityError, ConfigurationError
 from .grid import SampledFunction, integrate, norm, restrict_halfline
-from .heisenberg import generator_apply
+from .heisenberg import CHI1, CHI2, CHI3, act, element_from_lie, generator_apply
 from .transforms import inverse_fourier, proj_hardy
 
 # seminorm_sup scan: window for non-compact descriptors, and point count
@@ -53,6 +53,41 @@ def _tower_sq(f: SampledFunction, n: int) -> list:
         for k in range(n):
             sq.append(m_sq[k] + d_sq[k] + sq[k])
     return sq
+
+
+# one-parameter subgroups matched to their infinitesimal generators:
+# D <-> translations t*chi1, M <-> modulations t*chi2, C <-> phases t*chi3
+_GENERATOR_DIRECTION = {"D": CHI1, "M": CHI2, "C": CHI3}
+
+
+def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0) -> list:
+    """Difference-quotient error curves ||((U(t chi) - I)/t - X) f||_k per t.
+
+    Returns one curve [(t, error), ...] for each order k = 0..n; each
+    quotient is built once and measured by one seminorm tower.
+    """
+    if gen not in _GENERATOR_DIRECTION:
+        raise ConfigurationError(f"unknown generator {gen!r}")
+    exact = generator_apply(gen, f)
+    curves = [[] for _ in range(n + 1)]
+    for t in t_list:
+        if not t > 0:
+            raise ConfigurationError("t_list entries must be positive")
+        step = element_from_lie(_GENERATOR_DIRECTION[gen], t)
+        quotient = (act(step, f, mode="spectral") - f) * (1.0 / t)
+        for curve, err in zip(curves, seminorm_tower(quotient - exact, n)):
+            curve.append((t, err))
+    return curves
+
+
+def norm_growth_check(xis, f: SampledFunction, n: int) -> np.ndarray:
+    """Ratios ||U(xi) f||_k / ((1 + xi1^2 + xi2^2)^{k/2} ||f||_k), one row per
+    xi in xis and one column per order k = 0..n; f's tower is computed once."""
+    f_tower = seminorm_tower(f, n)
+    return np.array([
+        [lhs / ((1.0 + xi.xi1 ** 2 + xi.xi2 ** 2) ** (k / 2.0) * f_tower[k])
+         for k, lhs in enumerate(seminorm_tower(act(xi, f, mode="spectral"), n))]
+        for xi in xis])
 
 
 def seminorm_sup(tf, m: int, n: int) -> float:

@@ -351,18 +351,15 @@ def _piece_moment(pc: Piece, n: int) -> complex:
     return complex(math.fsum(re.ravel().tolist()), math.fsum(im.ravel().tolist()))
 
 
-def exact_moment(tf: TestFunction, n: int):
+def exact_moment(tf: TestFunction, n: int) -> complex:
     """Closed-form integral of x^n * tf(x) over the line.
 
     Only descriptor trees that lower to piecewise polynomials qualify;
-    Gaussian trees raise NotExactlyIntegrable.  The result is
-    a float when its imaginary part is at most 1e-14 of its real part.
+    Gaussian trees raise NotExactlyIntegrable.  A tree with real
+    coefficients has an imaginary part of exactly 0.
     """
     parts = [_piece_moment(pc, n) for pc in to_piecewise(tf).pieces]
-    m = complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
-    if abs(m.imag) <= 1e-14 * abs(m.real):
-        return m.real
-    return m
+    return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
 def exact_l2_norm(tf: TestFunction) -> float:

@@ -8,10 +8,11 @@ from heisenrep import (
 )
 from heisenrep.errors import ConfigurationError, PrecisionError
 from heisenrep.heisenberg import (
-    CHI1, CHI2, CHI3, IDENTITY, _phase, conjugate_by_fourier, element_from_lie,
-    generator_apply, generator_convergence, in_semigroup, inverse,
-    norm_growth_check, random_in_semigroup, semigroup_noninverse_witness,
+    CHI1, CHI2, CHI3, IDENTITY, SEMIGROUPS, _phase, conjugate_by_fourier,
+    element_from_lie, generator_apply, in_semigroup, inverse,
+    random_in_semigroup, semigroup_noninverse_witness,
 )
+from heisenrep.schwartz import generator_convergence, norm_growth_check
 from heisenrep.testfn import GaussianPoly, sample
 
 GRID = make_grid(32.0, 4096)
@@ -43,7 +44,9 @@ def test_bracket_table():
 
 def test_semigroup_membership_and_witnesses():
     rng = np.random.default_rng(0)
-    for base in ("S1zero", "S1", "S2zero", "S2", "S3", "S4"):
+    bases = ("S1zero", "S1", "S2zero", "S2", "S3", "S4")
+    assert tuple(SEMIGROUPS) == bases
+    for base in bases:
         sid = SemigroupId(base)
         assert in_semigroup(IDENTITY, sid)
         for _ in range(50):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import heisenrep.psi
 from heisenrep import GroupElement, fourier, hilbert, make_grid, norm
 from heisenrep.errors import ClassMembershipError, ConfigurationError, SemigroupDomainError
 from heisenrep.psi import (
@@ -80,12 +81,30 @@ def test_act_psi_moves_support_left():
     assert moved.n_defect < 1e-6
 
 
+def test_act_psi_recertifies_to_the_pairs_order(monkeypatch):
+    # a third derivative has vanishing moments 0..2 only, so its pair holds
+    # at order 2 and moves by certifying that order again, not a default
+    third = Translated(derivative(CompactBump(0.0, 1.0, 10), 3), -1.5)
+    with pytest.raises(ClassMembershipError):
+        certify_nminus(third, GRID, 3)
+    psi = synthesize(third, third, GRID, max_moment=2)
+    orders = []
+
+    def recording(desc, grid, max_moment=4):
+        orders.append(max_moment)
+        return certify_nminus(desc, grid, max_moment)
+
+    monkeypatch.setattr(heisenrep.psi, "certify_nminus", recording)
+    moved, _ = act_psi(GroupElement(1.0, 0.0, 0.5), psi)
+    assert orders == [2, 2]
+    assert moved.max_moment == 2 and moved.n_defect < 1e-6
+
+
 def test_invariance_witness_directions():
     psi = synthesize(EDGE, WIDE, GRID)
-    assert invariance_witness(GroupElement(-0.5, 0.0, 0.0), psi) > 0.1
-    psi_wide = synthesize(WIDE, WIDE, GRID)
-    assert invariance_witness(GroupElement(0.0, 1.0, 0.0), psi_wide) > 0.1
-    assert invariance_witness(GroupElement(1.0, 0.0, 0.0), psi) < 1e-6
+    assert invariance_witness(GroupElement(-0.5, 0.0, 0.0), psi.g) > 0.1
+    assert invariance_witness(GroupElement(0.0, 1.0, 0.0), psi.h) > 0.1
+    assert invariance_witness(GroupElement(1.0, 0.0, 0.0), psi.g) < 1e-6
 
 
 def test_tilde_routes_agree():

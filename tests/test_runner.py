@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import heisenrep.annihilator
+import heisenrep.psi
 import heisenrep.suites
 import heisenrep.transforms
 from heisenrep.cli import build_parser, load_settings, main
@@ -284,6 +285,22 @@ def test_cli_unknown_tolerance_key_exits_two(capsys, argv, unknown):
     assert "ConfigurationError" in err and unknown in err
 
 
+def test_run_suite_refuses_unknown_tolerance_key():
+    with pytest.raises(ConfigurationError, match=r"\['seminorm-O'\]"):
+        run_suite(SuiteConfig("norms", tolerances={"seminorm-O": 1e-30}))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "norms", "--tolerance", "seminorm-O=1e-30"],
+    # group-axioms and transforms pass on this window, paley-wiener is refused
+    ["--half-width", "1e6"],
+])
+def test_refused_run_writes_no_file(tmp_path, argv):
+    out = tmp_path / "reports"
+    assert main([*argv, "--out", str(out), "--emit-csv"]) == 2
+    assert not out.exists()
+
+
 def test_cli_unknown_tolerance_key_in_config_file_exits_two(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"tolerances": {"seminorm-O": 1e-30, "pv-lorentzain": 1.0}}))
@@ -347,6 +364,22 @@ def test_appendix_a_annihilates_once(monkeypatch):
     monkeypatch.setattr(heisenrep.suites, "annihilate", counting)
     run_suite(SuiteConfig(suite="appendix-a"))
     assert len(calls) == 1
+
+
+def test_psi_invariance_certify_count(monkeypatch):
+    # each descriptor the suite synthesizes is certified once: its pair (2),
+    # the eight moved pairs of the survival, compatibility and composition
+    # checks (16) and the equal pair's one descriptor (1)
+    calls = []
+    certify = heisenrep.psi.certify_nminus
+
+    def counting(desc, grid, max_moment=4):
+        calls.append(max_moment)
+        return certify(desc, grid, max_moment)
+
+    monkeypatch.setattr(heisenrep.psi, "certify_nminus", counting)
+    run_suite(SuiteConfig(suite="psi-invariance"))
+    assert len(calls) == 19
 
 
 def test_generators_fourier_count(monkeypatch):

@@ -111,13 +111,13 @@ def test_exact_l2_norm_scale_invariance_extreme():
 
 
 def test_exact_moment_keeps_small_imaginary_parts():
-    # whether a moment is real is judged relative to its real part, so a
-    # function of tiny magnitude keeps its imaginary part
+    # a moment is always complex: a function of tiny magnitude keeps its
+    # imaginary part, and a real tree's is exactly 0
     tiny = CompactBump(0.0, 0.1, 5)
     m = exact_moment(tiny, 0)
-    assert 0.0 < m < 1e-14
-    assert exact_moment(Affine(tiny, gain=1.0 + 1.0j), 0) == complex(m, m)
-    assert isinstance(exact_moment(Affine(tiny, gain=2.0 + 0.0j), 0), float)
+    assert m.imag == 0.0 and 0.0 < m.real < 1e-14
+    assert exact_moment(Affine(tiny, gain=1.0 + 1.0j), 0) == complex(m.real, m.real)
+    assert type(exact_moment(Affine(tiny, gain=2.0 + 0.0j), 0)) is complex
 
 
 def test_exact_moment_refuses_gaussian():
