@@ -17,13 +17,13 @@ from .errors import ConfigurationError
 from .suites import SUITE_IDS, SUITES, Recorder, SuiteConfig
 
 
-def build_report(config: SuiteConfig, recorder: Recorder) -> dict:
+def build_report(suite_id: str, config: SuiteConfig, recorder: Recorder) -> dict:
     # every setting except which suite runs and where its files go
     environment = dataclasses.asdict(config)
     for name in ("suite", "out", "emit_csv"):
         del environment[name]
     return {
-        "suite": config.suite,
+        "suite": suite_id,
         "environment": {**environment, "version": __version__},
         "checks": recorder.checks,
         "overall_pass": all(c["pass"] for c in recorder.checks),
@@ -44,13 +44,13 @@ def run_all(base_config: SuiteConfig) -> list[dict]:
 def _run(base: SuiteConfig, suite_ids) -> list[dict]:
     """Run each suite with the other settings of base, refuse tolerance keys
     that name no check of them, and only then write reports and curves, so
-    a refused run writes no file."""
+    a refused run writes no file.  Every suite is handed base itself (no
+    suite reads base.suite), so one run builds one grid and one dual."""
     runs = []
     for suite_id in suite_ids:
-        config = dataclasses.replace(base, suite=suite_id)
-        recorder = Recorder(config)
-        SUITES[suite_id](config, recorder)
-        runs.append((build_report(config, recorder), recorder.curves))
+        recorder = Recorder(base)
+        SUITES[suite_id](base, recorder)
+        runs.append((build_report(suite_id, base, recorder), recorder.curves))
     # a tolerance key is a check id; one that names no check that ran (a
     # typo, or a check of a suite not selected) would set nothing
     unknown = set(base.tolerances) - {c["check"] for r, _ in runs for c in r["checks"]}

@@ -214,7 +214,15 @@ def _hardy_plus_function(grid: GridSpec, spectrum) -> SampledFunction:
 
 
 def _rel(a: SampledFunction, b: SampledFunction, scale: SampledFunction = None) -> float:
-    return norm(a - b) / norm(scale if scale is not None else b)
+    """||a - b|| / ||scale||, scale defaulting to b; a reference of norm 0 is
+    refused, because then the window cannot resolve what the check measures."""
+    scale = scale if scale is not None else b
+    scale_norm = norm(scale)
+    if scale_norm == 0.0:
+        raise ConfigurationError(
+            f"a relative error's reference has norm 0 on the grid with "
+            f"half_width={scale.grid.half_width}, size={scale.grid.size}")
+    return norm(a - b) / scale_norm
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ import pytest
 
 import heisenrep.annihilator
 import heisenrep.psi
+import heisenrep.schwartz
 import heisenrep.suites
 import heisenrep.transforms
 from heisenrep.cli import build_parser, load_settings, main
 from heisenrep.errors import ConfigurationError
+from heisenrep.grid import dual_grid
 from heisenrep.heisenberg import GroupElement
 from heisenrep.runner import report_json, run_all, run_suite
 from heisenrep.suites import SUITE_IDS, Recorder, SuiteConfig
@@ -321,9 +323,9 @@ def test_default_report_bytes_pinned():
     # new digest (measured with numpy 2.4.6, whose FFT fixes the last digits)
     text = "".join(report_json(r) for r in run_all(SuiteConfig(suite=SUITE_IDS[0])))
     data = text.encode()
-    assert len(data) == 23380
+    assert len(data) == 23385
     assert hashlib.sha256(data).hexdigest() == (
-        "6d3b3542c0a83becea8ff13e06bb8f90ec56af8369ba341c423d4ea543463ccf")
+        "4410a88991380c9f52b63846bdb46c2d412b378194b10f36da8afcda13f29a6f")
 
 
 def test_mirror_defects_detect_a_wrong_mirror(monkeypatch):
@@ -384,7 +386,8 @@ def test_psi_invariance_certify_count(monkeypatch):
 
 def test_generators_fourier_count(monkeypatch):
     # pins the suite's transform count: one seminorm tower per function, per
-    # draw and per difference quotient, each applying every operator word once
+    # draw and per difference quotient, each transforming a node only where
+    # the next generator changes domain
     calls = []
     fourier = heisenrep.transforms.fourier
 
@@ -394,8 +397,24 @@ def test_generators_fourier_count(monkeypatch):
 
     monkeypatch.setattr(heisenrep.transforms, "fourier", counting)
     monkeypatch.setattr(heisenrep.suites, "fourier", counting)
+    monkeypatch.setattr(heisenrep.schwartz, "fourier", counting)
     run_suite(SuiteConfig(suite="generators"))
-    assert len(calls) == 1832
+    assert len(calls) == 1047
+
+
+def test_run_all_shares_one_grid_pair(monkeypatch):
+    # every suite of a run sees the base config's grid, so one run builds
+    # one grid and one dual, and the pair stays exact
+    base = SuiteConfig(suite=SUITE_IDS[0])
+    seen = []
+    for suite_id in SUITE_IDS:
+        monkeypatch.setitem(heisenrep.suites.SUITES, suite_id,
+                            lambda cfg, rec: seen.append(cfg.grid()))
+    run_all(base)
+    assert len(seen) == len(SUITE_IDS)
+    assert all(grid is base.grid() for grid in seen)
+    grid = base.grid()
+    assert dual_grid(dual_grid(grid)) is grid
 
 
 def test_grid_caches_keep_reports_independent_of_run_order():
@@ -438,6 +457,20 @@ def _run_fresh(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def test_cli_window_without_a_reference_norm_exits_two(tmp_path):
+    # at half-width 1e-300 the conjugate of multiplier-oracle's periodized
+    # Lorentzian samples to zero, so its relative error has no scale; run
+    # as the command runs, where numpy's overflow warnings stay warnings
+    out = tmp_path / "reports"
+    proc = _run_fresh("import sys, heisenrep.cli\n"
+                      "sys.exit(heisenrep.cli.main(['--suite', 'transforms', "
+                      f"'--half-width', '1e-300', '--out', {str(out)!r}]))")
+    assert proc.returncode == 2, proc.stderr
+    assert ("configuration error (ConfigurationError): " in proc.stderr
+            and "half_width=1e-300, size=4096" in proc.stderr)
+    assert not out.exists()
 
 
 def test_runtime_imports_no_scipy():

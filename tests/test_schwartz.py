@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
 import heisenrep.schwartz
-from heisenrep import fourier, make_grid, proj_hardy
+import heisenrep.transforms
+from heisenrep import dual_grid, fourier, make_grid, proj_hardy
 from heisenrep.errors import CapabilityError
 from heisenrep.schwartz import (
     class_defects, moment, moment_defect, n_defect, psi_norm, seminorm_iter,
@@ -29,17 +31,111 @@ def test_seminorm_gaussian_oracle(n):
 
 
 def test_seminorm_tower_applies_each_word_once(monkeypatch):
-    calls = []
-    apply = heisenrep.schwartz.generator_apply
+    # every word in {M, D}^{<=n} is one multiplication by i times a node's
+    # grid points, and a node is transformed only for its child of the other
+    # generator: 2^n - 1 transforms, all through transforms.fourier
+    transforms, products = [], []
+    fourier = heisenrep.transforms.fourier
+    times = heisenrep.schwartz._times_i_points
 
-    def counting(gen, f):
-        calls.append(gen)
-        return apply(gen, f)
+    def counting(f):
+        transforms.append(f.grid)
+        return fourier(f)
 
-    monkeypatch.setattr(heisenrep.schwartz, "generator_apply", counting)
-    assert len(seminorm_tower(GAUSS, 3)) == 4
-    # the words of length 0, 1, 2 each get one M and one D
-    assert calls.count("M") == 7 and calls.count("D") == 7 and len(calls) == 14
+    def counting_products(f):
+        products.append(f.grid)
+        return times(f)
+
+    monkeypatch.setattr(heisenrep.transforms, "fourier", counting)
+    monkeypatch.setattr(heisenrep.schwartz, "fourier", counting)
+    monkeypatch.setattr(heisenrep.schwartz, "_times_i_points", counting_products)
+    counts = []
+    for n in range(4):
+        transforms.clear()
+        products.clear()
+        assert len(seminorm_tower(GAUSS, n)) == n + 1
+        assert len(products) == 2 ** (n + 1) - 2
+        # a node leaves f's grid only for the dual, and comes back to f's grid
+        assert set(transforms + products) <= {GRID, dual_grid(GRID)}
+        counts.append(len(transforms))
+    assert counts == [0, 1, 3, 7]
+
+
+def _gaussian_poly_tower_sq(center, width, coefficients, n):
+    """Exact [||f||_k^2 / sqrt(pi)] for k <= n, f = p(u) e^{-u^2/(2w^2)}, u = x - c.
+
+    M and D keep the form: M p = i(u + c) p and D p = p' - u p / w^2, and
+    ||q e^{-u^2/(2w^2)}||^2 = sum_{j,k} conj(q_j) q_k int u^{j+k} e^{-u^2/w^2} du
+    with int u^{2m} e^{-u^2/w^2} du = sqrt(pi) w^{2m+1} (2m)! / (4^m m!).
+    Coefficients are (re, im) pairs of Fractions, so only the final
+    conversion to float rounds.
+    """
+    c, w2 = Fraction(center), Fraction(width) ** 2
+
+    def sq(q):
+        total = Fraction(0)
+        for j, (aj, bj) in enumerate(q):
+            for k, (ak, bk) in enumerate(q):
+                if (j + k) % 2 == 0:
+                    m = (j + k) // 2
+                    total += ((aj * ak + bj * bk) * w2 ** m * math.factorial(2 * m)
+                              / (4 ** m * math.factorial(m)))
+        return total * Fraction(width)
+
+    def gen_m(q):
+        shifted = [(c * a, c * b) for a, b in q] + [(Fraction(0), Fraction(0))]
+        for k, (a, b) in enumerate(q):
+            shifted[k + 1] = (shifted[k + 1][0] + a, shifted[k + 1][1] + b)
+        return [(-b, a) for a, b in shifted]
+
+    def gen_d(q):
+        out = [(Fraction(0), Fraction(0))] * (len(q) + 1)
+        for k, (a, b) in enumerate(q):
+            if k:
+                out[k - 1] = (out[k - 1][0] + k * a, out[k - 1][1] + k * b)
+            out[k + 1] = (out[k + 1][0] - a / w2, out[k + 1][1] - b / w2)
+        return out
+
+    def tower(q, order):
+        out = [sq(q)]
+        if order:
+            m_sq, d_sq = tower(gen_m(q), order - 1), tower(gen_d(q), order - 1)
+            for k in range(order):
+                out.append(m_sq[k] + d_sq[k] + out[k])
+        return out
+
+    q = [(Fraction(z.real), Fraction(z.imag)) for z in coefficients]
+    return tower(q, n)
+
+
+def test_seminorm_tower_gaussian_poly_oracle():
+    # Rounding model on GRID (u the unit roundoff, N points, half-width L):
+    # every stage of a word -- sampling, one multiplication by i times the
+    # points, one transform -- adds at most C u of relative error in the
+    # grid's L^2 norm, C = 6 log2(N) + 4 (the FFT's bound, Higham 2002,
+    # Thm 24.2, plus the products around it), and multiplies the error it
+    # receives by at most A = max(L, pi/dx), the largest multiplier.  A word
+    # of length k then carries an error <= (k + 1) C u A^k ||f||.  Order n is
+    # a weighted l^2 norm of word norms whose weights sum to 3^n, so its
+    # error is <= 3^(n/2) (n + 1) C u A^n ||f||, and ||f|| <= ||f||_n.  The
+    # window and the spacing cost nothing at this resolution: the Gaussians
+    # (|c| <= 4, w <= 2) and their spectra (w >= 1/2) are below e^-90 at
+    # the window's edge and at the dual's edge.  The oracle rounds only in
+    # its final float conversion, square root and product with pi^(1/4).
+    u = np.finfo(float).eps / 2
+    big_c = 6 * math.log2(GRID.size) + 4
+    big_a = max(GRID.half_width, math.pi / GRID.spacing)
+    tolerance = [3 ** (n / 2) * (n + 1) * big_c * u * big_a ** n + 8 * u for n in range(4)]
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        center, width = rng.uniform(-4.0, 4.0), rng.uniform(0.5, 2.0)
+        degree = int(rng.integers(0, 4))
+        coefficients = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        exact = [math.sqrt(float(sq)) * math.pi ** 0.25
+                 for sq in _gaussian_poly_tower_sq(center, width, coefficients, 3)]
+        f = sample(GaussianPoly(center, width, tuple(coefficients)), GRID)
+        for n, (got, want) in enumerate(zip(seminorm_tower(f, 3), exact)):
+            assert abs(got - want) <= tolerance[n] * want, (n, got, want)
 
 
 def test_seminorm_monotone_and_capped():
