@@ -119,8 +119,8 @@ def test_seminorm_tower_gaussian_poly_oracle():
     # a weighted l^2 norm of word norms whose weights sum to 3^n, so its
     # error is <= 3^(n/2) (n + 1) C u A^n ||f||, and ||f|| <= ||f||_n.  The
     # window and the spacing cost nothing at this resolution: the Gaussians
-    # (|c| <= 4, w <= 2) and their spectra (w >= 1/2) are below e^-90 at
-    # the window's edge and at the dual's edge.  The oracle rounds only in
+    # (|c| <= 4, w <= 2) and their spectra (w >= 1/2), times any polynomial
+    # the words make, are below e^-70 at the window's edge and at the dual's.  The oracle rounds only in
     # its final float conversion, square root and product with pi^(1/4).
     u = np.finfo(float).eps / 2
     big_c = 6 * math.log2(GRID.size) + 4
