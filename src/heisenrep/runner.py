@@ -14,7 +14,7 @@ import os
 
 from . import __version__
 from .errors import ConfigurationError
-from .suites import SUITE_IDS, SUITES, Recorder, SuiteConfig
+from .suites import CHECKS, SUITE_IDS, SUITES, Recorder, SuiteConfig
 
 
 def build_report(suite_id: str, config: SuiteConfig, recorder: Recorder) -> dict:
@@ -42,20 +42,21 @@ def run_all(base_config: SuiteConfig) -> list[dict]:
 
 
 def _run(base: SuiteConfig, suite_ids) -> list[dict]:
-    """Run each suite with the other settings of base, refuse tolerance keys
-    that name no check of them, and only then write reports and curves, so
-    a refused run writes no file.  Every suite is handed base itself (no
-    suite reads base.suite), so one run builds one grid and one dual."""
-    runs = []
-    for suite_id in suite_ids:
-        recorder = Recorder(base)
-        SUITES[suite_id](base, recorder)
-        runs.append((build_report(suite_id, base, recorder), recorder.curves))
-    # a tolerance key is a check id; one that names no check that ran (a
-    # typo, or a check of a suite not selected) would set nothing
-    unknown = set(base.tolerances) - {c["check"] for r, _ in runs for c in r["checks"]}
+    """Refuse tolerance keys that name no catalogued check of the suites
+    before any of them runs, run each suite with the other settings of base,
+    and only then write reports and curves, so a refused run writes no file.
+    Every suite is handed base itself (no suite reads base.suite), so one
+    run builds one grid and one dual."""
+    # a tolerance key is a check id; one that names no check of the suites
+    # (a typo, or a check of a suite not selected) would set nothing
+    unknown = set(base.tolerances) - {c.id for s in suite_ids for c in CHECKS[s]}
     if unknown:
         raise ConfigurationError(f"tolerances {sorted(unknown)} name no check of the suites run")
+    runs = []
+    for suite_id in suite_ids:
+        recorder = Recorder(base, suite_id)
+        SUITES[suite_id](base, recorder)
+        runs.append((build_report(suite_id, base, recorder), recorder.curves))
     if base.out:
         for report, curves in runs:
             write_report(report, base.out)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from heisenrep.errors import ConfigurationError
 from heisenrep.grid import dual_grid
 from heisenrep.heisenberg import GroupElement
 from heisenrep.runner import report_json, run_all, run_suite
-from heisenrep.suites import SUITE_IDS, Recorder, SuiteConfig
+from heisenrep.suites import CHECKS, SUITE_IDS, Recorder, SuiteConfig
 from heisenrep.testfn import Mirrored, Summed
 
 
@@ -258,10 +259,11 @@ def test_cli_non_finite_value_exits_two(tmp_path, capsys, argv, message):
 
 
 def test_non_finite_measurement_refused():
-    rec = Recorder(SuiteConfig(suite="norms"))
-    for value in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ConfigurationError, match="check c measured"):
-            rec.check("c", "d", "r", value, 1.0)
+    # a draw of NaN is refused too, though max() of the draws would drop it
+    rec = Recorder(SuiteConfig(suite="norms"), "norms")
+    for value in (math.nan, math.inf, -math.inf, [0.0, math.nan, 1e-12]):
+        with pytest.raises(ConfigurationError, match="check seminorm-0 measured (nan|-?inf)"):
+            rec.check("seminorm-0", value)
     assert rec.checks == []
     with pytest.raises(ValueError):
         report_json({"measured": math.nan})
@@ -290,6 +292,18 @@ def test_cli_unknown_tolerance_key_exits_two(capsys, argv, unknown):
 def test_run_suite_refuses_unknown_tolerance_key():
     with pytest.raises(ConfigurationError, match=r"\['seminorm-O'\]"):
         run_suite(SuiteConfig("norms", tolerances={"seminorm-O": 1e-30}))
+
+
+def test_unknown_tolerance_key_refused_before_any_suite_runs(monkeypatch):
+    def ran(cfg, rec):
+        raise AssertionError("a suite ran")
+
+    for suite_id in SUITE_IDS:
+        monkeypatch.setitem(heisenrep.suites.SUITES, suite_id, ran)
+    with pytest.raises(ConfigurationError, match=r"\['seminorm-O'\]"):
+        run_suite(SuiteConfig("norms", tolerances={"seminorm-O": 1e-30}))
+    with pytest.raises(ConfigurationError, match=r"\['distance'\]"):
+        run_suite(SuiteConfig("norms", tolerances={"distance": 0.1}))
 
 
 @pytest.mark.parametrize("argv", [
@@ -448,6 +462,35 @@ def test_cli_emit_csv_writes_curves(tmp_path):
 
 def test_suite_registry_complete():
     assert len(SUITE_IDS) == 10
+    assert tuple(CHECKS) == SUITE_IDS
+
+
+def test_reports_record_their_catalogue_in_order():
+    # each suite records every catalogued check once, in catalogue order,
+    # and nothing else, with the catalogue's description and claim
+    for rep in run_all(SuiteConfig(suite=SUITE_IDS[0])):
+        catalogue = CHECKS[rep["suite"]]
+        ids = [c.id for c in catalogue]
+        recorded = [c["check"] for c in rep["checks"]]
+        assert len(set(ids)) == len(ids)
+        assert sorted(recorded) == sorted(ids)
+        assert recorded == ids
+        for entry, record in zip(catalogue, rep["checks"]):
+            assert (record["description"], record["claim"]) == (entry.description, entry.claim)
+            if entry.kind == "flag":
+                assert (record["measured"], record["threshold"]) == (0.0, 0.0)
+
+
+def test_catalogue_total_matches_the_benchmark(monkeypatch):
+    # the harness-default workload counts the checks of one pass; its
+    # dataclasses need the module registered while it loads
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "benchmarks", "workloads.py")
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert sum(map(len, CHECKS.values())) == workloads.HarnessDefault.CHECKS_PER_PASS
 
 
 def _run_fresh(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
@@ -460,16 +503,32 @@ def _run_fresh(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
 
 
 def test_cli_window_without_a_reference_norm_exits_two(tmp_path):
-    # at half-width 1e-300 the conjugate of multiplier-oracle's periodized
+    # at half-width 1e-100 the conjugate of multiplier-oracle's periodized
     # Lorentzian samples to zero, so its relative error has no scale; run
     # as the command runs, where numpy's overflow warnings stay warnings
     out = tmp_path / "reports"
     proc = _run_fresh("import sys, heisenrep.cli\n"
                       "sys.exit(heisenrep.cli.main(['--suite', 'transforms', "
+                      f"'--half-width', '1e-100', '--out', {str(out)!r}]))")
+    assert proc.returncode == 2, proc.stderr
+    assert ("configuration error (ConfigurationError): a relative error's reference "
+            "has norm 0" in proc.stderr and "half_width=1e-100, size=4096" in proc.stderr)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite, check", [("group-axioms", "homomorphism"),
+                                          ("transforms", "unitarity")])
+def test_cli_window_with_a_non_finite_draw_exits_two(tmp_path, suite, check):
+    # at half-width 1e-300 the band-limited draws keep only the zero bin and
+    # their norms overflow, so some draws measure NaN; the worst of the
+    # draws keeps it, where a running max() dropped it and the suite passed
+    out = tmp_path / "reports"
+    proc = _run_fresh("import sys, heisenrep.cli\n"
+                      f"sys.exit(heisenrep.cli.main(['--suite', {suite!r}, "
                       f"'--half-width', '1e-300', '--out', {str(out)!r}]))")
     assert proc.returncode == 2, proc.stderr
-    assert ("configuration error (ConfigurationError): " in proc.stderr
-            and "half_width=1e-300, size=4096" in proc.stderr)
+    assert (f"configuration error (ConfigurationError): check {check} measured nan on "
+            "the grid with half_width=1e-300, size=4096") in proc.stderr
     assert not out.exists()
 
 
