@@ -8,8 +8,10 @@ while ||f - g|| < epsilon.  Block k annihilates the k-th moment of the
 partial sum without disturbing moments below k (a k-th derivative of a
 compact function kills all monomials of degree < k by parts).
 
-All moments and norms are evaluated in closed form on the descriptor
-algebra: the intervals grow too fast for any reasonable grid to hold them.
+All moments and norms are evaluated in closed form on the pieces of the
+descriptors: the intervals grow too fast for any reasonable grid to hold
+them.  Each block is built once, as a lowered `PiecewisePoly`, and every
+moment and norm of it reads those pieces.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 from . import testfn
 from .errors import CapabilityError, ConfigurationError, require_type
 from .testfn import (
-    Affine, Mirrored, PiecewisePoly, Summed, TestFunction, derivative,
+    Affine, Mirrored, Summed, TestFunction, derivative,
     exact_l1_norm, exact_l2_norm, exact_moment, support,
 )
 
@@ -126,28 +128,27 @@ def choose_interval(k: int, a_k: float, lambda_k: float,
 
 
 def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: AnnihilatorConfig,
-                I: float, gk: TestFunction) -> tuple[BlockRecord, PiecewisePoly]:
+                I: float, gk: TestFunction) -> BlockRecord:
     """Assemble f_k(x) = gamma_k g^(k)(a0 (x - a_k) / h) and verify its
     invariants in closed form:
 
     moments below k vanish; the k-th moment equals lambda_k (the closed-form
     identity int x^k f_k = (-1)^k k! I gamma_k (h/a0)^{k+1} collapses to
     lambda_k after substituting gamma_k); the L^2 norm respects the budget.
-    The record keeps the measured moment error and lower-moment defect.
-    Returns the record and f_k lowered by `to_piecewise`.
+    The record keeps f_k, the measured moment error and the lower-moment
+    defect.
     """
     h = a_k1 - a_k
     if h <= 0:
         raise ConfigurationError("a_{k+1} must exceed a_k")
     gamma = _gamma(k, lambda_k, I, config.a0, h)
     f_k = Affine(gk, config.a0 / h, a_k, gamma)
-    low = testfn.to_piecewise(f_k)
-    norm_fk = exact_l2_norm(low)
+    norm_fk = exact_l2_norm(f_k)
     bound = config.epsilon / (2.0 ** (k + 1) * a_k1 ** k)
     moment_error = lower_defect = 0.0
     if lambda_k != 0.0:
         closed_form = ((-1.0) ** k * math.factorial(k) * I * gamma * (h / config.a0) ** (k + 1))
-        measured = exact_moment(low, k).real
+        measured = exact_moment(f_k, k).real
         moment_error = abs(measured - closed_form) / max(abs(closed_form), 1e-300)
         if moment_error > 1e-8:
             raise CapabilityError(
@@ -156,7 +157,7 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: Annihi
             )
         mass = exact_l1_norm(f_k) if k else 0.0  # order 0 has no lower moments
         for i in range(k):
-            m_i = abs(exact_moment(low, i))
+            m_i = abs(exact_moment(f_k, i))
             scale = max(mass * max(a_k1, 1.0) ** i, 1e-300)
             if m_i > 1e-10 * scale:
                 raise CapabilityError(f"block {k}: moment of order {i} fails to vanish")
@@ -166,12 +167,12 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: Annihi
                 f"block {k}: norm {norm_fk} violates budget {bound}"
             )
     return BlockRecord(k, a_k, a_k1, gamma, lambda_k, f_k, norm_fk, bound,
-                       moment_error, lower_defect), low
+                       moment_error, lower_defect)
 
 
 def moment_defects(parts, K: int):
     """Relative residual moments of the assembled sum, orders 0..K, from
-    the parts lowered by `to_piecewise`.
+    its polynomial parts.
 
     The scale is the sum of the absolute closed-form moments of the parts:
     the natural yardstick for how much cancellation each order achieved.
@@ -188,8 +189,7 @@ def moment_defects(parts, K: int):
 def annihilate(config: AnnihilatorConfig):
     """Run the construction; returns (f, blocks, report)."""
     g = config.mother
-    lowered = [testfn.to_piecewise(g)]
-    I = exact_moment(lowered[0], 0).real
+    I = exact_moment(g, 0).real
     if not abs(I) > 1e-12 * exact_l1_norm(g):  # also refuses an I that underflows to 0
         raise ConfigurationError("mother integral is (numerically) zero")
 
@@ -197,18 +197,17 @@ def annihilate(config: AnnihilatorConfig):
     parts: list[TestFunction] = [g]
     a_k = config.a0
     for k in range(config.K + 1):
-        residual = math.fsum(exact_moment(p, k).real for p in lowered)
+        residual = math.fsum(exact_moment(p, k).real for p in parts)
         lambda_k = -residual
         gk = derivative(g, k)
         a_k1 = choose_interval(k, a_k, lambda_k, config, I, gk)
-        block, low = build_block(k, a_k, a_k1, lambda_k, config, I, gk)
+        block = build_block(k, a_k, a_k1, lambda_k, config, I, gk)
         blocks.append(block)
         if block.gamma_k != 0.0:
             parts.append(block.f_k)
-            lowered.append(low)
         a_k = a_k1
 
-    f = Summed(tuple(parts))
+    f = Summed(parts)
     l2_distance = math.sqrt(math.fsum(b.norm_fk ** 2 for b in blocks))
     report = {
         "K": config.K,
@@ -219,7 +218,7 @@ def annihilate(config: AnnihilatorConfig):
              "lambda_k": b.lambda_k, "norm_fk": b.norm_fk, "bound": b.norm_bound}
             for b in blocks
         ],
-        "moment_defects": moment_defects(lowered, config.K),
+        "moment_defects": moment_defects(parts, config.K),
         "l2_distance": l2_distance,
     }
     return f, blocks, report

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all heisenrep modules, and the type check
-that raises its ConfigurationError."""
+"""Exception hierarchy shared by all heisenrep modules, and the type and
+order checks that raise its ConfigurationError."""
 
 import numbers
 import sys
@@ -45,3 +45,10 @@ def require_type(name: str, value, kind, label: str) -> None:
         raise ConfigurationError(f"{name} must be {label}, got {value!r}")
     if kind is numbers.Real and isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ConfigurationError(f"{name} is too large for a float")
+
+
+def require_order(name: str, k) -> None:
+    """Raise ConfigurationError unless k is a nonnegative integer."""
+    require_type(name, k, numbers.Integral, "an integer")
+    if k < 0:
+        raise ConfigurationError(f"{name} must be nonnegative, got {k}")

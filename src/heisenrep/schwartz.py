@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import testfn
-from .errors import CapabilityError, ConfigurationError
+from .errors import CapabilityError, ConfigurationError, require_order
 from .grid import SampledFunction, integrate, norm, restrict_halfline
 from .heisenberg import CHI1, CHI2, CHI3, act, element_from_lie, generator_apply
 from .transforms import fourier, inverse_fourier, proj_hardy
@@ -109,6 +109,8 @@ def norm_growth_check(xis, f: SampledFunction, n: int) -> np.ndarray:
 
 def seminorm_sup(tf, m: int, n: int) -> float:
     """sup_x |x^m * (d^n tf)(x)| via a dense scan rerun on its own bracket."""
+    require_order("seminorm_sup m", m)
+    require_order("seminorm_sup n", n)
     d = testfn.derivative(tf, n)
     sup = testfn.support(d)
     if sup and sup[0][0] != -np.inf:

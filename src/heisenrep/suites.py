@@ -637,9 +637,10 @@ def suite_appendix_a(cfg: SuiteConfig, rec: Recorder) -> None:
     rec.check("distance", report["l2_distance"])
 
     neg_f, _ = mirror(f, blocks)
-    # defects of the mirror's own parts; reflection multiplies every order-n
-    # moment term by (-1)^n exactly, so a true mirror matches bit for bit
-    neg_parts = [testfn.to_piecewise(testfn.Mirrored(p)) for p in neg_f.inner.terms]
+    # defects of the mirror's own pieces, one per part; reflection multiplies
+    # every order-n moment term by (-1)^n exactly, so a true mirror matches
+    # bit for bit
+    neg_parts = [testfn.PiecewisePoly((pc,)) for pc in neg_f.pieces]
     rec.check("mirror-defects", [abs(a - b) for a, b in zip(
         report["moment_defects"], moment_defects(neg_parts, config.K))])
     sup = testfn.support(neg_f)

@@ -1,20 +1,23 @@
 """Closed-form test functions with exact derivative, support, and moment oracles.
 
-Descriptors form an immutable tree.  Compactly supported polynomial trees
-lower to a canonical piecewise-polynomial form (`to_piecewise`) on which
-moments and L^2 norms are computed in closed form; Gaussian descriptors
-evaluate pointwise but signal `NotExactlyIntegrable` when an exact moment is
+A descriptor is one of two immutable nodes: `GaussianPoly` or
+`PiecewisePoly`.  The constructors below return one of them, already
+lowered, so no descriptor is a tree.  Moments and L^2 norms of a
+`PiecewisePoly` are computed in closed form; Gaussian descriptors evaluate
+pointwise but signal `NotExactlyIntegrable` when an exact moment is
 requested.
 
 Conventions:
   Affine(f, r, s, g)(x) = g * f(r * (x - s))   (r != 0)
   Translated(f, s)      = Affine(f, shift=s):  f(x - s), support moves right for s > 0
   Mirrored(f)           = Affine(f, rate=-1):  f(-x)
+  Summed(terms)         = one PiecewisePoly holding every term's pieces
   CompactBump(a, b, p)  = one PiecewisePoly piece: (x - a)^p (b - x)^p on (a, b)
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
@@ -24,13 +27,21 @@ from typing import Tuple, Union
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import CapabilityError, ConfigurationError, NotExactlyIntegrable, require_type
+from .errors import (
+    CapabilityError, ConfigurationError, NotExactlyIntegrable, require_order, require_type,
+)
 from .grid import GridSpec, SampledFunction
 
 # midpoint-rule cells per support interval in exact_l1_norm
 L1_CELLS = 4096
 
-TestFunction = Union["GaussianPoly", "PiecewisePoly", "Affine", "Summed"]
+TestFunction = Union["GaussianPoly", "PiecewisePoly"]
+
+
+def _require_finite(node: str, **fields) -> None:
+    for name, value in fields.items():
+        if not cmath.isfinite(value):
+            raise ConfigurationError(f"{node} {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,7 @@ class GaussianPoly:
     coefficients: Tuple[float, ...]
 
     def __post_init__(self):
+        _require_finite("GaussianPoly", center=self.center, width=self.width)
         if self.width <= 0:
             raise ConfigurationError("GaussianPoly width must be positive")
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
@@ -64,6 +76,7 @@ class Piece:
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
         if not self.coefficients:
             raise ConfigurationError("piece needs at least one coefficient")
+        _require_finite("piece", x0=self.x0, a=self.a, b=self.b, scale=self.scale)
         # a == b stays allowed: a narrow piece far from the origin can round
         # to a single point
         if not self.a <= self.b:
@@ -82,24 +95,39 @@ class PiecewisePoly:
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
 
-@dataclass(frozen=True)
-class Affine:
-    """gain * inner(rate * (x - shift)): a change of variable times a constant."""
-    inner: TestFunction
-    rate: float = 1.0
-    shift: float = 0.0
-    gain: complex = 1.0
+def Affine(inner: TestFunction, rate: float = 1.0, shift: float = 0.0,
+           gain: complex = 1.0) -> TestFunction:
+    """gain * inner(rate * (x - shift)): a change of variable times a constant.
 
-    def __post_init__(self):
-        if self.rate == 0:
-            raise ConfigurationError("Affine rate must be nonzero")
+    A piece maps x0 -> x0/r + s, (a, b) -> sorted((a/r + s, b/r + s)),
+    scale -> scale/|r| and c_j -> gain (sign r)^j c_j: the coefficients see
+    only signs and the gain, so no rate over/underflows them.  A Gaussian
+    maps to center s + c/r, width w/|r| and coefficients gain r^j c_j.
+    """
+    _require_finite("Affine", rate=rate, shift=shift, gain=gain)
+    r, s = rate, shift
+    if r == 0:
+        raise ConfigurationError("Affine rate must be nonzero")
+    if isinstance(inner, GaussianPoly):
+        return GaussianPoly(s + inner.center / r, inner.width / abs(r),
+                            tuple(gain * r ** j * cj for j, cj in enumerate(inner.coefficients)))
+    inner = to_piecewise(inner)
+    pieces = []
+    for pc in inner.pieces:
+        c = pc.coefficients
+        if r < 0:
+            c = tuple(cj * (-1.0) ** j for j, cj in enumerate(c))
+        a, b = sorted((pc.a / r + s, pc.b / r + s))
+        pieces.append(Piece(pc.x0 / r + s, a, b, tuple(gain * cj for cj in c),
+                            pc.scale / abs(r)))
+    return PiecewisePoly(tuple(pieces), smooth=inner.smooth)
 
 
-def Translated(inner: TestFunction, shift: float) -> Affine:
+def Translated(inner: TestFunction, shift: float) -> TestFunction:
     return Affine(inner, shift=shift)
 
 
-def Mirrored(inner: TestFunction) -> Affine:
+def Mirrored(inner: TestFunction) -> TestFunction:
     return Affine(inner, rate=-1.0)
 
 
@@ -122,12 +150,12 @@ def CompactBump(a: float, b: float, p: int) -> PiecewisePoly:
     return PiecewisePoly((Piece(x0, a, b, tuple(c), half),), smooth=p - 1)
 
 
-@dataclass(frozen=True)
-class Summed:
-    terms: Tuple[TestFunction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+def Summed(terms) -> PiecewisePoly:
+    """The sum of polynomial descriptors: their pieces side by side, with the
+    smallest smoothness budget among them (0 for no terms)."""
+    terms = [to_piecewise(t) for t in terms]
+    return PiecewisePoly(tuple(pc for t in terms for pc in t.pieces),
+                         smooth=min((t.smooth for t in terms), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +180,13 @@ def _eval(tf, x) -> np.ndarray:
                 v = (np.where(inside, x, pc.x0) - pc.x0) / pc.scale
                 acc = acc + np.where(inside, P.polyval(v, np.asarray(pc.coefficients)), 0.0)
         return acc
-    if isinstance(tf, Affine):
-        # identity steps are skipped, so each array operation is one the node needs
-        u = x if tf.shift == 0 else x - tf.shift
-        out = _eval(tf.inner, u if tf.rate == 1 else tf.rate * u)
-        return out if tf.gain == 1 else tf.gain * out
-    if isinstance(tf, Summed):
-        acc = np.zeros(np.shape(x), dtype=complex)
-        for t in tf.terms:
-            acc = acc + _eval(t, x)
-        return acc
     raise TypeError(f"not a TestFunction descriptor: {tf!r}")
 
 
 def sample(tf: TestFunction, grid: GridSpec) -> SampledFunction:
     """Samples of tf on the grid points; NaN or infinite samples are refused."""
-    values = np.atleast_1d(evaluate(tf, grid.points))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        values = np.atleast_1d(evaluate(tf, grid.points))
     if not np.isfinite(values).all():
         raise ConfigurationError(f"{tf!r} has non-finite samples on the grid")
     return SampledFunction(grid, values)
@@ -182,10 +201,6 @@ def smoothness_budget(tf: TestFunction) -> float:
         return math.inf
     if isinstance(tf, PiecewisePoly):
         return tf.smooth
-    if isinstance(tf, Affine):
-        return smoothness_budget(tf.inner)
-    if isinstance(tf, Summed):
-        return min((smoothness_budget(t) for t in tf.terms), default=math.inf)
     raise TypeError(f"not a TestFunction descriptor: {tf!r}")
 
 
@@ -195,15 +210,6 @@ def support(tf: TestFunction):
         return ((-math.inf, math.inf),)
     if isinstance(tf, PiecewisePoly):
         return _merge_intervals([(pc.a, pc.b) for pc in tf.pieces])
-    if isinstance(tf, Affine):
-        r, s = tf.rate, tf.shift
-        return _merge_intervals([tuple(sorted((lo / r + s, hi / r + s)))
-                                 for lo, hi in support(tf.inner)])
-    if isinstance(tf, Summed):
-        acc = []
-        for t in tf.terms:
-            acc.extend(support(t))
-        return _merge_intervals(acc)
     raise TypeError(f"not a TestFunction descriptor: {tf!r}")
 
 
@@ -227,8 +233,7 @@ def derivative(tf: TestFunction, k: int) -> TestFunction:
     Raises CapabilityError when k exceeds the smoothness budget (e.g. order
     p of a CompactBump(a, b, p): only p-1 derivatives stay continuous).
     """
-    if k < 0:
-        raise ConfigurationError("derivative order must be nonnegative")
+    require_order("derivative order", k)
     if k == 0:
         return tf
     budget = smoothness_budget(tf)
@@ -241,29 +246,24 @@ def derivative(tf: TestFunction, k: int) -> TestFunction:
 
 def _deriv(tf, k):
     if isinstance(tf, GaussianPoly):
-        c = np.asarray(tf.coefficients, dtype=float)
+        # the coefficients keep their dtype: a complex gain makes them complex
+        c = np.asarray(tf.coefficients)
         for _ in range(k):
             # d/dx [p(u) e^{-u^2/2w^2}] = (p'(u) - p(u) u / w^2) e^{-u^2/2w^2}
             c = P.polysub(P.polyder(c), P.polymul([0.0, 1.0 / tf.width ** 2], c))
         return GaussianPoly(tf.center, tf.width, tuple(c))
-    if isinstance(tf, PiecewisePoly):
-        pieces = []
-        for pc in tf.pieces:
-            c = np.asarray(pc.coefficients)
-            for _ in range(k):
-                c = P.polyder(c) / pc.scale
-            pieces.append(Piece(pc.x0, pc.a, pc.b, tuple(c), pc.scale))
-        return PiecewisePoly(tuple(pieces), smooth=tf.smooth - k)
-    if isinstance(tf, Affine):
-        # d^k/dx^k g f(r (x - s)) = g r^k f^(k)(r (x - s))
-        return Affine(_deriv(tf.inner, k), tf.rate, tf.shift, tf.gain * tf.rate ** k)
-    if isinstance(tf, Summed):
-        return Summed(tuple(_deriv(t, k) for t in tf.terms))
-    raise TypeError(f"not a TestFunction descriptor: {tf!r}")
+    # derivative() has already refused anything but the two node types
+    pieces = []
+    for pc in tf.pieces:
+        c = np.asarray(pc.coefficients)
+        for _ in range(k):
+            c = P.polyder(c) / pc.scale
+        pieces.append(Piece(pc.x0, pc.a, pc.b, tuple(c), pc.scale))
+    return PiecewisePoly(tuple(pieces), smooth=tf.smooth - k)
 
 
 # ---------------------------------------------------------------------------
-# exact piecewise-polynomial lowering
+# piecewise-polynomial forms
 
 @functools.lru_cache(maxsize=None)
 def _pascal(n: int):
@@ -293,31 +293,10 @@ def _affine_poly(coeffs, alpha: float, beta: float) -> np.ndarray:
 
 
 def to_piecewise(tf: TestFunction) -> PiecewisePoly:
-    """Canonical compact piecewise-polynomial form; exact for polynomial trees."""
+    """tf itself when it is a PiecewisePoly; every other descriptor has no
+    exact piecewise-polynomial form."""
     if isinstance(tf, PiecewisePoly):
         return tf
-    if isinstance(tf, Affine):
-        # x0 -> x0/r + s, scale -> scale/|r|, c(v) -> gain c(sign(r) v): the
-        # coefficients see only signs and the gain, so no rate over/underflows
-        inner = to_piecewise(tf.inner)
-        r, s = tf.rate, tf.shift
-        pieces = []
-        for pc in inner.pieces:
-            c = pc.coefficients
-            if r < 0:
-                c = tuple(cj * (-1.0) ** j for j, cj in enumerate(c))
-            a, b = sorted((pc.a / r + s, pc.b / r + s))
-            pieces.append(Piece(pc.x0 / r + s, a, b, tuple(tf.gain * cj for cj in c),
-                                pc.scale / abs(r)))
-        return PiecewisePoly(tuple(pieces), smooth=inner.smooth)
-    if isinstance(tf, Summed):
-        pieces = []
-        smooth = math.inf
-        for t in tf.terms:
-            low = to_piecewise(t)
-            pieces.extend(low.pieces)
-            smooth = min(smooth, low.smooth)
-        return PiecewisePoly(tuple(pieces), smooth=int(smooth) if smooth != math.inf else 0)
     raise NotExactlyIntegrable(
         f"{type(tf).__name__} has no exact piecewise-polynomial form; use quadrature"
     )
@@ -354,9 +333,8 @@ def _piece_moment(pc: Piece, n: int) -> complex:
 def exact_moment(tf: TestFunction, n: int) -> complex:
     """Closed-form integral of x^n * tf(x) over the line.
 
-    Only descriptor trees that lower to piecewise polynomials qualify;
-    Gaussian trees raise NotExactlyIntegrable.  A tree with real
-    coefficients has an imaginary part of exactly 0.
+    Only a PiecewisePoly qualifies; a Gaussian raises NotExactlyIntegrable.
+    A descriptor with real coefficients has an imaginary part of exactly 0.
     """
     parts = [_piece_moment(pc, n) for pc in to_piecewise(tf).pieces]
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))

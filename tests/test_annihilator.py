@@ -13,8 +13,8 @@ from heisenrep.annihilator import (
 )
 from heisenrep.errors import CapabilityError, ConfigurationError
 from heisenrep.testfn import (
-    CompactBump, GaussianPoly, Mirrored, Summed, Translated, derivative,
-    exact_l1_norm, exact_l2_norm, exact_moment, support,
+    Affine, CompactBump, GaussianPoly, Mirrored, PiecewisePoly, Summed, Translated,
+    derivative, exact_l1_norm, exact_l2_norm, exact_moment, support,
 )
 
 MOTHER = CompactBump(0.1, 0.9, 6)
@@ -60,9 +60,12 @@ def test_choose_interval_passes_both_conditions():
     cfg = _config()
     I = exact_moment(MOTHER, 0).real
     a1 = choose_interval(0, cfg.a0, -0.5, cfg, I, MOTHER)
-    block, low = build_block(0, cfg.a0, a1, -0.5, cfg, I, MOTHER)
+    block = build_block(0, cfg.a0, a1, -0.5, cfg, I, MOTHER)
     assert block.norm_fk < block.norm_bound
-    assert low == testfn.to_piecewise(block.f_k)
+    # the block is the lowered Affine of g, and its moments read those pieces
+    assert block.f_k == Affine(MOTHER, cfg.a0 / (a1 - cfg.a0), cfg.a0, block.gamma_k)
+    assert isinstance(block.f_k, PiecewisePoly)
+    assert testfn.to_piecewise(block.f_k) is block.f_k
 
 
 def test_block_moment_identity_and_lower_orders():
@@ -71,7 +74,7 @@ def test_block_moment_identity_and_lower_orders():
     I = exact_moment(MOTHER, 0).real
     g1 = derivative(MOTHER, 1)
     a1 = choose_interval(1, 2.0, lam, cfg, I, g1)
-    block, _ = build_block(1, 2.0, a1, lam, cfg, I, g1)
+    block = build_block(1, 2.0, a1, lam, cfg, I, g1)
     assert abs(exact_moment(block.f_k, 1).real - lam) < 1e-8 * abs(lam)
     assert abs(exact_moment(block.f_k, 0)) < 1e-10 * exact_l1_norm(block.f_k)
 
@@ -128,24 +131,35 @@ def test_growth_cap_raises_clear_error():
 
 
 def test_annihilate_work_counts(monkeypatch):
-    # each part or block is lowered to pieces once, and every moment and
-    # norm of it runs on that lowering; bump coefficients come from the
-    # binomial theorem, never from a polynomial power
-    calls = []
-    lower = testfn.to_piecewise
+    # each block is built, and so lowered to pieces, once: one Affine per
+    # block and one piece per derivative of the mother and per block, and
+    # every moment and norm of it reads that one PiecewisePoly; bump
+    # coefficients come from the binomial theorem, never from a polynomial
+    # power
+    affine_calls, pieces = [], []
+    affine, post_init = annihilator.Affine, testfn.Piece.__post_init__
 
-    def counting(tf):
-        calls.append(type(tf).__name__)
-        return lower(tf)
+    def counting_affine(*args):
+        affine_calls.append(args)
+        return affine(*args)
+
+    def counting_piece(pc):
+        pieces.append(pc)
+        post_init(pc)
 
     def refuse(*args, **kwargs):
         raise AssertionError("polypow called")
 
-    # recursive calls resolve the module attribute, so they are counted too
-    monkeypatch.setattr(testfn, "to_piecewise", counting)
+    monkeypatch.setattr(annihilator, "Affine", counting_affine)
+    monkeypatch.setattr(testfn.Piece, "__post_init__", counting_piece)
     monkeypatch.setattr(testfn.P, "polypow", refuse)
-    annihilate(_config())
-    assert len(calls) == 82
+    cfg = _config()
+    f, blocks, _ = annihilate(cfg)
+    assert len(affine_calls) == cfg.K + 1
+    # g^(k) for k = 1..K, then f_k for k = 0..K; the sum copies no piece
+    assert len(pieces) == cfg.K + (cfg.K + 1)
+    assert all(isinstance(b.f_k, PiecewisePoly) for b in blocks)
+    assert f.pieces == cfg.mother.pieces + tuple(pc for b in blocks for pc in b.f_k.pieces)
 
 
 def test_annihilate_derives_each_block_once(monkeypatch):

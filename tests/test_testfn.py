@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from heisenrep import make_grid
+from heisenrep import schwartz
 from heisenrep import testfn as T
 from heisenrep.errors import CapabilityError, ConfigurationError, NotExactlyIntegrable
 from heisenrep.testfn import (
@@ -174,12 +175,72 @@ def test_sample_matches_evaluate():
 
 
 @pytest.mark.parametrize("tf", [
-    GaussianPoly(math.nan, 1.0, (1.0,)),  # NaN samples
+    GaussianPoly(0.0, 1.0, (1e308, 1e308)),  # finite fields, overflowing samples
     GaussianPoly(0.0, 1.0, (math.inf,)),  # infinite samples
 ])
 def test_sample_refuses_non_finite_values(tf):
     with pytest.raises(ConfigurationError, match="non-finite"):
         sample(tf, make_grid(8.0, 64))
+
+
+def test_nodes_refuse_non_finite_frames():
+    # a NaN or infinite frame used to be accepted and surfaced later as a
+    # NaN moment with a RuntimeWarning
+    for kwargs, field in (({"x0": math.nan}, "x0"), ({"a": -math.inf, "b": math.inf}, "a"),
+                          ({"b": math.inf}, "b"), ({"scale": math.inf}, "scale")):
+        with pytest.raises(ConfigurationError, match=f"piece {field} must be finite"):
+            Piece(**{"x0": 0.0, "a": -1.0, "b": 1.0, "coefficients": (1.0,), **kwargs})
+    for center, width, field in ((math.nan, 1.0, "center"), (math.inf, 1.0, "center"),
+                                 (0.0, math.nan, "width"), (0.0, math.inf, "width")):
+        with pytest.raises(ConfigurationError, match=f"GaussianPoly {field} must be finite"):
+            GaussianPoly(center, width, (1.0,))
+    bump, gauss = CompactBump(0.0, 1.0, 3), GaussianPoly(1.0, 1.0, (1.0,))
+    for kwargs in ({"rate": math.nan}, {"rate": math.inf}, {"shift": -math.inf},
+                   {"gain": complex(1.0, math.nan)}, {"gain": math.inf}):
+        (field,) = kwargs
+        for tf in (bump, gauss):
+            with pytest.raises(ConfigurationError, match=f"Affine {field} must be finite"):
+                Affine(tf, **kwargs)
+    # finite parameters whose lowered frame overflows are refused by the node
+    with pytest.raises(ConfigurationError, match="piece x0 must be finite"):
+        Translated(Affine(CompactBump(1.0, 2.0, 3), rate=1e-320), 0.0)
+    with pytest.raises(ConfigurationError, match="GaussianPoly center must be finite"):
+        Affine(gauss, rate=1e-320)
+    with pytest.raises(ConfigurationError, match="nonzero"):
+        Affine(bump, rate=0.0)
+
+
+def test_orders_must_be_nonnegative_integers():
+    bump, gauss = CompactBump(0.0, 1.0, 4), GaussianPoly(0.0, 1.0, (1.0,))
+    for bad in (1.5, True, "1", 2.0):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            derivative(bump, bad)
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        derivative(bump, -1)
+    assert derivative(bump, np.int64(2)) == derivative(bump, 2)
+    # a negative m used to scan |f/x| on points that miss 0 (6.6e8 here);
+    # a fractional m ended in a RuntimeWarning
+    for m, n in ((-1, 0), (0.5, 0), (0, -1), (0, 1.5)):
+        with pytest.raises(ConfigurationError):
+            schwartz.seminorm_sup(gauss, m, n)
+    assert schwartz.seminorm_sup(gauss, np.int64(0), 0) == 1.0
+
+
+def test_derivative_of_complex_gaussian():
+    # the coefficients keep their dtype; a moved Gaussian with a complex gain
+    # has complex coefficients, and derivative used to cast them to float
+    assert derivative(GaussianPoly(0.0, 1.0, (1j,)), 1) == GaussianPoly(0.0, 1.0, (0j, -1j))
+    w, c = 1.5, (0.5 - 1j, 2.0 + 0.25j, -1j)
+    tf = GaussianPoly(0.0, w, c)
+    u = np.linspace(-6.0, 6.0, 97)
+    p, dp = P.polyval(u, c), P.polyval(u, P.polyder(c))
+    expected = (dp - p * u / w ** 2) * np.exp(-u ** 2 / (2 * w ** 2))
+    assert np.max(np.abs(evaluate(derivative(tf, 1), u) - expected)) < 1e-14
+    moved = Affine(tf, rate=-2.0, shift=0.5, gain=1 + 1j)
+    assert isinstance(moved, GaussianPoly)
+    x = 0.5 + u / -2.0
+    assert np.max(np.abs(evaluate(derivative(moved, 1), x)
+                         - (1 + 1j) * -2.0 * evaluate(derivative(tf, 1), u))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +323,7 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _wrapped(draw, tf, budget):
-    """tf under up to four wrappers, derivatives of total order <= budget."""
+    """tf after up to four constructor steps, derivatives of total order <= budget."""
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["translate", "scale", "mirror", "amplify", "derive"]))
         if kind == "translate":
@@ -283,9 +344,9 @@ def _wrapped(draw, tf, budget):
 
 @st.composite
 def polynomial_trees(draw):
-    """A bump of order p <= 8 under up to four wrappers, derivatives of
-    total order below p.  Every such tree is one polynomial piece on its
-    support, and the support stays in [-40, 40]."""
+    """A bump of order p <= 8 after up to four constructor steps,
+    derivatives of total order below p.  Every such descriptor is one
+    polynomial piece on its support, and the support stays in [-40, 40]."""
     p = draw(st.integers(1, 8))
     a = draw(st.floats(-3.0, 3.0))
     return _wrapped(draw, CompactBump(a, a + draw(st.floats(0.1, 4.0)), p), p - 1), p
@@ -293,8 +354,8 @@ def polynomial_trees(draw):
 
 @st.composite
 def gaussian_trees(draw):
-    """A Gaussian polynomial under up to four wrappers, derivatives of total
-    order <= 3."""
+    """A Gaussian polynomial after up to four constructor steps, derivatives
+    of total order <= 3."""
     coeffs = tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)))
     gauss = GaussianPoly(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.25, 4.0)), coeffs)
     return _wrapped(draw, gauss, 3)
@@ -392,6 +453,26 @@ def test_piece_refuses_malformed_input():
     assert exact_l2_norm(PiecewisePoly((pc,))) == 0.0
 
 
+def _abs_terms(tf, y, k):
+    """Sum of |each term| of the k-th y-derivative (k = 0, 1) of tf's closed
+    form at y, every sign dropped.  Rounding each coefficient by a few eps
+    moves evaluate(tf, y) by a few eps times the k = 0 sum; rounding the
+    variable by dy moves it by at most dy times the k = 1 sum."""
+    if isinstance(tf, GaussianPoly):
+        u, a, w2 = np.abs(y - tf.center), np.abs(tf.coefficients), tf.width ** 2
+        terms = P.polyval(u, a)
+        if k:
+            terms = P.polyval(u, P.polyder(a)) + terms * u / w2
+        return terms * np.exp(-u * u / (2.0 * w2))
+    (pc,) = tf.pieces
+    a = np.abs(pc.coefficients)
+    return P.polyval(np.abs(y - pc.x0) / pc.scale, P.polyder(a, k)) / pc.scale ** k
+
+
+def _frame_origin(tf):
+    return tf.center if isinstance(tf, GaussianPoly) else tf.pieces[0].x0
+
+
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(st.one_of(polynomial_trees().map(lambda t: (t[0], True)),
                  gaussian_trees().map(lambda t: (t, False))),
@@ -399,27 +480,67 @@ def test_piece_refuses_malformed_input():
        st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
 def test_affine_matches_nested_wrappers(tree, rate, negative, s, g):
     # the annihilator's blocks, act_psi and the random N- draws build one
-    # Affine node where the wrappers nested three; both evaluate, support
-    # and lower alike, bit for bit
+    # Affine where the wrappers nested three.  Polynomial forms lower bit
+    # for bit alike.  Both forms evaluate g f(r (x - s)) to within the
+    # rounding of a Horner sum: the gain is folded into the coefficients
+    # (a complex product, a few eps per term), each Horner step rounds
+    # (2(d + 1) eps of the absolute terms), and the variable y = r (x - s)
+    # is formed in another order from the frame (dy, a few eps of every
+    # magnitude entering it, the width's rounding counted as eps |u|), plus
+    # the spacing of subnormals where values underflow.  A bound of the
+    # family, doubled once, not fitted to any observed error.
     tf, polynomial = tree
     r = -rate if negative else rate
     fused = Affine(tf, r, s, g)
     nested = Affine(Translated(Affine(tf, rate=r), s), gain=g)
-    x = s + np.linspace(-50.0, 50.0, 201) / r
-    assert np.array_equal(evaluate(fused, x), evaluate(nested, x))
-    assert support(fused) == support(nested)
-    if smoothness_budget(tf) >= 1:
-        d = derivative(tf, 1)
-        assert derivative(fused, 1) == Affine(d, r, s, g * r)
-        # (g r) f'(u) against g (r f'(u)): the factors associate differently,
-        # so the values agree to a few roundings of the product (and to the
-        # spacing of subnormals where they underflow)
-        bound = (8 * EPS * abs(g) * abs(r) * np.abs(evaluate(d, r * (x - s)))
-                 + np.finfo(float).tiny)
-        assert np.all(np.abs(evaluate(derivative(fused, 1), x)
-                             - evaluate(derivative(nested, 1), x)) <= bound)
     if polynomial:
-        assert to_piecewise(fused) == to_piecewise(nested)
-        for n in range(5):
-            assert exact_moment(fused, n) == exact_moment(nested, n)
-        assert exact_l2_norm(fused) == exact_l2_norm(nested)
+        assert fused == nested
+    assert support(fused) == support(nested)
+    x = s + np.linspace(-50.0, 50.0, 201) / r
+    y = r * (x - s)
+    d = len(tf.coefficients if not polynomial else tf.pieces[0].coefficients) - 1
+    dy = 8 * EPS * (abs(r) * (np.abs(x) + abs(s)) + abs(_frame_origin(tf))
+                    + np.abs(y - _frame_origin(tf)))
+    tiny = np.finfo(float).tiny
+    bound = 2 * abs(g) * ((4 * (d + 1) + 8) * EPS * _abs_terms(tf, y, 0)
+                          + _abs_terms(tf, y, 1) * dy) + tiny
+    for moved in (fused, nested):
+        assert np.all(np.abs(evaluate(moved, x) - g * evaluate(tf, y)) <= bound)
+    if smoothness_budget(tf) >= 1:
+        # the moved descriptor's derivative differentiates its own pieces:
+        # each coefficient rounds a few times more than the reference's
+        # g r f'(y), relative to the absolute terms of f'
+        df = derivative(tf, 1)
+        bound = 2 * abs(g * r) * ((4 * (d + 1) + 16) * EPS * _abs_terms(tf, y, 1)
+                                  + _abs_terms(df, y, 1) * dy) + tiny
+        assert np.all(np.abs(evaluate(derivative(fused, 1), x)
+                             - g * r * evaluate(df, y)) <= bound)
+        if polynomial:
+            frame = lambda f: [(pc.x0, pc.a, pc.b, pc.scale) for pc in f.pieces]
+            assert frame(derivative(fused, 1)) == frame(Affine(df, r, s, g * r))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.one_of(polynomial_trees().map(lambda t: t[0]), gaussian_trees()),
+       st.floats(-5.0, 5.0), st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_descriptors_are_one_of_two_nodes(tf, s, g):
+    # every constructor lowers when it is called: a descriptor built by
+    # _wrapped is one node, and each further step returns a node of its type
+    kind = type(tf)
+    assert kind in (GaussianPoly, PiecewisePoly)
+    moved = (Translated(tf, s), Mirrored(tf), Affine(tf, -0.75, s, g),
+             derivative(tf, min(1, smoothness_budget(tf))))
+    assert all(type(m) is kind for m in moved)
+    if kind is PiecewisePoly:
+        total = Summed((tf, *moved))
+        assert type(total) is PiecewisePoly and to_piecewise(total) is total
+        assert total.pieces == tf.pieces + sum((m.pieces for m in moved), ())
+
+
+def test_summed_refuses_gaussian_terms():
+    gauss = GaussianPoly(0.0, 1.0, (1.0,))
+    for terms in ((gauss,), (CompactBump(0.0, 1.0, 2), gauss), (Translated(gauss, 1.0),)):
+        with pytest.raises(NotExactlyIntegrable):
+            Summed(terms)
+    assert Summed(()) == PiecewisePoly((), smooth=0)
+    assert smoothness_budget(Summed((CompactBump(0.0, 1.0, 4), CompactBump(1.0, 2.0, 2)))) == 1
