@@ -21,9 +21,9 @@ import numbers
 from dataclasses import dataclass, replace
 
 from . import testfn
-from .errors import CapabilityError, ConfigurationError, require_type
+from .errors import CapabilityError, ConfigurationError, require_order, require_type
 from .testfn import (
-    Affine, Mirrored, Summed, TestFunction, derivative,
+    Affine, Mirrored, PiecewisePoly, Summed, TestFunction, derivative,
     exact_l1_norm, exact_l2_norm, exact_moment, support,
 )
 
@@ -36,11 +36,9 @@ class AnnihilatorConfig:
     mother: TestFunction
 
     def __post_init__(self):
-        require_type("K", self.K, numbers.Integral, "an integer")
+        require_order("K", self.K)
         require_type("epsilon", self.epsilon, numbers.Real, "a number")
         require_type("a0", self.a0, numbers.Real, "a number")
-        if self.K < 0:
-            raise ConfigurationError("K must be nonnegative")
         if not 0 < self.epsilon < math.inf:
             raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 1 < self.a0 < math.inf:
@@ -170,16 +168,17 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: Annihi
                        moment_error, lower_defect)
 
 
-def moment_defects(parts, K: int):
-    """Relative residual moments of the assembled sum, orders 0..K, from
-    its polynomial parts.
+def moment_defects(f: PiecewisePoly, K: int):
+    """Relative residual moments of an assembled sum, orders 0..K, from
+    its pieces.
 
-    The scale is the sum of the absolute closed-form moments of the parts:
+    The scale is the sum of the absolute closed-form moments of the pieces:
     the natural yardstick for how much cancellation each order achieved.
+    For a mother of several pieces it sums over each piece, not each block.
     """
     defects = []
     for n in range(K + 1):
-        contributions = [exact_moment(p, n).real for p in parts]
+        contributions = [testfn._piece_moment(pc, n).real for pc in f.pieces]
         total = math.fsum(contributions)
         scale = math.fsum(abs(c) for c in contributions)
         defects.append(abs(total) / scale if scale > 0 else 0.0)
@@ -194,20 +193,18 @@ def annihilate(config: AnnihilatorConfig):
         raise ConfigurationError("mother integral is (numerically) zero")
 
     blocks: list[BlockRecord] = []
-    parts: list[TestFunction] = [g]
+    f = g
     a_k = config.a0
     for k in range(config.K + 1):
-        residual = math.fsum(exact_moment(p, k).real for p in parts)
-        lambda_k = -residual
+        lambda_k = -exact_moment(f, k).real
         gk = derivative(g, k)
         a_k1 = choose_interval(k, a_k, lambda_k, config, I, gk)
         block = build_block(k, a_k, a_k1, lambda_k, config, I, gk)
         blocks.append(block)
         if block.gamma_k != 0.0:
-            parts.append(block.f_k)
+            f = Summed((f, block.f_k))
         a_k = a_k1
 
-    f = Summed(parts)
     l2_distance = math.sqrt(math.fsum(b.norm_fk ** 2 for b in blocks))
     report = {
         "K": config.K,
@@ -218,7 +215,7 @@ def annihilate(config: AnnihilatorConfig):
              "lambda_k": b.lambda_k, "norm_fk": b.norm_fk, "bound": b.norm_bound}
             for b in blocks
         ],
-        "moment_defects": moment_defects(parts, config.K),
+        "moment_defects": moment_defects(f, config.K),
         "l2_distance": l2_distance,
     }
     return f, blocks, report

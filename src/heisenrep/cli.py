@@ -77,11 +77,8 @@ def load_settings(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        settings = load_settings(args)
-        suite = settings.pop("suite", None)
-        base = SuiteConfig.from_settings(
-            {"suite": SUITE_IDS[0] if suite is None else suite, **settings})
-        reports = run_all(base) if suite is None else [run_suite(base)]
+        base = SuiteConfig.from_settings(load_settings(args))
+        reports = run_all(base) if base.suite is None else [run_suite(base)]
     except HeisenrepError as exc:
         print(f"configuration error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,9 @@ def build_report(suite_id: str, config: SuiteConfig, recorder: Recorder) -> dict
 
 
 def run_suite(config: SuiteConfig) -> dict:
+    """Run config.suite alone; a config without a suite is refused."""
+    if config.suite is None:
+        raise ConfigurationError("run_suite needs config.suite; run_all runs every suite")
     return _run(config, [config.suite])[0]
 
 

@@ -13,6 +13,7 @@ report, so a fixed config reproduces a byte-identical report.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -24,7 +25,7 @@ from . import testfn
 from .annihilator import (
     AnnihilatorConfig, annihilate, mirror, moment_defects,
 )
-from .errors import ConfigurationError, require_type
+from .errors import ConfigurationError, require_order, require_type
 from .grid import (
     GridSpec, SampledFunction, dual_grid, make_grid, norm, restrict_halfline,
 )
@@ -44,22 +45,24 @@ from .schwartz import (
 )
 from .transforms import fourier, hilbert, inverse_fourier, proj_hardy
 
-# typed SuiteConfig fields: (accepted type, how an error message names it, the
-# type stored, so a report's environment is the same from file, flag or API)
+# typed SuiteConfig fields: the check each must pass, and the type stored, so
+# a report's environment is the same from file, flag or API
+_REAL = functools.partial(require_type, kind=numbers.Real, label="a number")
 _FIELD_TYPES = {
-    "half_width": (numbers.Real, "a number", float),
-    "size": (numbers.Integral, "an integer", int),
-    "seed": (numbers.Integral, "an integer", int),
-    "max_moment": (numbers.Integral, "an integer", int),
-    "epsilon": (numbers.Real, "a number", float),
+    "half_width": (_REAL, float),
+    "size": (functools.partial(require_type, kind=numbers.Integral, label="an integer"), int),
+    "seed": (require_order, int),
+    "max_moment": (require_order, int),
+    "epsilon": (_REAL, float),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
-    """Harness settings: the one schema of config-file keys and CLI flags."""
+    """Harness settings: the one schema of config-file keys and CLI flags.
+    suite None means every suite.  Frozen: the grid is built once, here."""
 
-    suite: str
+    suite: str | None = None
     half_width: float = 32.0
     size: int = 4096
     seed: int = 0
@@ -78,13 +81,13 @@ class SuiteConfig:
         return cls(**settings)
 
     def __post_init__(self):
-        if self.suite not in SUITE_IDS:
+        if self.suite is not None and self.suite not in SUITE_IDS:
             raise ConfigurationError(
                 f"unknown suite {self.suite!r}; expected one of {SUITE_IDS}"
             )
-        for name, (kind, label, stored) in _FIELD_TYPES.items():
-            require_type(name, getattr(self, name), kind, label)
-            setattr(self, name, stored(getattr(self, name)))
+        for name, (require, stored) in _FIELD_TYPES.items():
+            require(name, getattr(self, name))
+            object.__setattr__(self, name, stored(getattr(self, name)))
         if not isinstance(self.emit_csv, bool):
             raise ConfigurationError(f"emit_csv must be true or false, got {self.emit_csv!r}")
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
@@ -96,14 +99,11 @@ class SuiteConfig:
             if not 0 <= value < math.inf:
                 raise ConfigurationError(
                     f"tolerance {key}={value} must be nonnegative and finite")
-        self.tolerances = {key: float(value) for key, value in self.tolerances.items()}
+        object.__setattr__(self, "tolerances",
+                           {key: float(value) for key, value in self.tolerances.items()})
         if not 0 < self.epsilon < math.inf:
             raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
-        if self.max_moment < 0:
-            raise ConfigurationError(f"max_moment must be nonnegative, got {self.max_moment}")
-        self._grid = make_grid(self.half_width, self.size)
+        object.__setattr__(self, "_grid", make_grid(self.half_width, self.size))
 
     def grid(self) -> GridSpec:
         return self._grid
@@ -637,12 +637,10 @@ def suite_appendix_a(cfg: SuiteConfig, rec: Recorder) -> None:
     rec.check("distance", report["l2_distance"])
 
     neg_f, _ = mirror(f, blocks)
-    # defects of the mirror's own pieces, one per part; reflection multiplies
-    # every order-n moment term by (-1)^n exactly, so a true mirror matches
-    # bit for bit
-    neg_parts = [testfn.PiecewisePoly((pc,)) for pc in neg_f.pieces]
+    # defects of the mirror's own pieces; reflection multiplies every order-n
+    # moment term by (-1)^n exactly, so a true mirror matches bit for bit
     rec.check("mirror-defects", [abs(a - b) for a, b in zip(
-        report["moment_defects"], moment_defects(neg_parts, config.K))])
+        report["moment_defects"], moment_defects(neg_f, config.K))])
     sup = testfn.support(neg_f)
     rec.check("mirror-support", sup[-1][1] <= 0.0)
 

@@ -77,6 +77,9 @@ class Piece:
         if not self.coefficients:
             raise ConfigurationError("piece needs at least one coefficient")
         _require_finite("piece", x0=self.x0, a=self.a, b=self.b, scale=self.scale)
+        if not all(map(cmath.isfinite, self.coefficients)):  # then name the index
+            _require_finite("piece", **{f"coefficient {j}": cj
+                                        for j, cj in enumerate(self.coefficients)})
         # a == b stays allowed: a narrow piece far from the origin can round
         # to a single point
         if not self.a <= self.b:
@@ -118,8 +121,9 @@ def Affine(inner: TestFunction, rate: float = 1.0, shift: float = 0.0,
         if r < 0:
             c = tuple(cj * (-1.0) ** j for j, cj in enumerate(c))
         a, b = sorted((pc.a / r + s, pc.b / r + s))
-        pieces.append(Piece(pc.x0 / r + s, a, b, tuple(gain * cj for cj in c),
-                            pc.scale / abs(r)))
+        with np.errstate(over="ignore"):  # Piece refuses a coefficient that overflows
+            pieces.append(Piece(pc.x0 / r + s, a, b, tuple(gain * cj for cj in c),
+                                pc.scale / abs(r)))
     return PiecewisePoly(tuple(pieces), smooth=inner.smooth)
 
 

@@ -95,6 +95,21 @@ def test_annihilate_end_to_end():
     assert abs(direct - report["l2_distance"]) < 1e-12 * direct
 
 
+@pytest.mark.parametrize("mother", [
+    Summed((CompactBump(0.1, 0.4, 6), CompactBump(0.5, 0.9, 6))),
+    Summed((CompactBump(0.1, 0.6, 6), CompactBump(0.3, 0.9, 5))),
+], ids=["disjoint", "overlapping"])
+def test_two_bump_mother_annihilates(mother):
+    # every block has one piece per piece of the mother, and the defects are
+    # taken over all pieces of the sum
+    cfg = AnnihilatorConfig(K=4, epsilon=1e-2, a0=1.0001, mother=mother)
+    f, blocks, report = annihilate(cfg)
+    assert f.pieces == mother.pieces + tuple(pc for b in blocks for pc in b.f_k.pieces)
+    assert all(len(b.f_k.pieces) == 2 for b in blocks)
+    assert max(report["moment_defects"]) <= 1e-6
+    assert report["l2_distance"] < cfg.epsilon
+
+
 def test_regression_anchors():
     # pinned once from the default configuration (K=4, eps=1e-2, p=6 mother)
     _, blocks, report = annihilate(_config())

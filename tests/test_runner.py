@@ -213,6 +213,35 @@ def test_suite_config_stores_checked_types():
         SuiteConfig.from_settings({"suite": "norms", "L": 32})
 
 
+def test_suite_config_is_frozen():
+    # the config builds its grid when it is made, so a field changed later
+    # would be reported but not run
+    cfg = SuiteConfig("norms")
+    for name, value in (("half_width", 8.0), ("seed", -3), ("suite", "transforms")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert (cfg.half_width, cfg.seed, cfg.suite) == (32.0, 0, "norms")
+    assert cfg.grid().half_width == 32.0
+
+
+def test_run_suite_needs_a_suite(tmp_path):
+    out = tmp_path / "reports"
+    cfg = SuiteConfig(out=str(out))
+    assert cfg.suite is None
+    with pytest.raises(ConfigurationError, match="run_suite needs"):
+        run_suite(cfg)
+    assert not out.exists()
+
+
+def test_cli_without_a_suite_runs_every_suite(monkeypatch):
+    seen = []
+    for suite_id in SUITE_IDS:
+        monkeypatch.setitem(heisenrep.suites.SUITES, suite_id,
+                            lambda cfg, rec, suite_id=suite_id: seen.append((suite_id, cfg.suite)))
+    assert main(["--seed", "3"]) == 0
+    assert seen == [(suite_id, None) for suite_id in SUITE_IDS]
+
+
 def test_report_environment_is_a_config_file(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     code = main(["--suite", "norms", "--half-width", "16", "--grid-size", "2048",

@@ -14,7 +14,7 @@ from heisenrep.schwartz import (
     seminorm_sup, seminorm_tower,
 )
 from heisenrep.testfn import (
-    CompactBump, GaussianPoly, Translated, derivative, sample,
+    Affine, CompactBump, GaussianPoly, Summed, Translated, derivative, sample,
 )
 
 GRID = make_grid(32.0, 4096)
@@ -31,24 +31,26 @@ def test_seminorm_gaussian_oracle(n):
 
 
 def test_seminorm_tower_applies_each_word_once(monkeypatch):
-    # every word in {M, D}^{<=n} is one multiplication by i times a node's
-    # grid points, and a node is transformed only for its child of the other
-    # generator: 2^n - 1 transforms, all through transforms.fourier
+    # every word in {M, D}^{<=n} is one generator_apply("M", .) on the grid
+    # that holds the node (the image of D on the dual grid), and a node is
+    # transformed only for its child of the other generator: 2^n - 1
+    # transforms, all through transforms.fourier
     transforms, products = [], []
     fourier = heisenrep.transforms.fourier
-    times = heisenrep.schwartz._times_i_points
+    apply = heisenrep.schwartz.generator_apply
 
     def counting(f):
         transforms.append(f.grid)
         return fourier(f)
 
-    def counting_products(f):
+    def counting_products(gen, f):
+        assert gen == "M"
         products.append(f.grid)
-        return times(f)
+        return apply(gen, f)
 
     monkeypatch.setattr(heisenrep.transforms, "fourier", counting)
     monkeypatch.setattr(heisenrep.schwartz, "fourier", counting)
-    monkeypatch.setattr(heisenrep.schwartz, "_times_i_points", counting_products)
+    monkeypatch.setattr(heisenrep.schwartz, "generator_apply", counting_products)
     counts = []
     for n in range(4):
         transforms.clear()
@@ -152,6 +154,21 @@ def test_seminorm_sup_oracles():
     assert abs(seminorm_sup(g, 1, 0) - math.exp(-0.5)) < 1e-10
     # sup |f'| = e^{-1/2}
     assert abs(seminorm_sup(g, 0, 1) - math.exp(-0.5)) < 1e-10
+
+
+@pytest.mark.parametrize("tf, m, exact", [
+    # window centred on the centre: the unit window [-64, 64] misses it
+    (GaussianPoly(100.0, 1.0, (1.0,)), 0, 1.0),
+    # sup |x e^{-x^2/(2 w^2)}| = w e^{-1/2} at x = w, w = 100
+    (GaussianPoly(0.0, 100.0, (1.0,)), 1, 100.0 * math.exp(-0.5)),
+    # a peak far narrower than the unit window's cells
+    (GaussianPoly(0.0, 1e-4, (1.0,)), 0, 1.0),
+    # two bumps 1e4 apart, each scanned on its own: 100 * (1/2)^4
+    (Summed((CompactBump(0.0, 1.0, 2),
+             Affine(CompactBump(0.0, 1.0, 2), shift=1e4, gain=100.0))), 0, 6.25),
+])
+def test_seminorm_sup_scans_where_the_descriptor_lives(tf, m, exact):
+    assert abs(seminorm_sup(tf, m, 0) - exact) <= 1e-12 * exact
 
 
 def _sup_oracle(g, m, n):

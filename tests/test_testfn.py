@@ -8,6 +8,7 @@ from numpy.polynomial import polynomial as P
 from heisenrep import make_grid
 from heisenrep import schwartz
 from heisenrep import testfn as T
+from heisenrep.annihilator import AnnihilatorConfig
 from heisenrep.errors import CapabilityError, ConfigurationError, NotExactlyIntegrable
 from heisenrep.testfn import (
     Affine, CompactBump, GaussianPoly, Mirrored, Piece, PiecewisePoly, Summed,
@@ -184,10 +185,14 @@ def test_sample_refuses_non_finite_values(tf):
 
 
 def test_nodes_refuse_non_finite_frames():
-    # a NaN or infinite frame used to be accepted and surfaced later as a
-    # NaN moment with a RuntimeWarning
+    # a NaN or infinite frame or coefficient used to be accepted and surfaced
+    # later as a NaN moment or a RuntimeWarning; a coefficient is named by
+    # its index
     for kwargs, field in (({"x0": math.nan}, "x0"), ({"a": -math.inf, "b": math.inf}, "a"),
-                          ({"b": math.inf}, "b"), ({"scale": math.inf}, "scale")):
+                          ({"b": math.inf}, "b"), ({"scale": math.inf}, "scale"),
+                          ({"coefficients": (math.nan,)}, "coefficient 0"),
+                          ({"coefficients": (1.0, 2.0, complex(0.0, -math.inf))},
+                           "coefficient 2")):
         with pytest.raises(ConfigurationError, match=f"piece {field} must be finite"):
             Piece(**{"x0": 0.0, "a": -1.0, "b": 1.0, "coefficients": (1.0,), **kwargs})
     for center, width, field in ((math.nan, 1.0, "center"), (math.inf, 1.0, "center"),
@@ -204,6 +209,8 @@ def test_nodes_refuse_non_finite_frames():
     # finite parameters whose lowered frame overflows are refused by the node
     with pytest.raises(ConfigurationError, match="piece x0 must be finite"):
         Translated(Affine(CompactBump(1.0, 2.0, 3), rate=1e-320), 0.0)
+    with pytest.raises(ConfigurationError, match="piece coefficient 0 must be finite"):
+        Affine(CompactBump(0.0, 100.0, 2), gain=1e305)
     with pytest.raises(ConfigurationError, match="GaussianPoly center must be finite"):
         Affine(gauss, rate=1e-320)
     with pytest.raises(ConfigurationError, match="nonzero"):
@@ -224,6 +231,14 @@ def test_orders_must_be_nonnegative_integers():
         with pytest.raises(ConfigurationError):
             schwartz.seminorm_sup(gauss, m, n)
     assert schwartz.seminorm_sup(gauss, np.int64(0), 0) == 1.0
+    # the tower and the annihilator use the same check; the tower took 1.5
+    # for a TypeError, -1 for a CapabilityError and True for order 1
+    sampled = sample(gauss, make_grid(8.0, 256))
+    for bad in (1.5, -1, True):
+        with pytest.raises(ConfigurationError):
+            schwartz.seminorm_iter(sampled, bad)
+        with pytest.raises(ConfigurationError, match="K must be"):
+            AnnihilatorConfig(K=bad, epsilon=1e-2, a0=2.0, mother=bump)
 
 
 def test_derivative_of_complex_gaussian():
