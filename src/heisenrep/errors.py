@@ -49,6 +49,7 @@ def require_type(name: str, value, kind, label: str) -> None:
 
 def require_order(name: str, k) -> None:
     """Raise ConfigurationError unless k is a nonnegative integer."""
-    require_type(name, k, numbers.Integral, "an integer")
+    if type(k) is not int:  # the ABC check is slow; a bool is refused there
+        require_type(name, k, numbers.Integral, "an integer")
     if k < 0:
         raise ConfigurationError(f"{name} must be nonnegative, got {k}")

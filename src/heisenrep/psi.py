@@ -22,7 +22,7 @@ from . import testfn
 from .errors import ClassMembershipError, ConfigurationError, SemigroupDomainError
 from .grid import GridSpec, SampledFunction, norm, restrict_halfline
 from .heisenberg import GroupElement, SemigroupId, act, in_semigroup
-from .schwartz import moment_defect, seminorm_iter
+from .schwartz import moment_defect, moment_orders, seminorm_iter
 from .transforms import fourier, proj_hardy
 
 # relative moment defect a certificate tolerates at every certified order
@@ -69,8 +69,8 @@ def certify_nminus(desc, grid: GridSpec,
     # orders upward, stopping at the first that fails (a NaN defect fails):
     # a max_moment beyond what desc certifies is refused at once, however large
     worst = 0.0
-    for n in range(max_moment + 1):
-        defect = moment_defect(f, n)
+    for n, order in zip(range(max_moment + 1), moment_orders(f)):
+        defect = order.defect
         if not defect < CERTIFICATE_THRESHOLD:
             raise ClassMembershipError(
                 f"moment defect {defect:.3e} at order {n} exceeds threshold "

@@ -112,8 +112,16 @@ def Affine(inner: TestFunction, rate: float = 1.0, shift: float = 0.0,
     if r == 0:
         raise ConfigurationError("Affine rate must be nonzero")
     if isinstance(inner, GaussianPoly):
-        return GaussianPoly(s + inner.center / r, inner.width / abs(r),
-                            tuple(gain * r ** j * cj for j, cj in enumerate(inner.coefficients)))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                c = tuple(gain * r ** j * cj for j, cj in enumerate(inner.coefficients))
+            finite = all(map(cmath.isfinite, c))
+        except OverflowError:  # Python's float power raises instead
+            finite = False
+        if not finite:
+            raise ConfigurationError(f"Affine rate {r} and gain {gain} take the coefficients "
+                                     f"of {inner!r} beyond the float range")
+        return GaussianPoly(s + inner.center / r, inner.width / abs(r), c)
     inner = to_piecewise(inner)
     pieces = []
     for pc in inner.pieces:
@@ -334,13 +342,32 @@ def _piece_moment(pc: Piece, n: int) -> complex:
     return complex(math.fsum(re.ravel().tolist()), math.fsum(im.ravel().tolist()))
 
 
+def _finite_closed_form(quantity: str, tf: TestFunction, compute, *args):
+    """compute(*args), refused with ConfigurationError when its value lies
+    beyond the float range."""
+    try:
+        value = compute(*args)
+    except (OverflowError, ValueError):  # a float power or fsum past the range; fsum of inf - inf
+        value = math.nan
+    if not cmath.isfinite(value):
+        raise ConfigurationError(f"{quantity} of {tf!r} is not finite in floating point")
+    return value
+
+
 def exact_moment(tf: TestFunction, n: int) -> complex:
     """Closed-form integral of x^n * tf(x) over the line.
 
-    Only a PiecewisePoly qualifies; a Gaussian raises NotExactlyIntegrable.
-    A descriptor with real coefficients has an imaginary part of exactly 0.
+    Only a PiecewisePoly qualifies; a Gaussian raises NotExactlyIntegrable,
+    and a moment beyond the float range ConfigurationError.  A descriptor
+    with real coefficients has an imaginary part of exactly 0.
     """
-    parts = [_piece_moment(pc, n) for pc in to_piecewise(tf).pieces]
+    require_order("moment order", n)
+    return _finite_closed_form(f"the order-{n} moment", tf, _moment_sum, to_piecewise(tf), n)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _finite_closed_form refuses a non-finite sum
+def _moment_sum(low: PiecewisePoly, n: int) -> complex:
+    parts = [_piece_moment(pc, n) for pc in low.pieces]
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
@@ -350,10 +377,16 @@ def exact_l2_norm(tf: TestFunction) -> float:
     Each elementary interval between piece endpoints is mapped to (-1, 1)
     (w = (x - mid)/half) and every covering piece is re-expressed there via
     a well-conditioned affine substitution before squaring and integrating.
+    A squared norm beyond the float range raises ConfigurationError.
     """
     low = to_piecewise(tf)
     if not low.pieces:
         return 0.0
+    return math.sqrt(max(_finite_closed_form("the squared L^2 norm", tf, _l2_squared, low), 0.0))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _finite_closed_form refuses a non-finite sum
+def _l2_squared(low: PiecewisePoly) -> float:
     cuts = sorted({pc.a for pc in low.pieces} | {pc.b for pc in low.pieces})
     total = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -372,7 +405,7 @@ def exact_l2_norm(tf: TestFunction) -> float:
         for j, cj in enumerate(sq):
             if j % 2 == 0:
                 total.append((cj * 2.0 * half / (j + 1)).real)
-    return math.sqrt(max(math.fsum(total), 0.0))
+    return math.fsum(total)
 
 
 def exact_l1_norm(tf: TestFunction) -> float:

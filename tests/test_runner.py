@@ -546,6 +546,19 @@ def test_cli_window_without_a_reference_norm_exits_two(tmp_path):
     assert not out.exists()
 
 
+def test_cli_refused_window_prints_only_its_refusal():
+    # the refusal used to follow two numpy RuntimeWarnings: an overflow in
+    # gaussian-transform's y * y, where e^{-y^2/2} is 0 anyway, and one in
+    # the norm of a draw, which the unitarity check then refuses
+    proc = _run_fresh("import sys, heisenrep.cli\n"
+                      "sys.exit(heisenrep.cli.main(['--suite', 'transforms', "
+                      "'--half-width', '1e-300']))")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "configuration error (ConfigurationError): check unitarity measured nan on the "
+        "grid with half_width=1e-300, size=4096"]
+
+
 @pytest.mark.parametrize("suite, check", [("group-axioms", "homomorphism"),
                                           ("transforms", "unitarity")])
 def test_cli_window_with_a_non_finite_draw_exits_two(tmp_path, suite, check):

@@ -7,11 +7,12 @@ from numpy.polynomial import polynomial as P
 
 import heisenrep.schwartz
 import heisenrep.transforms
-from heisenrep import dual_grid, fourier, make_grid, proj_hardy
-from heisenrep.errors import CapabilityError
+from heisenrep import SampledFunction, dual_grid, fourier, make_grid, proj_hardy
+from heisenrep.errors import CapabilityError, ConfigurationError
+from heisenrep.psi import certify_nminus
 from heisenrep.schwartz import (
-    class_defects, moment, moment_defect, n_defect, psi_norm, seminorm_iter,
-    seminorm_sup, seminorm_tower,
+    class_defects, moment, moment_defect, moment_orders, n_defect, psi_norm,
+    seminorm_iter, seminorm_sup, seminorm_tower,
 )
 from heisenrep.testfn import (
     Affine, CompactBump, GaussianPoly, Summed, Translated, derivative, sample,
@@ -241,3 +242,116 @@ def test_psi_norm_regression_anchor():
     g = sample(Translated(derivative(CompactBump(0.0, 1.0, 10), 5), -1.0), GRID)
     h = sample(Translated(derivative(CompactBump(0.0, 10.0, 10), 5), -10.0), GRID)
     assert abs(psi_norm(g, h, 1) / 2258002163555908.0 - 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# grid moments from a running power of the points
+
+EDGE = Translated(derivative(CompactBump(0.0, 1.0, 10), 5), -1.0)
+
+
+def _power_moment(f, n):
+    """The formula the running power replaced, kept as the reference: x ** n
+    from numpy's power, then the moment and its L^1 scale of x^n f."""
+    term = f.grid.points ** n * f.values
+    return (complex(f.grid.spacing * np.sum(term)),
+            f.grid.spacing * float(np.sum(np.abs(term))))
+
+
+def _random_samples(grid, seed):
+    rng = np.random.default_rng(seed)
+    return SampledFunction(grid, rng.standard_normal(grid.size)
+                           + 1j * rng.standard_normal(grid.size))
+
+
+@pytest.mark.parametrize("f", [GAUSS, sample(EDGE, GRID), _random_samples(GRID, 5)],
+                         ids=["gaussian", "edge-witness", "random"])
+def test_low_moment_orders_bit_identical_to_power(f):
+    # numpy's x ** 0, x ** 1 and x ** 2 are 1, x and x * x, so the running
+    # power matches them bit for bit
+    for n, order in zip(range(3), moment_orders(f)):
+        value, scale = _power_moment(f, n)
+        assert order == (value, scale)
+        assert moment(f, n) == value
+        assert moment_defect(f, n) == (0.0 if scale == 0.0 else abs(value) / scale)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("size", [4096, 2 ** 16])
+def test_moment_orders_within_rounding_of_long_double(size):
+    # Bound fixed from the operation count before measuring: per point, x^n
+    # carried as a product takes n - 1 roundings (Higham, Accuracy and
+    # Stability of Numerical Algorithms, section 3.1) and the product with f
+    # one more; numpy's pairwise sum is at most log2(N) + 11 roundings deep
+    # (8 accumulators of 16 terms per 128-block, then halving); times dx is
+    # one more.  Each rounding costs at most eps/2 of dx * sum |x^n f|; eps
+    # is allowed for each.  The L^1 scale takes one more rounding, in abs.
+    eps = np.finfo(float).eps
+    grid = make_grid(32.0, size)
+    x = grid.points.astype(np.longdouble)
+    dx = np.longdouble(grid.spacing)
+    for f in (sample(EDGE, grid), _random_samples(grid, size)):
+        re, im = (part.astype(np.longdouble) for part in (f.values.real, f.values.imag))
+        for n, order in zip(range(9), moment_orders(f)):
+            xn = x ** n
+            exact = (dx * np.sum(xn * re), dx * np.sum(xn * im))
+            exact_scale = dx * np.sum(np.hypot(xn * re, xn * im))
+            bound = (max(n - 1, 0) + math.log2(size) + 13) * eps * exact_scale
+            assert abs(np.longdouble(order.value.real) - exact[0]) <= bound
+            assert abs(np.longdouble(order.value.imag) - exact[1]) <= bound
+            assert abs(np.longdouble(order.scale) - exact_scale) <= bound + eps * exact_scale
+
+
+def test_running_power_within_n_roundings_at_each_point():
+    # on a unit mass at x_j the sum is exact, so the moment is dx * x_j^n as
+    # carried by the running power with one more rounding for dx: within
+    # gamma_n = n u / (1 - n u) of the exact value (u = eps/2)
+    u = np.finfo(float).eps / 2
+    for j in (0, 1, 5, 1000, 2047, 2049, 3000, GRID.size - 1):
+        unit = np.zeros(GRID.size)
+        unit[j] = 1.0
+        x = np.longdouble(GRID.points[j])
+        for n, order in zip(range(9), moment_orders(SampledFunction(GRID, unit))):
+            exact = np.longdouble(GRID.spacing) * x ** n
+            gamma = n * u / (1 - n * u)
+            assert abs(np.longdouble(order.value.real) - exact) <= gamma * abs(exact) * (1 + 1e-3)
+            assert order.value.imag == 0.0
+
+
+class _NoPower(np.ndarray):
+    """Grid points that refuse to be raised to a power."""
+
+    def __pow__(self, other):
+        raise AssertionError("grid points raised to a power")
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.power:
+            raise AssertionError("grid points raised to a power")
+        inputs = tuple(a.view(np.ndarray) if isinstance(a, _NoPower) else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_moment_walks_never_raise_points_to_a_power():
+    grid = make_grid(32.0, 4096)  # its own instance: its cached points are replaced
+    for g in (grid, dual_grid(grid)):
+        g.__dict__["points"] = g.points.view(_NoPower)
+    with pytest.raises(AssertionError):
+        grid.points ** 3  # the guard holds
+    with pytest.raises(AssertionError):
+        np.power(dual_grid(grid).points, 3)
+    f, defect = certify_nminus(EDGE, grid, 4)
+    assert isinstance(f.grid.points, _NoPower)
+    assert n_defect(f, 8) >= defect
+    assert set(class_defects(f, 8)) >= {"n_defect", "m_defect"}
+
+
+def test_moment_orders_refuse_bad_orders():
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ConfigurationError):
+            moment(GAUSS, bad)
+        with pytest.raises(ConfigurationError):
+            moment_defect(GAUSS, bad)
+        with pytest.raises(ConfigurationError):
+            n_defect(GAUSS, bad)
+    assert moment(GAUSS, np.int64(2)) == moment(GAUSS, 2)

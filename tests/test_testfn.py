@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,42 @@ def test_nodes_refuse_non_finite_frames():
         Affine(gauss, rate=1e-320)
     with pytest.raises(ConfigurationError, match="nonzero"):
         Affine(bump, rate=0.0)
+
+
+def test_closed_forms_refuse_results_beyond_the_float_range():
+    # finite coefficients whose moment and squared norm overflow used to give
+    # inf+0j and nan with a RuntimeWarning; now a ConfigurationError naming
+    # the descriptor, and no warning
+    big = PiecewisePoly((Piece(0.0, -1.0, 1.0, (1e308, 1e308)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 1, 4):
+            with pytest.raises(ConfigurationError, match=f"order-{n} moment of PiecewisePoly"):
+                exact_moment(big, n)
+        with pytest.raises(ConfigurationError, match="L\\^2 norm of PiecewisePoly"):
+            exact_l2_norm(big)
+        # a Python float power that overflows (x0^2) is refused the same way,
+        # and the finite orders are still served
+        far = PiecewisePoly((Piece(1e155, 1e155 - 1e150, 1e155 + 1e150, (1.0,), 1e150),))
+        with pytest.raises(ConfigurationError, match="order-2 moment"):
+            exact_moment(far, 2)
+        assert exact_moment(far, 1) == pytest.approx(2e305)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ConfigurationError):
+            exact_moment(CompactBump(0.0, 1.0, 2), bad)
+
+
+def test_affine_refuses_an_overflowing_gaussian_rate():
+    # r ** j raised a bare OverflowError; a product beyond the range gave an
+    # infinite coefficient
+    gauss = GaussianPoly(0.0, 1.0, (1.0, 0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="Affine rate 1e\\+200"):
+            Affine(gauss, rate=1e200)
+        with pytest.raises(ConfigurationError, match="beyond the float range"):
+            Affine(GaussianPoly(0.0, 1.0, (1.0, np.float64(1e200))), rate=1e200)
+    assert Affine(gauss, rate=1e100).coefficients == (1.0, 0.0, 1e200)
 
 
 def test_orders_must_be_nonnegative_integers():
