@@ -1,10 +1,10 @@
 """Command-line entry point for the verification harness.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 configuration error (bad flag, bad config file, unknown suite, or any
-other typed library error the configuration leads to), 3 internal error
-(any other exception; its type and message, then its traceback, go to
-stderr).
+2 configuration error (bad flag, bad config file, unknown suite, a window
+the runner finds cannot resolve a check, or any other typed library error
+the configuration leads to), 3 internal error (any other exception; its
+type and message, then its traceback, go to stderr).
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ import dataclasses
 import json
 import os
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigurationError
 from .suites import CHECKS, SUITE_IDS, SUITES, Recorder, SuiteConfig
@@ -49,7 +51,10 @@ def _run(base: SuiteConfig, suite_ids) -> list[dict]:
     before any of them runs, run each suite with the other settings of base,
     and only then write reports and curves, so a refused run writes no file.
     Every suite is handed base itself (no suite reads base.suite), so one
-    run builds one grid and one dual."""
+    run builds one grid and one dual.  Each suite runs with numpy's overflow,
+    0/0 and division by zero raising (underflow, as of e^{-y^2/2}, stays
+    quiet); an ArithmeticError means the window cannot resolve the check
+    being measured, and is refused."""
     # a tolerance key is a check id; one that names no check of the suites
     # (a typo, or a check of a suite not selected) would set nothing
     unknown = set(base.tolerances) - {c.id for s in suite_ids for c in CHECKS[s]}
@@ -58,7 +63,16 @@ def _run(base: SuiteConfig, suite_ids) -> list[dict]:
     runs = []
     for suite_id in suite_ids:
         recorder = Recorder(base, suite_id)
-        SUITES[suite_id](base, recorder)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                SUITES[suite_id](base, recorder)
+        except ArithmeticError as exc:
+            # suites record in catalogue order: the check after the last recorded
+            pending = CHECKS[suite_id][len(recorder.checks):]
+            at = f"check {pending[0].id}" if pending else "after its last check"
+            raise ConfigurationError(
+                f"suite {suite_id}, {at}: {exc} on the grid with "
+                f"half_width={base.half_width}, size={base.size}") from exc
         runs.append((build_report(suite_id, base, recorder), recorder.curves))
     if base.out:
         for report, curves in runs:

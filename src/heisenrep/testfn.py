@@ -52,10 +52,11 @@ class GaussianPoly:
     coefficients: Tuple[float, ...]
 
     def __post_init__(self):
-        _require_finite("GaussianPoly", center=self.center, width=self.width)
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        _require_finite("GaussianPoly", center=self.center, width=self.width,
+                        **{f"coefficient {j}": cj for j, cj in enumerate(self.coefficients)})
         if self.width <= 0:
             raise ConfigurationError("GaussianPoly width must be positive")
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
 
 @dataclass(frozen=True)

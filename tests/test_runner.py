@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import heisenrep.suites
 import heisenrep.transforms
 from heisenrep.cli import build_parser, load_settings, main
 from heisenrep.errors import ConfigurationError
-from heisenrep.grid import dual_grid
+from heisenrep.grid import dual_grid, make_grid
 from heisenrep.heisenberg import GroupElement
 from heisenrep.runner import report_json, run_all, run_suite
 from heisenrep.suites import CHECKS, SUITE_IDS, Recorder, SuiteConfig
@@ -255,25 +256,34 @@ def test_report_environment_is_a_config_file(tmp_path):
     assert (second / "norms.json").read_bytes() == (first / "norms.json").read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--suite", "semigroup-evolution", "--half-width", "8"],  # contraction draws
-    ["--half-width", "0.5"],  # paley-wiener's bump on (1, 2)
-    ["--suite", "conjugation", "--half-width", "0.5"],  # a Hardy-plus spectrum
-    ["--suite", "norms", "--grid-size", "4"],  # the pair-norm witnesses
-    ["--suite", "norms", "--half-width", "1e6"],  # x^n times the moment function
-    ["--suite", "norms", "--half-width", "1e-300"],
-])
-def test_cli_window_missing_a_fixed_function_exits_two(capsys, argv):
+_DUALITY_ZERO = "suite norms, check moment-derivative-duality: float division by zero"
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    # contraction draws; paley-wiener's bump on (1, 2); a Hardy-plus
+    # spectrum; the pair-norm witnesses
+    (["--suite", "semigroup-evolution", "--half-width", "8"], "samples to zero"),
+    (["--half-width", "0.5"], "samples to zero"),
+    (["--suite", "conjugation", "--half-width", "0.5"], "samples to zero"),
+    (["--suite", "norms", "--grid-size", "4"], "samples to zero"),
+    # x^n times the moment function samples to zero, so its relative error
+    # is 0/0, which the floating-point boundary refuses
+    (["--suite", "norms", "--half-width", "1e6"], _DUALITY_ZERO),
+    (["--suite", "norms", "--half-width", "1e-300"], _DUALITY_ZERO),
+], ids=[f"argv{i}" for i in range(6)])
+def test_cli_window_missing_a_fixed_function_exits_two(capsys, argv, refusal):
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "samples to zero" in err and "half_width=" in err and "size=" in err
+    assert refusal in err and "half_width=" in err and "size=" in err
     assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv, message", [
     # the difference-quotient errors are all 0, so their ratios are 0/0
-    (["--suite", "generators", "--half-width", "1e-300", "--grid-size", "64"],
-     "check convergence-M-n0 measured nan on the grid with half_width=1e-300, size=64"),
+    pytest.param(["--suite", "generators", "--half-width", "1e-300", "--grid-size", "64"],
+                 "suite generators, check convergence-M-n0: invalid value encountered in "
+                 "divide on the grid with half_width=1e-300, size=64",
+                 id="generators-zero-errors"),
     (["--suite", "norms", "--tolerance", "seminorm-0=inf"], "finite"),
 ])
 def test_cli_non_finite_value_exits_two(tmp_path, capsys, argv, message):
@@ -285,6 +295,56 @@ def test_cli_non_finite_value_exits_two(tmp_path, capsys, argv, message):
     assert "ConfigurationError" in err and message in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("half_width", ["1e-300", "1e-100", "1e3", "1e300"])
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_cli_window_sweep_runs_or_refuses_in_one_line(capsys, suite, half_width):
+    # windows far too narrow or too wide for the suites: each run passes,
+    # fails a check or is refused in one line, with no warning and no
+    # crash, and the floating-point trap does not outlive the run
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--suite", suite, "--half-width", half_width])
+    assert np.geterr() == before
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    assert len(err.splitlines()) == (1 if code == 2 else 0), err
+
+
+def test_floating_point_boundary_names_the_check_being_measured(tmp_path, capsys, monkeypatch):
+    first, second = (c.id for c in CHECKS["norms"][:2])
+
+    def divides(cfg, rec):
+        rec.check(first, 0.0)
+        np.float64(1.0) / 0.0
+
+    monkeypatch.setitem(heisenrep.suites.SUITES, "norms", divides)
+    out = tmp_path / "reports"
+    assert main(["--suite", "norms", "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error (ConfigurationError): suite norms, "
+                           f"check {second}: divide by zero encountered in ")
+    assert line.endswith(" on the grid with half_width=32.0, size=4096")
+    assert not out.exists()
+    with pytest.raises(ConfigurationError, match=f"suite norms, check {second}: divide by zero"):
+        run_suite(SuiteConfig(suite="norms"))
+
+    def divides_after_its_checks(cfg, rec):
+        for c in CHECKS["norms"]:
+            rec.check(c.id, 0.0)
+        np.float64(1.0) / 0.0
+
+    monkeypatch.setitem(heisenrep.suites.SUITES, "norms", divides_after_its_checks)
+    with pytest.raises(ConfigurationError, match="suite norms, after its last check: divide"):
+        run_suite(SuiteConfig(suite="norms"))
+
+
+def test_modulations_beyond_int64_refused():
+    with pytest.raises(ConfigurationError,
+                       match=r"outnumber int64 on the grid with half_width=1e\+300, size=4096"):
+        heisenrep.suites._random_modulation(make_grid(1e300, 4096), np.random.default_rng(0))
 
 
 def test_non_finite_measurement_refused():
@@ -534,44 +594,46 @@ def _run_fresh(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
 
 def test_cli_window_without_a_reference_norm_exits_two(tmp_path):
     # at half-width 1e-100 the conjugate of multiplier-oracle's periodized
-    # Lorentzian samples to zero, so its relative error has no scale; run
+    # Lorentzian samples to zero, so its relative error divides by zero; run
     # as the command runs, where numpy's overflow warnings stay warnings
     out = tmp_path / "reports"
     proc = _run_fresh("import sys, heisenrep.cli\n"
                       "sys.exit(heisenrep.cli.main(['--suite', 'transforms', "
                       f"'--half-width', '1e-100', '--out', {str(out)!r}]))")
     assert proc.returncode == 2, proc.stderr
-    assert ("configuration error (ConfigurationError): a relative error's reference "
-            "has norm 0" in proc.stderr and "half_width=1e-100, size=4096" in proc.stderr)
+    assert ("configuration error (ConfigurationError): suite transforms, check "
+            "multiplier-oracle: float division by zero" in proc.stderr
+            and "half_width=1e-100, size=4096" in proc.stderr)
     assert not out.exists()
 
 
 def test_cli_refused_window_prints_only_its_refusal():
     # the refusal used to follow two numpy RuntimeWarnings: an overflow in
     # gaussian-transform's y * y, where e^{-y^2/2} is 0 anyway, and one in
-    # the norm of a draw, which the unitarity check then refuses
+    # the norm of a draw, which is now the overflow the boundary refuses
     proc = _run_fresh("import sys, heisenrep.cli\n"
                       "sys.exit(heisenrep.cli.main(['--suite', 'transforms', "
                       "'--half-width', '1e-300']))")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.splitlines() == [
-        "configuration error (ConfigurationError): check unitarity measured nan on the "
-        "grid with half_width=1e-300, size=4096"]
+        "configuration error (ConfigurationError): suite transforms, check unitarity: "
+        "overflow encountered in dot on the grid with half_width=1e-300, size=4096"]
 
 
 @pytest.mark.parametrize("suite, check", [("group-axioms", "homomorphism"),
                                           ("transforms", "unitarity")])
 def test_cli_window_with_a_non_finite_draw_exits_two(tmp_path, suite, check):
     # at half-width 1e-300 the band-limited draws keep only the zero bin and
-    # their norms overflow, so some draws measure NaN; the worst of the
-    # draws keeps it, where a running max() dropped it and the suite passed
+    # their norms overflow; the boundary refuses the overflow, so no NaN
+    # draw reaches a check, where max() over the draws could drop it
     out = tmp_path / "reports"
     proc = _run_fresh("import sys, heisenrep.cli\n"
                       f"sys.exit(heisenrep.cli.main(['--suite', {suite!r}, "
                       f"'--half-width', '1e-300', '--out', {str(out)!r}]))")
     assert proc.returncode == 2, proc.stderr
-    assert (f"configuration error (ConfigurationError): check {check} measured nan on "
-            "the grid with half_width=1e-300, size=4096") in proc.stderr
+    assert (f"configuration error (ConfigurationError): suite {suite}, check {check}: "
+            "overflow encountered in dot on the grid with half_width=1e-300, "
+            "size=4096") in proc.stderr
     assert not out.exists()
 
 

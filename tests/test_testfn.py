@@ -178,7 +178,7 @@ def test_sample_matches_evaluate():
 
 @pytest.mark.parametrize("tf", [
     GaussianPoly(0.0, 1.0, (1e308, 1e308)),  # finite fields, overflowing samples
-    GaussianPoly(0.0, 1.0, (math.inf,)),  # infinite samples
+    GaussianPoly(0.0, 1.0, (0.0, 0.0, 1e308)),  # finite fields, infinite samples
 ])
 def test_sample_refuses_non_finite_values(tf):
     with pytest.raises(ConfigurationError, match="non-finite"):
@@ -200,6 +200,10 @@ def test_nodes_refuse_non_finite_frames():
                                  (0.0, math.nan, "width"), (0.0, math.inf, "width")):
         with pytest.raises(ConfigurationError, match=f"GaussianPoly {field} must be finite"):
             GaussianPoly(center, width, (1.0,))
+    for coefficients, field in (((math.inf,), "coefficient 0"),
+                                ((1.0, complex(math.nan, 0.0)), "coefficient 1")):
+        with pytest.raises(ConfigurationError, match=f"GaussianPoly {field} must be finite"):
+            GaussianPoly(0.0, 1.0, coefficients)
     bump, gauss = CompactBump(0.0, 1.0, 3), GaussianPoly(1.0, 1.0, (1.0,))
     for kwargs in ({"rate": math.nan}, {"rate": math.inf}, {"shift": -math.inf},
                    {"gain": complex(1.0, math.nan)}, {"gain": math.inf}):
