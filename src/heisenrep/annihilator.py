@@ -11,7 +11,8 @@ compact function kills all monomials of degree < k by parts).
 All moments and norms are evaluated in closed form on the pieces of the
 descriptors: the intervals grow too fast for any reasonable grid to hold
 them.  Each block is built once, as a lowered `PiecewisePoly`, and every
-moment and norm of it reads those pieces.
+moment and norm of it reads those pieces; the moments of each piece of the
+running sum, orders 0..K, come from one table computed when it joins.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import testfn
 from .errors import CapabilityError, ConfigurationError, require_order, require_type
 from .testfn import (
     Affine, Mirrored, PiecewisePoly, Summed, TestFunction, derivative,
-    exact_l1_norm, exact_l2_norm, exact_moment, support,
+    exact_l1_norm, exact_l2_norm, support,
 )
 
 
@@ -126,7 +127,7 @@ def choose_interval(k: int, a_k: float, lambda_k: float,
 
 
 def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: AnnihilatorConfig,
-                I: float, gk: TestFunction) -> BlockRecord:
+                I: float, gk: TestFunction, tables: list | None = None) -> BlockRecord:
     """Assemble f_k(x) = gamma_k g^(k)(a0 (x - a_k) / h) and verify its
     invariants in closed form:
 
@@ -134,7 +135,9 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: Annihi
     identity int x^k f_k = (-1)^k k! I gamma_k (h/a0)^{k+1} collapses to
     lambda_k after substituting gamma_k); the L^2 norm respects the budget.
     The record keeps f_k, the measured moment error and the lower-moment
-    defect.
+    defect.  The moments are read from one table per piece of f_k, orders
+    0..max(k, K); when `tables` is given, a verified block appends those
+    tables to it.
     """
     h = a_k1 - a_k
     if h <= 0:
@@ -146,7 +149,8 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: Annihi
     moment_error = lower_defect = 0.0
     if lambda_k != 0.0:
         closed_form = ((-1.0) ** k * math.factorial(k) * I * gamma * (h / config.a0) ** (k + 1))
-        measured = exact_moment(f_k, k).real
+        moments = [testfn._piece_moments(pc, max(k, config.K)) for pc in f_k.pieces]
+        measured = testfn._summed_moment(f_k, moments, k).real
         moment_error = abs(measured - closed_form) / max(abs(closed_form), 1e-300)
         if moment_error > 1e-8:
             raise CapabilityError(
@@ -155,7 +159,7 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: Annihi
             )
         mass = exact_l1_norm(f_k) if k else 0.0  # order 0 has no lower moments
         for i in range(k):
-            m_i = abs(exact_moment(f_k, i))
+            m_i = abs(testfn._summed_moment(f_k, moments, i))
             scale = max(mass * max(a_k1, 1.0) ** i, 1e-300)
             if m_i > 1e-10 * scale:
                 raise CapabilityError(f"block {k}: moment of order {i} fails to vanish")
@@ -164,6 +168,8 @@ def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: Annihi
             raise CapabilityError(
                 f"block {k}: norm {norm_fk} violates budget {bound}"
             )
+        if tables is not None:
+            tables.extend(moments)
     return BlockRecord(k, a_k, a_k1, gamma, lambda_k, f_k, norm_fk, bound,
                        moment_error, lower_defect)
 
@@ -176,33 +182,47 @@ def moment_defects(f: PiecewisePoly, K: int):
     the natural yardstick for how much cancellation each order achieved.
     For a mother of several pieces it sums over each piece, not each block.
     """
+    return _defects(f, [testfn._piece_moments(pc, K) for pc in f.pieces], K)
+
+
+def _defects(f: PiecewisePoly, tables, K: int):
+    """moment_defects(f, K) from the moment tables of f's pieces; an order
+    beyond the float range is refused as exact_moment refuses it."""
     defects = []
     for n in range(K + 1):
-        contributions = [testfn._piece_moment(pc, n).real for pc in f.pieces]
-        total = math.fsum(contributions)
-        scale = math.fsum(abs(c) for c in contributions)
+        total = testfn._summed_moment(f, tables, n).real
+        scale = math.fsum(abs(t[n].real) for t in tables)
         defects.append(abs(total) / scale if scale > 0 else 0.0)
     return defects
 
 
 def annihilate(config: AnnihilatorConfig):
-    """Run the construction; returns (f, blocks, report)."""
+    """Run the construction; returns (f, blocks, report).
+
+    Each piece of the running sum f gets one moment table, orders 0..K,
+    when it joins the sum; lambda_k and the report's moment defects read
+    those tables.
+    """
     g = config.mother
-    I = exact_moment(g, 0).real
+    tables = [testfn._piece_moments(pc, config.K) for pc in g.pieces]
+    I = testfn._summed_moment(g, tables, 0).real
     if not abs(I) > 1e-12 * exact_l1_norm(g):  # also refuses an I that underflows to 0
         raise ConfigurationError("mother integral is (numerically) zero")
 
     blocks: list[BlockRecord] = []
     f = g
+    gk = g
     a_k = config.a0
     for k in range(config.K + 1):
-        lambda_k = -exact_moment(f, k).real
-        gk = derivative(g, k)
+        lambda_k = -testfn._summed_moment(f, tables, k).real
+        gk = derivative(gk, min(k, 1))  # g^(k) from g^(k-1)
         a_k1 = choose_interval(k, a_k, lambda_k, config, I, gk)
-        block = build_block(k, a_k, a_k1, lambda_k, config, I, gk)
+        block_tables = []
+        block = build_block(k, a_k, a_k1, lambda_k, config, I, gk, tables=block_tables)
         blocks.append(block)
         if block.gamma_k != 0.0:
             f = Summed((f, block.f_k))
+            tables += block_tables
         a_k = a_k1
 
     l2_distance = math.sqrt(math.fsum(b.norm_fk ** 2 for b in blocks))
@@ -215,7 +235,7 @@ def annihilate(config: AnnihilatorConfig):
              "lambda_k": b.lambda_k, "norm_fk": b.norm_fk, "bound": b.norm_bound}
             for b in blocks
         ],
-        "moment_defects": moment_defects(f, config.K),
+        "moment_defects": _defects(f, tables, config.K),
         "l2_distance": l2_distance,
     }
     return f, blocks, report

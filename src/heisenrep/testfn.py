@@ -184,16 +184,34 @@ def evaluate(tf: TestFunction, x) -> np.ndarray:
 def _eval(tf, x) -> np.ndarray:
     if isinstance(tf, GaussianPoly):
         u = x - tf.center
-        return P.polyval(u, tf.coefficients) * np.exp(-(u * u) / (2.0 * tf.width ** 2)) + 0j
+        return _horner(u, tf.coefficients) * np.exp(-(u * u) / (2.0 * tf.width ** 2)) + 0j
     if isinstance(tf, PiecewisePoly):
-        acc = np.zeros(np.shape(x), dtype=complex)
-        for pc in tf.pieces:
-            inside = (x > pc.a) & (x < pc.b)
-            if np.any(inside):
-                v = (np.where(inside, x, pc.x0) - pc.x0) / pc.scale
-                acc = acc + np.where(inside, P.polyval(v, np.asarray(pc.coefficients)), 0.0)
-        return acc
+        return _eval_pieces(tf.pieces, x)
     raise TypeError(f"not a TestFunction descriptor: {tf!r}")
+
+
+def _eval_pieces(pieces, x) -> np.ndarray:
+    """The sum of the pieces at x, each exactly zero outside (a, b)."""
+    acc = np.zeros(np.shape(x), dtype=complex)
+    for pc in pieces:
+        inside = (x > pc.a) & (x < pc.b)
+        if inside.all():  # no cell to mask
+            acc += _horner((x - pc.x0) / pc.scale, pc.coefficients)
+        elif inside.any():
+            v = (np.where(inside, x, pc.x0) - pc.x0) / pc.scale
+            acc += np.where(inside, _horner(v, pc.coefficients), 0.0)
+    return acc
+
+
+def _horner(v, coefficients):
+    """P.polyval(v, coefficients), bit for bit on finite v, in one array
+    updated in place: the same c_j + acc * v steps from the top down."""
+    c = np.asarray(coefficients)
+    acc = c[-1] + v * 0
+    for cj in c[-2::-1]:
+        acc *= v
+        acc += cj
+    return acc
 
 
 def sample(tf: TestFunction, grid: GridSpec) -> SampledFunction:
@@ -318,29 +336,58 @@ def to_piecewise(tf: TestFunction) -> PiecewisePoly:
 # ---------------------------------------------------------------------------
 # exact integrals
 
-def _piece_moment(pc: Piece, n: int) -> complex:
-    """integral over (a, b) of x^n P((x - x0)/scale) dx in closed form.
+def _powers(base: float, count: int) -> list:
+    """base ** m for m = 0..count-1 by Python's scalar pow (np.power's
+    vector kernel rounds differently); a power past the float range is NaN,
+    so every moment that reads it is refused when it is read."""
+    out = []
+    try:
+        for m in range(count):
+            out.append(base ** m)
+    except OverflowError:  # so does every higher power
+        out += [math.nan] * (count - len(out))
+    return out
+
+
+def _fsum_or_nan(terms) -> float:
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # a partial sum past the range; inf - inf
+        return math.nan
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite entry is refused when read
+def _piece_moments(pc: Piece, n_max: int) -> list:
+    """integrals over (a, b) of x^n P((x - x0)/scale) dx, n = 0..n_max, in
+    closed form; an entry beyond the float range is NaN or infinite.
 
     Substituting x = x0 + scale*v keeps every power of v order-one; the
     large magnitudes enter only through x0^{n-i} * scale^{i+1} factors.
-    The terms w_i c_j (B^q - A^q) / q, q = i + j + 1, form one table; fsum
-    is correctly rounded, so the order in which they are summed is immaterial.
+    Order n sums its (n+1) x len(c) terms w_i c_j (B^q - A^q) / q,
+    w_i = C(n, i) x0^{n-i} scale^{i+1} and q = i + j + 1, with one fsum;
+    fsum is correctly rounded, so the order of the terms is immaterial.  The
+    terms of every order come from one set of power tables.
     """
     s = pc.scale
     A = (pc.a - pc.x0) / s
     B = (pc.b - pc.x0) / s
     c = np.asarray(pc.coefficients)
-    q = np.add.outer(np.arange(n + 1), np.arange(1, len(c) + 1))
-    # Python's scalar pow, not np.power, whose vector kernel rounds differently
-    w = np.array([math.comb(n, i) * pc.x0 ** (n - i) * s ** (i + 1)
-                  for i in range(n + 1)])[:, None]
-    t = w * c * np.array([B ** m - A ** m for m in range(n + len(c) + 1)])[q]
+    orders, size = n_max + 1, len(c)
+    binom, shift, _ = _pascal(orders)
+    # w[n, i] = (C(n, i) x0^(n-i)) s^(i+1); entries i > n are never summed
+    w = binom * np.array(_powers(pc.x0, orders))[shift] * np.array(_powers(s, orders + 1)[1:])
+    q = np.add.outer(np.arange(orders), np.arange(1, size + 1))
+    ends = [bm - am for am, bm in zip(_powers(A, orders + size), _powers(B, orders + size))]
+    t = w[:, :, None] * c * np.array(ends)[q]  # t[n, i, j] = w[n, i] c_j (B^q - A^q)
     if t.dtype.kind != "c":
-        return complex(math.fsum((t / q).ravel().tolist()), 0.0)
+        rows = (t / q).reshape(orders, -1).tolist()
+        return [complex(_fsum_or_nan(rows[n][:(n + 1) * size]), 0.0) for n in range(orders)]
     # numpy complex scalars divide by multiplying with 1/q, Python ones by dividing
     by_reciprocal = [isinstance(cj, np.complexfloating) for cj in pc.coefficients]
-    re, im = (np.where(by_reciprocal, part * (1.0 / q), part / q) for part in (t.real, t.imag))
-    return complex(math.fsum(re.ravel().tolist()), math.fsum(im.ravel().tolist()))
+    re, im = (np.where(by_reciprocal, part * (1.0 / q), part / q).reshape(orders, -1).tolist()
+              for part in (t.real, t.imag))
+    return [complex(_fsum_or_nan(re[n][:(n + 1) * size]), _fsum_or_nan(im[n][:(n + 1) * size]))
+            for n in range(orders)]
 
 
 def _finite_closed_form(quantity: str, tf: TestFunction, compute, *args):
@@ -363,13 +410,17 @@ def exact_moment(tf: TestFunction, n: int) -> complex:
     with real coefficients has an imaginary part of exactly 0.
     """
     require_order("moment order", n)
-    return _finite_closed_form(f"the order-{n} moment", tf, _moment_sum, to_piecewise(tf), n)
+    return _summed_moment(tf, [_piece_moments(pc, n) for pc in to_piecewise(tf).pieces], n)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _finite_closed_form refuses a non-finite sum
-def _moment_sum(low: PiecewisePoly, n: int) -> complex:
-    parts = [_piece_moment(pc, n) for pc in low.pieces]
-    return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
+def _summed_moment(tf: TestFunction, tables, n: int) -> complex:
+    """The order-n moment of tf from the moment tables of its pieces, as
+    `exact_moment` returns it, refused the same way."""
+    return _finite_closed_form(f"the order-{n} moment", tf, _moment_sum, tables, n)
+
+
+def _moment_sum(tables, n: int) -> complex:
+    return complex(math.fsum(t[n].real for t in tables), math.fsum(t[n].imag for t in tables))
 
 
 def exact_l2_norm(tf: TestFunction) -> float:
@@ -393,19 +444,17 @@ def _l2_squared(low: PiecewisePoly) -> float:
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        combined = np.zeros(1, dtype=complex)
-        for pc in low.pieces:
-            if pc.a <= lo and hi <= pc.b:
-                # v = (x - x0)/s = (half/s) * w + (mid - x0)/s
-                shifted = _affine_poly(pc.coefficients, half / pc.scale,
-                                       (mid - pc.x0) / pc.scale)
-                combined = P.polyadd(combined, shifted)
+        # v = (x - x0)/s = (half/s) * w + (mid - x0)/s
+        parts = [_affine_poly(pc.coefficients, half / pc.scale, (mid - pc.x0) / pc.scale)
+                 for pc in low.pieces if pc.a <= lo and hi <= pc.b]
+        combined = np.zeros(max(map(len, parts), default=1), dtype=complex)
+        for part in parts:
+            combined[:len(part)] += part
         if not np.any(combined):
             continue
-        sq = P.polymul(np.conj(combined), combined)
-        for j, cj in enumerate(sq):
-            if j % 2 == 0:
-                total.append((cj * 2.0 * half / (j + 1)).real)
+        sq = np.convolve(np.conj(combined), combined)
+        # the even terms (c_j * 2 * half / (j + 1)).real, j = 0, 2, 4, ...
+        total.extend((sq[::2] * 2.0 * half / np.arange(1, len(sq) + 1, 2)).real.tolist())
     return math.fsum(total)
 
 
@@ -413,13 +462,17 @@ def exact_l1_norm(tf: TestFunction) -> float:
     """L^1 norm of a compact descriptor by dense Gauss-free quadrature.
 
     Not exact (|f| is not polynomial) but accurate far beyond its uses
-    (degeneracy guards and relative-defect denominators).
+    (degeneracy guards and relative-defect denominators).  Each support
+    interval evaluates only the pieces that meet it; the zero function,
+    with no support, has norm 0.
     """
     sup = support(tf)
-    if not sup or sup[0][0] == -math.inf:
+    if sup and sup[0][0] == -math.inf:
         raise NotExactlyIntegrable("L^1 quadrature needs compact support")
+    pieces = to_piecewise(tf).pieces
     total = 0.0
     for lo, hi in sup:
         xs = np.linspace(lo, hi, L1_CELLS, endpoint=False) + 0.5 * (hi - lo) / L1_CELLS
-        total += float(np.mean(np.abs(evaluate(tf, xs))) * (hi - lo))
+        met = [pc for pc in pieces if pc.a < hi and lo < pc.b]
+        total += float(np.mean(np.abs(_eval_pieces(met, xs))) * (hi - lo))
     return total

@@ -178,9 +178,9 @@ def test_annihilate_work_counts(monkeypatch):
 
 
 def test_annihilate_derives_each_block_once(monkeypatch):
-    # one derivative of the mother per block, handed to choose_interval and
-    # build_block; the bump was lowered when it was built, so lowering the
-    # mother hands it back unchanged
+    # one derivative step per block, g^(k) from g^(k-1), handed to
+    # choose_interval and build_block; the bump was lowered when it was
+    # built, so lowering the mother hands it back unchanged
     calls = []
     original = annihilator.derivative
 
@@ -192,6 +192,33 @@ def test_annihilate_derives_each_block_once(monkeypatch):
     annihilate(cfg)
     assert len(calls) == cfg.K + 1
     assert testfn.to_piecewise(cfg.mother) is cfg.mother
+
+
+def test_annihilate_tabulates_each_piece_once(monkeypatch):
+    # one moment table, orders 0..K, per piece of the sum: the mother's when
+    # the run starts and each kept block's when build_block verifies it;
+    # lambda_k, the block checks and the report read them, and nothing asks
+    # for a single order
+    tabulated = []
+    original = testfn._piece_moments
+
+    def counting(pc, n_max):
+        tabulated.append((pc, n_max))
+        return original(pc, n_max)
+
+    def single_order(*args):
+        raise AssertionError("annihilate asked exact_moment for one order")
+    monkeypatch.setattr(testfn, "_piece_moments", counting)
+    monkeypatch.setattr(testfn, "exact_moment", single_order)
+    cfg = _config(K=4, epsilon=1e-2)
+    f, blocks, report = annihilate(cfg)
+    assert len(f.pieces) == 1 + sum(b.gamma_k != 0.0 for b in blocks) > 1
+    assert len(tabulated) == len(f.pieces)
+    assert all(pc is piece and n_max == cfg.K
+               for (pc, n_max), piece in zip(tabulated, f.pieces))
+    tabulated.clear()
+    assert annihilator.moment_defects(f, cfg.K) == report["moment_defects"]
+    assert [pc for pc, _ in tabulated] == list(f.pieces)
 
 
 def test_closed_form_path_pinned():

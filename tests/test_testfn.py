@@ -350,8 +350,149 @@ def test_piece_moment_bit_identical_to_scalar_reference():
         lo, hi = sorted(rng.uniform(-1.5, 1.5, 2))
         pc = Piece(x0, x0 + scale * lo, x0 + scale * hi,
                    _random_coefficients(rng, KINDS[trial % 4]), scale)
+        table = T._piece_moments(pc, 8)
+        assert len(table) == 9
         for n in range(9):
-            assert T._piece_moment(pc, n) == _piece_moment_scalar(pc, n), (trial, n)
+            assert repr(table[n]) == repr(_piece_moment_scalar(pc, n)), (trial, n)
+
+
+@st.composite
+def moment_pieces(draw):
+    """One piece with x0 up to +-1e13, scale 1e-6..1e6 and real, Python
+    complex or numpy complex coefficients."""
+    x0 = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 13.0))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    lo = draw(st.floats(-1.5, 1.5))
+    hi = draw(st.floats(lo, 1.5))
+    size = draw(st.integers(1, 12))
+    parts = st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)
+    re, im = np.array(draw(parts)), np.array(draw(parts))
+    kind = draw(st.sampled_from(["real", "python complex", "numpy complex"]))
+    coeffs = {"real": tuple(re), "numpy complex": tuple(re + 1j * im),
+              "python complex": tuple(complex(r, i) for r, i in zip(re, im))}[kind]
+    return Piece(x0, x0 + scale * lo, x0 + scale * hi, coeffs, scale)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(moment_pieces())
+def test_piece_moments_match_scalar_reference(pc):
+    # every entry of the table, signed zeros included, is the order's scalar sum
+    assert [repr(m) for m in T._piece_moments(pc, 8)] == [
+        repr(_piece_moment_scalar(pc, n)) for n in range(9)]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=10),
+       st.lists(st.floats(-1e3, 1e3), min_size=10, max_size=10),
+       st.booleans(), st.booleans(),
+       st.lists(st.floats(-50.0, 50.0), min_size=0, max_size=40))
+def test_horner_bit_identical_to_polyval(re, im, complex_coeffs, zero_lead, points):
+    c = np.array(re) + 1j * np.array(im[:len(re)]) if complex_coeffs else np.array(re)
+    if zero_lead:
+        c = np.append(c, 0.0)
+    for v in (np.array(points), np.asarray(points[0] if points else 0.5)):
+        got, expected = T._horner(v, tuple(c)), P.polyval(v, c)
+        assert np.asarray(got).dtype == np.asarray(expected).dtype
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def _evaluate_whole_tree(tf, x):
+    # every piece masked on every point and evaluated through P.polyval
+    acc = np.zeros(np.shape(x), dtype=complex)
+    for pc in tf.pieces:
+        inside = (x > pc.a) & (x < pc.b)
+        if np.any(inside):
+            v = (np.where(inside, x, pc.x0) - pc.x0) / pc.scale
+            acc = acc + np.where(inside, P.polyval(v, np.asarray(pc.coefficients)), 0.0)
+    return acc
+
+
+def _l1_whole_tree(tf):
+    total = 0.0
+    for lo, hi in support(tf):
+        xs = np.linspace(lo, hi, T.L1_CELLS, endpoint=False) + 0.5 * (hi - lo) / T.L1_CELLS
+        total += float(np.mean(np.abs(_evaluate_whole_tree(tf, xs))) * (hi - lo))
+    return total
+
+
+@st.composite
+def overlapping_sums(draw):
+    """Two to five moved bumps and derivatives, some overlapping and some
+    apart, with real or complex gains."""
+    terms = []
+    for _ in range(draw(st.integers(2, 5))):
+        p = draw(st.integers(1, 6))
+        a = draw(st.floats(-4.0, 4.0))
+        tf = CompactBump(a, a + draw(st.floats(0.05, 3.0)), p)
+        if draw(st.booleans()):
+            tf = derivative(tf, draw(st.integers(0, p - 1)))
+        gain = complex(draw(st.floats(-2.0, 2.0)), draw(st.sampled_from([0.0, 0.5, -1.5])))
+        terms.append(Affine(tf, shift=draw(st.sampled_from([0.0, 1e13, -7.5])), gain=gain))
+    return Summed(terms)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(overlapping_sums())
+def test_l1_norm_bit_identical_to_whole_tree_evaluation(tf):
+    # each support interval evaluates only the pieces that meet it, and a
+    # piece that covers every cell skips the masks: the bits do not move
+    assert repr(exact_l1_norm(tf)) == repr(_l1_whole_tree(tf))
+    sup = support(tf)
+    xs = np.linspace(sup[0][0] - 0.5, sup[-1][1] + 0.5, 301)
+    assert evaluate(tf, xs).tobytes() == _evaluate_whole_tree(tf, xs).tobytes()
+
+
+def _l2_squared_series(low):
+    # covering pieces summed with P.polyadd and squared with P.polymul
+    cuts = sorted({pc.a for pc in low.pieces} | {pc.b for pc in low.pieces})
+    total = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        combined = np.zeros(1, dtype=complex)
+        for pc in low.pieces:
+            if pc.a <= lo and hi <= pc.b:
+                combined = P.polyadd(combined, T._affine_poly(
+                    pc.coefficients, half / pc.scale, (mid - pc.x0) / pc.scale))
+        if np.any(combined):
+            sq = P.polymul(np.conj(combined), combined)
+            total.extend((cj * 2.0 * half / (j + 1)).real for j, cj in enumerate(sq) if j % 2 == 0)
+    return math.fsum(total)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(overlapping_sums(), st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 1j]), max_size=6))
+def test_l2_squared_bit_identical_to_series_arithmetic(tf, padding):
+    # plain arrays and np.convolve give the sums that polyadd and polymul
+    # give; the extra piece carries exact, signed and trailing zeros
+    lo, hi = support(tf)[0]
+    pc = tf.pieces[0]
+    extra = Piece(pc.x0, lo, 0.5 * (lo + hi), (-0.0, *padding, 0.0, -0.0), pc.scale)
+    for low in (tf, PiecewisePoly(tf.pieces + (extra,))):
+        assert repr(T._l2_squared(low)) == repr(_l2_squared_series(low))
+
+
+def test_l1_norm_of_the_zero_function_is_zero():
+    # as its L^2 norm and its moments are; a Gaussian still has no compact support
+    zero = Summed(())
+    assert exact_l1_norm(zero) == 0.0 and exact_l2_norm(zero) == 0.0
+    assert exact_moment(zero, 3) == 0j
+    with pytest.raises(NotExactlyIntegrable, match="compact support"):
+        exact_l1_norm(GaussianPoly(0.0, 1.0, (1.0,)))
+
+
+def test_moment_table_refuses_an_order_when_it_is_read():
+    # x^n on (0, 1e100): the order-3 moment needs scale^4 = 1e400, past the
+    # float range, while orders 0..2 stay finite; the table is still built,
+    # the finite orders are served and the order-3 read is refused
+    pc = Piece(0.0, 0.0, 1e100, (1.0,), 1e100)
+    tf = PiecewisePoly((pc,))
+    table = T._piece_moments(pc, 4)
+    assert all(map(math.isfinite, (table[0].real, table[1].real, table[2].real)))
+    assert not all(map(math.isfinite, (table[3].real, table[4].real)))
+    assert exact_moment(tf, 2) == pytest.approx(1e300 / 3)
+    with pytest.raises(ConfigurationError) as refused:
+        exact_moment(tf, 3)
+    assert str(refused.value) == f"the order-3 moment of {tf!r} is not finite in floating point"
 
 
 def test_affine_poly_bit_identical_to_scalar_reference():
