@@ -17,6 +17,7 @@ running sum, orders 0..K, come from one table computed when it joins.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -103,7 +104,7 @@ def choose_interval(k: int, a_k: float, lambda_k: float,
     # every later power of a_{k+1} (moments up to order K, the norm budget)
     # must stay inside float range; refuse configurations that cannot
     cap = 10.0 ** (250.0 / (config.K + 2))
-    for m in range(0, 2048):
+    for m in itertools.count():  # a_{k+1} >= 2^m passes cap <= 10^125 < 2^416 by m = 416
         log_h = m * math.log(2.0)
         h = 2.0 ** m
         a_k1 = a_k + h
@@ -123,7 +124,6 @@ def choose_interval(k: int, a_k: float, lambda_k: float,
             # build_block cannot flip on rounding
             if log_norm < log_bound - 1e-6:
                 return a_k1
-    raise ConfigurationError("interval search failed to terminate")
 
 
 def build_block(k: int, a_k: float, a_k1: float, lambda_k: float, config: AnnihilatorConfig,
@@ -186,12 +186,13 @@ def moment_defects(f: PiecewisePoly, K: int):
 
 
 def _defects(f: PiecewisePoly, tables, K: int):
-    """moment_defects(f, K) from the moment tables of f's pieces; an order
-    beyond the float range is refused as exact_moment refuses it."""
+    """moment_defects(f, K) from the moment tables of f's pieces; an order,
+    or its scale, beyond the float range is refused as exact_moment refuses it."""
     defects = []
     for n in range(K + 1):
         total = testfn._summed_moment(f, tables, n).real
-        scale = math.fsum(abs(t[n].real) for t in tables)
+        scale = testfn._finite(f"the order-{n} moment scale", f,
+                               testfn._fsum_or_nan(abs(t[n].real) for t in tables))
         defects.append(abs(total) / scale if scale > 0 else 0.0)
     return defects
 

@@ -23,7 +23,7 @@ from .errors import ClassMembershipError, ConfigurationError, SemigroupDomainErr
 from .grid import GridSpec, SampledFunction, norm, restrict_halfline
 from .heisenberg import GroupElement, SemigroupId, act, in_semigroup
 from .schwartz import moment_defect, moment_orders, seminorm_iter
-from .transforms import fourier, proj_hardy
+from .transforms import _sign_of_frequency, fourier, proj_hardy
 
 # relative moment defect a certificate tolerates at every certified order
 CERTIFICATE_THRESHOLD = 1e-6
@@ -166,7 +166,7 @@ def tilde_synthesize(g: SampledFunction, h: SampledFunction) -> SampledFunction:
     """
     ghat = fourier(g)
     hhat = fourier(h)
-    s = np.sign(ghat.grid.points)
+    s = _sign_of_frequency(g.grid.size)
     vals = -0.5j * (1.0 + s) * ghat.values + 0.5j * (1.0 - s) * hhat.values
     return SampledFunction(ghat.grid, vals)
 

@@ -45,7 +45,7 @@ from .schwartz import (
     generator_convergence, moment_orders, norm_growth_check, psi_norm, seminorm_iter,
     seminorm_sup, seminorm_tower,
 )
-from .transforms import fourier, hilbert, inverse_fourier, proj_hardy
+from .transforms import _sign_of_frequency, fourier, hilbert, inverse_fourier, proj_hardy
 
 # typed SuiteConfig fields: the check each must pass, and the type stored, so
 # a report's environment is the same from file, flag or API
@@ -685,7 +685,7 @@ def suite_tilde_space(cfg: SuiteConfig, rec: Recorder) -> None:
 
     # a null second component leaves a single projection: phi supported y > 0
     ghat = fourier(psi.g)
-    s = np.sign(ghat.grid.points)
+    s = _sign_of_frequency(ghat.grid.size)
     phi_g = SampledFunction(ghat.grid, -0.5j * (1.0 + s) * ghat.values)
     rec.check("single-component-support",
               norm(restrict_halfline(phi_g, "minus")) / norm(phi_g))

@@ -21,6 +21,7 @@ import cmath
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -38,10 +39,14 @@ L1_CELLS = 4096
 TestFunction = Union["GaussianPoly", "PiecewisePoly"]
 
 
-def _require_finite(node: str, **fields) -> None:
+def _require_finite(node: str, coefficients, **fields) -> None:
+    """Refuse a non-finite field by name, then a non-finite coefficient by index."""
     for name, value in fields.items():
         if not cmath.isfinite(value):
             raise ConfigurationError(f"{node} {name} must be finite, got {value!r}")
+    for j, cj in enumerate(coefficients):
+        if not cmath.isfinite(cj):
+            raise ConfigurationError(f"{node} coefficient {j} must be finite, got {cj!r}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,7 @@ class GaussianPoly:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        _require_finite("GaussianPoly", center=self.center, width=self.width,
-                        **{f"coefficient {j}": cj for j, cj in enumerate(self.coefficients)})
+        _require_finite("GaussianPoly", self.coefficients, center=self.center, width=self.width)
         if self.width <= 0:
             raise ConfigurationError("GaussianPoly width must be positive")
 
@@ -77,10 +81,8 @@ class Piece:
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
         if not self.coefficients:
             raise ConfigurationError("piece needs at least one coefficient")
-        _require_finite("piece", x0=self.x0, a=self.a, b=self.b, scale=self.scale)
-        if not all(map(cmath.isfinite, self.coefficients)):  # then name the index
-            _require_finite("piece", **{f"coefficient {j}": cj
-                                        for j, cj in enumerate(self.coefficients)})
+        _require_finite("piece", self.coefficients,
+                        x0=self.x0, a=self.a, b=self.b, scale=self.scale)
         # a == b stays allowed: a narrow piece far from the origin can round
         # to a single point
         if not self.a <= self.b:
@@ -108,29 +110,25 @@ def Affine(inner: TestFunction, rate: float = 1.0, shift: float = 0.0,
     only signs and the gain, so no rate over/underflows them.  A Gaussian
     maps to center s + c/r, width w/|r| and coefficients gain r^j c_j.
     """
-    _require_finite("Affine", rate=rate, shift=shift, gain=gain)
+    _require_finite("Affine", (), rate=rate, shift=shift, gain=gain)
     r, s = rate, shift
     if r == 0:
         raise ConfigurationError("Affine rate must be nonzero")
-    if isinstance(inner, GaussianPoly):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-                c = tuple(gain * r ** j * cj for j, cj in enumerate(inner.coefficients))
-            finite = all(map(cmath.isfinite, c))
-        except OverflowError:  # Python's float power raises instead
-            finite = False
-        if not finite:
-            raise ConfigurationError(f"Affine rate {r} and gain {gain} take the coefficients "
-                                     f"of {inner!r} beyond the float range")
-        return GaussianPoly(s + inner.center / r, inner.width / abs(r), c)
-    inner = to_piecewise(inner)
-    pieces = []
-    for pc in inner.pieces:
-        c = pc.coefficients
-        if r < 0:
-            c = tuple(cj * (-1.0) ** j for j, cj in enumerate(c))
-        a, b = sorted((pc.a / r + s, pc.b / r + s))
-        with np.errstate(over="ignore"):  # Piece refuses a coefficient that overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, or by the node built
+        if isinstance(inner, GaussianPoly):
+            rate_powers = _powers(float(r), len(inner.coefficients))
+            c = tuple(gain * rj * cj for rj, cj in zip(rate_powers, inner.coefficients))
+            if not all(map(cmath.isfinite, c)):
+                raise ConfigurationError(f"Affine rate {r} and gain {gain} take the coefficients "
+                                         f"of {inner!r} beyond the float range")
+            return GaussianPoly(s + inner.center / r, inner.width / abs(r), c)
+        inner = to_piecewise(inner)
+        pieces = []
+        for pc in inner.pieces:
+            c = pc.coefficients
+            if r < 0:
+                c = tuple(cj * (-1.0) ** j for j, cj in enumerate(c))
+            a, b = sorted((pc.a / r + s, pc.b / r + s))
             pieces.append(Piece(pc.x0 / r + s, a, b, tuple(gain * cj for cj in c),
                                 pc.scale / abs(r)))
     return PiecewisePoly(tuple(pieces), smooth=inner.smooth)
@@ -299,7 +297,11 @@ def _deriv(tf, k):
 @functools.lru_cache(maxsize=None)
 def _pascal(n: int):
     """Read-only [j, i] tables for degrees below n: comb(j, i), the power
-    j - i of the shift (0 where i > j), and the mask of the terms i <= j."""
+    j - i of the shift (0 where i > j), and the mask of the terms i <= j;
+    a degree whose middle binomial passes the float range (from 1030 on) is
+    refused before any table is built."""
+    if math.comb(n - 1, (n - 1) // 2) > sys.float_info.max:
+        raise ConfigurationError(f"binomials of degree {n - 1} lie beyond the float range")
     j, i = np.ogrid[:n, :n]
     tables = (np.array([[float(math.comb(jj, ii)) for ii in range(n)] for jj in range(n)]),
               np.maximum(j - i, 0), i <= j)
@@ -317,8 +319,8 @@ def _affine_poly(coeffs, alpha: float, beta: float) -> np.ndarray:
     n = len(coeffs)
     binom, shift, upper = _pascal(n)
     c = np.asarray(coeffs)[:, None]
-    alpha_pow = np.array([alpha ** i for i in range(n)])
-    beta_pow = np.array([beta ** m for m in range(n)])[shift]
+    alpha_pow = np.array(_powers(alpha, n))
+    beta_pow = np.array(_powers(beta, n))[shift]
     terms = np.where(upper, c * binom * alpha_pow * beta_pow, 0.0)
     return np.cumsum(terms, axis=0)[-1]
 
@@ -339,7 +341,7 @@ def to_piecewise(tf: TestFunction) -> PiecewisePoly:
 def _powers(base: float, count: int) -> list:
     """base ** m for m = 0..count-1 by Python's scalar pow (np.power's
     vector kernel rounds differently); a power past the float range is NaN,
-    so every moment that reads it is refused when it is read."""
+    so every value computed from it is refused where it is read."""
     out = []
     try:
         for m in range(count):
@@ -390,13 +392,9 @@ def _piece_moments(pc: Piece, n_max: int) -> list:
             for n in range(orders)]
 
 
-def _finite_closed_form(quantity: str, tf: TestFunction, compute, *args):
-    """compute(*args), refused with ConfigurationError when its value lies
-    beyond the float range."""
-    try:
-        value = compute(*args)
-    except (OverflowError, ValueError):  # a float power or fsum past the range; fsum of inf - inf
-        value = math.nan
+def _finite(quantity: str, tf: TestFunction, value):
+    """value, or ConfigurationError if it is beyond the float range: the one
+    check of a closed form, made where its value is read."""
     if not cmath.isfinite(value):
         raise ConfigurationError(f"{quantity} of {tf!r} is not finite in floating point")
     return value
@@ -416,11 +414,8 @@ def exact_moment(tf: TestFunction, n: int) -> complex:
 def _summed_moment(tf: TestFunction, tables, n: int) -> complex:
     """The order-n moment of tf from the moment tables of its pieces, as
     `exact_moment` returns it, refused the same way."""
-    return _finite_closed_form(f"the order-{n} moment", tf, _moment_sum, tables, n)
-
-
-def _moment_sum(tables, n: int) -> complex:
-    return complex(math.fsum(t[n].real for t in tables), math.fsum(t[n].imag for t in tables))
+    return _finite(f"the order-{n} moment", tf, complex(_fsum_or_nan(t[n].real for t in tables),
+                                                        _fsum_or_nan(t[n].imag for t in tables)))
 
 
 def exact_l2_norm(tf: TestFunction) -> float:
@@ -431,13 +426,11 @@ def exact_l2_norm(tf: TestFunction) -> float:
     a well-conditioned affine substitution before squaring and integrating.
     A squared norm beyond the float range raises ConfigurationError.
     """
-    low = to_piecewise(tf)
-    if not low.pieces:
-        return 0.0
-    return math.sqrt(max(_finite_closed_form("the squared L^2 norm", tf, _l2_squared, low), 0.0))
+    squared = _l2_squared(to_piecewise(tf))  # 0 for the zero function
+    return math.sqrt(max(_finite("the squared L^2 norm", tf, squared), 0.0))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _finite_closed_form refuses a non-finite sum
+@np.errstate(over="ignore", invalid="ignore")  # exact_l2_norm refuses a non-finite sum
 def _l2_squared(low: PiecewisePoly) -> float:
     cuts = sorted({pc.a for pc in low.pieces} | {pc.b for pc in low.pieces})
     total = []
@@ -455,16 +448,17 @@ def _l2_squared(low: PiecewisePoly) -> float:
         sq = np.convolve(np.conj(combined), combined)
         # the even terms (c_j * 2 * half / (j + 1)).real, j = 0, 2, 4, ...
         total.extend((sq[::2] * 2.0 * half / np.arange(1, len(sq) + 1, 2)).real.tolist())
-    return math.fsum(total)
+    return _fsum_or_nan(total)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is refused at the end
 def exact_l1_norm(tf: TestFunction) -> float:
     """L^1 norm of a compact descriptor by dense Gauss-free quadrature.
 
     Not exact (|f| is not polynomial) but accurate far beyond its uses
     (degeneracy guards and relative-defect denominators).  Each support
-    interval evaluates only the pieces that meet it; the zero function,
-    with no support, has norm 0.
+    interval evaluates only the pieces that meet it.  The zero function has
+    norm 0; a norm beyond the float range raises ConfigurationError.
     """
     sup = support(tf)
     if sup and sup[0][0] == -math.inf:
@@ -475,4 +469,4 @@ def exact_l1_norm(tf: TestFunction) -> float:
         xs = np.linspace(lo, hi, L1_CELLS, endpoint=False) + 0.5 * (hi - lo) / L1_CELLS
         met = [pc for pc in pieces if pc.a < hi and lo < pc.b]
         total += float(np.mean(np.abs(_eval_pieces(met, xs))) * (hi - lo))
-    return total
+    return _finite("the L^1 norm", tf, total)

@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import GridSpec, SampledFunction, dual_grid
+from .grid import SampledFunction, dual_grid
 
 # zero-padding factor of the line Hilbert route
 LINE_PADDING = 16
@@ -61,9 +61,13 @@ def spectral_multiply(f: SampledFunction, mult) -> SampledFunction:
     return inverse_fourier(SampledFunction(spec.grid, mult * spec.values))
 
 
-def _sign_of_frequency(grid: GridSpec) -> np.ndarray:
-    y = dual_grid(grid).points
-    return np.sign(y)
+@cache
+def _sign_of_frequency(n: int) -> np.ndarray:
+    """Read-only sgn(y) on the dual grid of any grid of n points, built once
+    per size: y_k = (k - n/2) pi/L has the sign of k - n/2 whatever L."""
+    sign = np.sign(np.arange(n) - n // 2).astype(float)
+    sign.setflags(write=False)
+    return sign
 
 
 def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
@@ -90,7 +94,7 @@ def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
     convention the transform of a real even function is real odd.
     """
     if method == "multiplier":
-        return spectral_multiply(f, -1j * _sign_of_frequency(f.grid))
+        return spectral_multiply(f, -1j * _sign_of_frequency(f.grid.size))
     if method in ("line", "principal_value"):
         # odd kernels on lags |m| < N, lag m at index m mod 2N (index N, lag
         # +-N, stays 0).  The wide multiplier's is (2/M) cot(pi m/M) on odd m
@@ -122,7 +126,7 @@ def proj_hardy(f: SampledFunction, side: str) -> SampledFunction:
     The zero-frequency bin gets weight 1/2 on both sides so that
     P+ + P- = I holds exactly on samples.
     """
-    s = _sign_of_frequency(f.grid)
+    s = _sign_of_frequency(f.grid.size)
     if side == "plus":
         mult = 0.5 * (1.0 + s)
     elif side == "minus":

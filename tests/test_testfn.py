@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
-from heisenrep import make_grid
+from heisenrep import SampledFunction, make_grid
 from heisenrep import schwartz
 from heisenrep import testfn as T
-from heisenrep.annihilator import AnnihilatorConfig
+from heisenrep.annihilator import AnnihilatorConfig, moment_defects
 from heisenrep.errors import CapabilityError, ConfigurationError, NotExactlyIntegrable
 from heisenrep.testfn import (
     Affine, CompactBump, GaussianPoly, Mirrored, Piece, PiecewisePoly, Summed,
@@ -243,6 +244,72 @@ def test_closed_forms_refuse_results_beyond_the_float_range():
     for bad in (-1, 1.5, True):
         with pytest.raises(ConfigurationError):
             exact_moment(CompactBump(0.0, 1.0, 2), bad)
+
+
+@pytest.mark.parametrize("refused, message", [
+    # binomials past the float range, refused before a table is built (a bare
+    # OverflowError after seconds of work)
+    (lambda: exact_moment(CompactBump(0.0, 1.0, 2), 1100), "binomials of degree 1100"),
+    (lambda: moment_defects(CompactBump(0.0, 1.0, 2), 1100), "binomials of degree 1100"),
+    # comb(1030, 515) is the first middle binomial past the range
+    (lambda: exact_moment(CompactBump(0.0, 1.0, 2), 1030), "binomials of degree 1030"),
+    # moments that cancel to 0 over a scale sum |m_i| past the range (a bare
+    # OverflowError from fsum)
+    (lambda: moment_defects(PiecewisePoly((Piece(0.0, -1.0, 1.0, (0.6e308,)),
+                                           Piece(0.0, -1.0, 1.0, (-0.6e308,)))), 0),
+     "order-0 moment scale of PiecewisePoly"),
+    # an L^1 norm past the range (inf after two RuntimeWarnings)
+    (lambda: exact_l1_norm(PiecewisePoly((Piece(0.0, -1.0, 1.0, (1e308, 1e308)),))),
+     "L\\^1 norm of PiecewisePoly"),
+], ids=["moment-order-1100", "defects-order-1100", "moment-order-1030", "defect-scale", "l1"])
+def test_closed_forms_refuse_past_the_float_range_in_one_way(refused, message):
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=message):
+            refused()
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def extreme_pieces(draw):
+    """A piece at the edges of the float range: coefficients up to
+    +-1.7e308, x0 up to +-1e300, scale 1e-300..1e300, and ends either a few
+    scales from x0 or anywhere in +-1e300."""
+    x0 = draw(st.floats(-1e300, 1e300))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    near = st.floats(-4.0, 4.0).map(lambda u: x0 + scale * u)
+    a, b = sorted(draw(st.one_of(near, st.floats(-1e300, 1e300))) for _ in range(2))
+    coeffs = draw(st.lists(st.floats(-1.7e308, 1.7e308), min_size=1, max_size=5))
+    return Piece(x0, a, b, tuple(coeffs), scale)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(st.lists(extreme_pieces(), min_size=1, max_size=2), st.integers(0, 8),
+       st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0), st.floats(-1e300, 1e300),
+       st.floats(-1e300, 1e300))
+def test_closed_forms_are_finite_or_refused(pieces, n, sign, log_rate, shift, gain):
+    # past the float range every closed form raises ConfigurationError, never
+    # another error, a warning or a non-finite value
+    tf = PiecewisePoly(tuple(pieces))
+    gauss = GaussianPoly(pieces[0].x0, pieces[0].scale, pieces[0].coefficients)
+    rate = sign * 10.0 ** log_rate
+    grid = make_grid(8.0, 64)
+    calls = (lambda: exact_moment(tf, n), lambda: exact_l2_norm(tf), lambda: exact_l1_norm(tf),
+             lambda: moment_defects(tf, n), lambda: Affine(tf, rate, shift, gain),
+             lambda: Affine(gauss, rate, shift, gain), lambda: sample(tf, grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            try:
+                value = call()
+            except ConfigurationError:
+                continue
+            if isinstance(value, (GaussianPoly, PiecewisePoly)):
+                continue  # the node constructors refuse non-finite fields
+            if isinstance(value, SampledFunction):
+                value = value.values
+            assert np.isfinite(value).all(), value
 
 
 def test_affine_refuses_an_overflowing_gaussian_rate():

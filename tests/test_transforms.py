@@ -54,6 +54,19 @@ def test_twiddle_read_only():
         alt[0] = -1.0
 
 
+def test_sign_of_frequency_is_the_sign_of_the_dual_points():
+    # the dual points are (k - N/2) pi/L, so their signs, the zero at k = N/2
+    # included, depend on N alone, from the smallest window to the widest
+    for size in (4, 64, 4096, 65536):
+        table = _sign_of_frequency(size)
+        assert table is _sign_of_frequency(size)
+        for half_width in (1e-300, 1e-100, 1e-3, 1.0, 32.0, 1e3, 1e100, 1e300):
+            points = dual_grid(make_grid(half_width, size)).points
+            assert table.tobytes() == np.sign(points).tobytes(), (size, half_width)
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
 def test_unitary_and_roundtrip():
     f = _random()
     assert abs(norm(fourier(f)) - norm(f)) < 1e-13 * norm(f)
@@ -125,7 +138,7 @@ def _hilbert_line_zero_padded(f):
     values = np.zeros(LINE_PADDING * n, dtype=complex)
     values[start:start + n] = f.values
     wide = make_grid(LINE_PADDING * f.grid.half_width, LINE_PADDING * n)
-    back = spectral_multiply(SampledFunction(wide, values), -1j * _sign_of_frequency(wide))
+    back = spectral_multiply(SampledFunction(wide, values), -1j * _sign_of_frequency(wide.size))
     return SampledFunction(f.grid, back.values[start:start + n])
 
 
