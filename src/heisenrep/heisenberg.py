@@ -19,6 +19,7 @@ from .transforms import spectral_multiply
 
 @dataclass(frozen=True)
 class GroupElement:
+    """(xi1, xi2, xi3); components of shape (k,) hold k elements, a stack."""
     xi1: float
     xi2: float
     xi3: float
@@ -92,6 +93,11 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
     return LieElement(0.0, 0.0, u.a * v.b - v.a * u.b)
 
 
+def stack_elements(elements) -> GroupElement:
+    """One GroupElement whose components stack those of the elements, in order."""
+    return GroupElement(*map(np.array, zip(*((e.xi1, e.xi2, e.xi3) for e in elements))))
+
+
 def in_semigroup(xi: GroupElement, sid: SemigroupId):
     """Exact, elementwise membership predicate; inverse-flagged ids test inverse(xi)."""
     if sid.inverted:
@@ -108,11 +114,17 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     spectral mode translates by a frequency-domain phase (any xi1, periodic
     wraparound, exact homomorphism); grid mode shifts samples by an integer
     number of cells with zero fill (exact support semantics) and demands
-    xi1 be a multiple of the grid spacing.
+    xi1 be a multiple of the grid spacing.  Either acts on each row of a
+    stacked f.  In spectral mode xi may be a stack of k elements (components
+    of shape (k,)): the result is then a stack of k rows, and a single f is
+    transformed once for all of them.
     """
     if mode == "spectral":
         vals = spectral_multiply(f, _phase(xi.xi1, dual_grid(f.grid))).values
     elif mode == "grid":
+        if np.ndim(xi.xi1) or np.ndim(xi.xi2) or np.ndim(xi.xi3):
+            raise ConfigurationError("grid-mode act takes one group element, not a stack; "
+                                     "use spectral mode for stacked elements")
         dx = f.grid.spacing
         m = xi.xi1 / dx
         if not (np.isfinite(m) and abs(m - round(m)) <= 1e-9):
@@ -121,21 +133,22 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
             )
         m_round = round(m)
         n = f.grid.size
-        vals = np.zeros(n, dtype=complex)
+        vals = np.zeros(f.values.shape, dtype=complex)
         # f(x + xi1): values move toward lower indices for xi1 > 0
         if m_round >= 0:
             if m_round < n:
-                vals[: n - m_round] = f.values[m_round:]
+                vals[..., : n - m_round] = f.values[..., m_round:]
         else:
             if -m_round < n:
-                vals[-m_round:] = f.values[: n + m_round]
+                vals[..., -m_round:] = f.values[..., : n + m_round]
     else:
         raise ConfigurationError(f"unknown act mode {mode!r}")
     return SampledFunction(f.grid, _phase(xi.xi2, f.grid, np.exp(1j * xi.xi3)) * vals)
 
 
 def _phase(a: float, grid: GridSpec, factor: complex = 1.0) -> np.ndarray:
-    """factor * e^{i a x_j} at the grid points x_j = x_0 + j*h, from two short tables.
+    """factor * e^{i a x_j} at the grid points x_j = x_0 + j*h, from two short tables;
+    a and factor may hold one value per row of a stack, which gives one row each.
 
     With j = b*B + r and B = 2^floor(log2(N)/2), which divides every grid
     size (a power of two), e^{i a x_j} = cis(a x_{bB}) * cis(a r h): the
@@ -147,9 +160,11 @@ def _phase(a: float, grid: GridSpec, factor: complex = 1.0) -> np.ndarray:
     """
     n = int(grid.size)
     block = 1 << ((n.bit_length() - 1) // 2)
-    coarse = factor * _cis(a * grid.points[::block])
+    a = np.asarray(a)[..., None]
+    coarse = np.asarray(factor)[..., None] * _cis(a * grid.points[::block])
     fine = _cis(a * (grid.spacing * np.arange(block)))
-    return np.multiply.outer(coarse, fine).ravel()
+    table = coarse[..., :, None] * fine[..., None, :]
+    return table.reshape(table.shape[:-2] + (n,))
 
 
 def _cis(t: np.ndarray) -> np.ndarray:

@@ -16,8 +16,10 @@ import numpy as np
 
 from . import testfn
 from .errors import CapabilityError, ConfigurationError, require_order
-from .grid import SampledFunction, norm, restrict_halfline
-from .heisenberg import CHI1, CHI2, CHI3, act, element_from_lie, generator_apply
+from .grid import SampledFunction, _require_single, norm, restrict_halfline, stack_chunks
+from .heisenberg import (
+    CHI1, CHI2, CHI3, act, element_from_lie, generator_apply, stack_elements,
+)
 from .transforms import fourier, inverse_fourier, proj_hardy
 
 # seminorm_sup scan: a Gaussian's half-window in units of its width, and the
@@ -48,6 +50,7 @@ def seminorm_tower(f: SampledFunction, n: int) -> list:
     ||Mf||_{k-1}^2 + ||Df||_{k-1}^2 + ||f||_{k-1}^2, the recursion's order.
     Spectral differentiation amplifies rounding roughly by N per order,
     so orders beyond TOWER_MAX_ORDER are refused rather than silently noisy.
+    A stacked f gives one value per row at each order.
     """
     require_order("seminorm order", n)
     if n > TOWER_MAX_ORDER:
@@ -59,7 +62,9 @@ def _tower_sq(node: SampledFunction, n: int, spectral: bool = False) -> list:
     """Squared orders 0..n of a node held on f's grid, or on its dual when
     `spectral`.  There the node's own generator is M of the grid that holds
     it, i times its points: M itself on f's grid, the image of D on the dual."""
-    sq = [norm(node) ** 2]
+    # libm's pow, as Python's ** takes a float: ** 2 on an array multiplies,
+    # which rounds otherwise in about 1 square in 1,200
+    sq = [np.float_power(norm(node), 2)]
     if n > 0:
         same = _tower_sq(generator_apply("M", node), n - 1, spectral)
         # the switch waits until the same-domain subtree has returned, and
@@ -79,31 +84,35 @@ _GENERATOR_DIRECTION = {"D": CHI1, "M": CHI2, "C": CHI3}
 def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0) -> list:
     """Difference-quotient error curves ||((U(t chi) - I)/t - X) f||_k per t.
 
-    Returns one curve [(t, error), ...] for each order k = 0..n; each
-    quotient is built once and measured by one seminorm tower.
+    Returns one curve [(t, error), ...] for each order k = 0..n; the
+    quotients are built a chunk of t values at a time (see
+    grid.stack_chunks), and each chunk is measured by one seminorm tower.
     """
     if gen not in _GENERATOR_DIRECTION:
         raise ConfigurationError(f"unknown generator {gen!r}")
+    if not all(t > 0 for t in t_list):
+        raise ConfigurationError("t_list entries must be positive")
     exact = generator_apply(gen, f)
-    curves = [[] for _ in range(n + 1)]
-    for t in t_list:
-        if not t > 0:
-            raise ConfigurationError("t_list entries must be positive")
-        step = element_from_lie(_GENERATOR_DIRECTION[gen], t)
-        quotient = (act(step, f, mode="spectral") - f) * (1.0 / t)
-        for curve, err in zip(curves, seminorm_tower(quotient - exact, n)):
-            curve.append((t, err))
-    return curves
+    errors = []
+    for chunk in stack_chunks(f.grid, np.array(t_list, dtype=float)):
+        step = element_from_lie(_GENERATOR_DIRECTION[gen], chunk)
+        quotient = (act(step, f, mode="spectral") - f) * (1.0 / chunk)[:, None]
+        errors.extend(np.transpose(seminorm_tower(quotient - exact, n)))
+    return [[(t, err[k]) for t, err in zip(t_list, errors)] for k in range(n + 1)]
 
 
 def norm_growth_check(xis, f: SampledFunction, n: int) -> np.ndarray:
     """Ratios ||U(xi) f||_k / ((1 + xi1^2 + xi2^2)^{k/2} ||f||_k), one row per
-    xi in xis and one column per order k = 0..n; f's tower is computed once."""
+    xi in xis and one column per order k = 0..n; f's tower is computed once,
+    and the towers of U(xi) f a chunk of stacked draws at a time."""
+    xis = list(xis)
     f_tower = seminorm_tower(f, n)
+    towers = [row for chunk in stack_chunks(f.grid, xis)
+              for row in np.transpose(seminorm_tower(act(stack_elements(chunk), f), n))]
     return np.array([
         [lhs / ((1.0 + xi.xi1 ** 2 + xi.xi2 ** 2) ** (k / 2.0) * f_tower[k])
-         for k, lhs in enumerate(seminorm_tower(act(xi, f, mode="spectral"), n))]
-        for xi in xis])
+         for k, lhs in enumerate(row)]
+        for xi, row in zip(xis, towers)])
 
 
 def seminorm_sup(tf, m: int, n: int) -> float:
@@ -154,6 +163,7 @@ def moment_orders(f: SampledFunction):
     by multiplying); at order n each point is within n - 1 roundings of x^n
     (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1).
     """
+    _require_single(f)
     x, dx = f.grid.points, f.grid.spacing
     xn = np.ones(f.grid.size)
     while True:

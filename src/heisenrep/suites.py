@@ -29,12 +29,12 @@ from .annihilator import (
 )
 from .errors import ConfigurationError, require_order, require_type
 from .grid import (
-    GridSpec, SampledFunction, dual_grid, make_grid, norm, restrict_halfline,
+    GridSpec, SampledFunction, dual_grid, make_grid, norm, restrict_halfline, stack_chunks,
 )
 from .heisenberg import (
     CHI1, CHI2, CHI3, SEMIGROUPS, GroupElement, LieElement, SemigroupId, act,
     bracket, conjugate_by_fourier, generator_apply, in_semigroup, inverse,
-    multiply, random_in_semigroup, semigroup_noninverse_witness,
+    multiply, random_in_semigroup, semigroup_noninverse_witness, stack_elements,
 )
 from .psi import (
     act_psi, coincidence_defect, contraction_contrast,
@@ -340,14 +340,13 @@ CHECKS = {
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _random_bandlimited(grid: GridSpec, rng) -> SampledFunction:
+def _random_bandlimited(grid: GridSpec, rng, rows: int = 0) -> SampledFunction:
+    """A random function band-limited to |y| < 10, or a stack of `rows` of
+    them, drawn one after another."""
     dg = dual_grid(grid)
-    y = dg.points
-    spec = np.where(
-        np.abs(y) < 10.0,  # band limit
-        rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size),
-        0.0,
-    )
+    spectra = [rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+               for _ in range(max(rows, 1))]
+    spec = np.where(np.abs(dg.points) < 10.0, spectra if rows else spectra[0], 0.0)
     return inverse_fourier(SampledFunction(dg, spec))
 
 
@@ -412,8 +411,14 @@ def _hardy_plus_function(grid: GridSpec, spectrum) -> SampledFunction:
     return inverse_fourier(_sample_fixed(spectrum, grid, dual=True))
 
 
-def _rel(a: SampledFunction, b: SampledFunction, scale: SampledFunction = None) -> float:
-    """||a - b|| / ||scale||, scale defaulting to b."""
+def _per_draw(grid: GridSpec, draws, measure) -> list:
+    """measure(xi) of each chunk of the drawn elements, stacked into one xi
+    (see grid.stack_chunks); one value per draw, in draw order."""
+    return [v for chunk in stack_chunks(grid, draws) for v in measure(stack_elements(chunk))]
+
+
+def _rel(a: SampledFunction, b: SampledFunction, scale: SampledFunction = None):
+    """||a - b|| / ||scale||, scale defaulting to b; one per row of a stack."""
     return norm(a - b) / norm(b if scale is None else scale)
 
 
@@ -444,16 +449,16 @@ def suite_group_axioms(cfg: SuiteConfig, rec: Recorder) -> None:
     # representation property, spectral mode
     grid = cfg.grid()
     f = _random_bandlimited(grid, rng)
+    pairs = [tuple(GroupElement(float(rng.uniform(-5, 5)), _random_modulation(grid, rng),
+                                float(rng.uniform(-5, 5))) for _ in range(2))
+             for _ in range(100)]
     homomorphism, unitarity = [], []
-    for _ in range(100):
-        xi = GroupElement(float(rng.uniform(-5, 5)), _random_modulation(grid, rng),
-                          float(rng.uniform(-5, 5)))
-        eta = GroupElement(float(rng.uniform(-5, 5)), _random_modulation(grid, rng),
-                           float(rng.uniform(-5, 5)))
+    for chunk in stack_chunks(grid, pairs):
+        xi, eta = map(stack_elements, zip(*chunk))
         lhs = act(xi, act(eta, f))
         rhs = act(multiply(xi, eta), f)
-        homomorphism.append(_rel(lhs, rhs, f))
-        unitarity.append(abs(norm(lhs) - norm(f)) / norm(f))
+        homomorphism.extend(_rel(lhs, rhs, f))
+        unitarity.extend(abs(norm(lhs) - norm(f)) / norm(f))
     rec.check("homomorphism", homomorphism)
     rec.check("unitarity", unitarity)
 
@@ -468,11 +473,11 @@ def suite_transforms(cfg: SuiteConfig, rec: Recorder) -> None:
               float(np.max(np.abs(ghat.values - _gaussian(ghat.grid).values))))
 
     unitarity, roundtrip = [], []
-    for _ in range(50):
-        f = _random_bandlimited(grid, rng)
+    for chunk in stack_chunks(grid, range(50)):
+        f = _random_bandlimited(grid, rng, len(chunk))
         fhat = fourier(f)
-        unitarity.append(abs(norm(fhat) - norm(f)) / norm(f))
-        roundtrip.append(_rel(inverse_fourier(fhat), f))
+        unitarity.extend(abs(norm(fhat) - norm(f)) / norm(f))
+        roundtrip.extend(_rel(inverse_fourier(fhat), f))
     rec.check("unitarity", unitarity)
     rec.check("roundtrip", roundtrip)
 
@@ -538,8 +543,8 @@ def suite_paley_wiener(cfg: SuiteConfig, rec: Recorder) -> None:
 
     hf = hilbert(f, "multiplier")
     shifts = [GroupElement(float(rng.uniform(-5, 5)), 0.0, 0.0) for _ in range(10)]
-    rec.check("hilbert-translation",
-              [_rel(hilbert(act(s, f), "multiplier"), act(s, hf), f) for s in shifts])
+    rec.check("hilbert-translation", _per_draw(
+        grid, shifts, lambda s: _rel(hilbert(act(s, f), "multiplier"), act(s, hf), f)))
 
 
 def suite_generators(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -735,16 +740,14 @@ def suite_conjugation(cfg: SuiteConfig, rec: Recorder) -> None:
 
     gauss_inv = inverse_fourier(gauss)
     xis = [GroupElement(*(float(v) for v in rng.uniform(-5, 5, 3))) for _ in range(50)]
-    rec.check("operator-identity", [
-        _rel(fourier(act(xi, gauss_inv)), act(conjugate_by_fourier(xi), gauss), gauss)
-        for xi in xis])
+    rec.check("operator-identity", _per_draw(grid, xis, lambda xi: _rel(
+        fourier(act(xi, gauss_inv)), act(conjugate_by_fourier(xi), gauss), gauss)))
 
     gauss_inv2 = inverse_fourier(gauss_inv)
     xis = [GroupElement(*(float(v) for v in rng.uniform(-3, 3, 3))) for _ in range(20)]
-    rec.check("double-conjugation", [
-        _rel(fourier(fourier(act(xi, gauss_inv2))),
-             act(conjugate_by_fourier(conjugate_by_fourier(xi)), gauss), gauss)
-        for xi in xis])
+    rec.check("double-conjugation", _per_draw(grid, xis, lambda xi: _rel(
+        fourier(fourier(act(xi, gauss_inv2))),
+        act(conjugate_by_fourier(conjugate_by_fourier(xi)), gauss), gauss)))
 
     # conjugation transports right-translation data into the modulation step
     smooth = _hardy_plus_function(grid, testfn.CompactBump(0.25, 6.0, 10))

@@ -21,6 +21,7 @@ import cmath
 import functools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -40,13 +41,21 @@ TestFunction = Union["GaussianPoly", "PiecewisePoly"]
 
 
 def _require_finite(node: str, coefficients, **fields) -> None:
-    """Refuse a non-finite field by name, then a non-finite coefficient by index."""
+    """Refuse a non-finite field by name, then a non-finite coefficient by
+    index; an integer beyond the float range counts as non-finite."""
     for name, value in fields.items():
-        if not cmath.isfinite(value):
+        if not _is_finite(value):
             raise ConfigurationError(f"{node} {name} must be finite, got {value!r}")
     for j, cj in enumerate(coefficients):
-        if not cmath.isfinite(cj):
+        if not _is_finite(cj):
             raise ConfigurationError(f"{node} coefficient {j} must be finite, got {cj!r}")
+
+
+def _is_finite(value) -> bool:
+    try:
+        return cmath.isfinite(value)
+    except OverflowError:  # int too large to convert to float
+        return False
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,11 @@ class GaussianPoly:
         _require_finite("GaussianPoly", self.coefficients, center=self.center, width=self.width)
         if self.width <= 0:
             raise ConfigurationError("GaussianPoly width must be positive")
+        # sampling divides by 2 w^2 and differentiating by w^2
+        square = float(self.width) * float(self.width)
+        if not (square > 0.0 and 1.0 / square < math.inf and 2.0 * square < math.inf):
+            raise ConfigurationError(
+                f"GaussianPoly width {self.width!r} has a square beyond the float range")
 
 
 @dataclass(frozen=True)
@@ -302,9 +316,14 @@ def _pascal(n: int):
     refused before any table is built."""
     if math.comb(n - 1, (n - 1) // 2) > sys.float_info.max:
         raise ConfigurationError(f"binomials of degree {n - 1} lie beyond the float range")
+    # Pascal's rule in exact integers, row j padded with zeros past i = j,
+    # and one rounding to float per entry
+    rows, row = [], [1]
+    for jj in range(n):
+        rows.append(row + [0] * (n - 1 - jj))
+        row = [1, *map(operator.add, row, row[1:]), 1]
     j, i = np.ogrid[:n, :n]
-    tables = (np.array([[float(math.comb(jj, ii)) for ii in range(n)] for jj in range(n)]),
-              np.maximum(j - i, 0), i <= j)
+    tables = (np.array(rows, dtype=float), np.maximum(j - i, 0), i <= j)
     for t in tables:
         t.setflags(write=False)
     return tables

@@ -22,7 +22,7 @@ LINE_PADDING = 16
 
 
 def fourier(f: SampledFunction) -> SampledFunction:
-    """Unitary discrete Fourier transform onto the dual grid.
+    """Unitary discrete Fourier transform onto the dual grid, of each row of a stack.
 
     With x_j = -L + j*dx and y_k = -pi/dx + k*pi/L one has
     x_j y_k = N*pi/2 - (j+k)*pi + 2*pi*j*k/N, so the quadrature sum
@@ -54,8 +54,10 @@ def inverse_fourier(f: SampledFunction) -> SampledFunction:
 def spectral_multiply(f: SampledFunction, mult) -> SampledFunction:
     """Frequency multiplier: inverse_fourier(mult * fourier(f)), two FFTs.
 
-    `mult` holds one factor per point of the dual grid.  It stays the left
-    operand: complex products are not bitwise commutative under FMA.
+    `mult` holds one factor per point of the dual grid, or a stack of such
+    rows; a stacked mult on a single f transforms f once for every row.  It
+    stays the left operand: complex products are not bitwise commutative
+    under FMA.
     """
     spec = fourier(f)
     return inverse_fourier(SampledFunction(spec.grid, mult * spec.values))
@@ -68,6 +70,15 @@ def _sign_of_frequency(n: int) -> np.ndarray:
     sign = np.sign(np.arange(n) - n // 2).astype(float)
     sign.setflags(write=False)
     return sign
+
+
+@cache
+def _hilbert_multiplier(n: int) -> np.ndarray:
+    """Read-only -i * sgn(y) on the dual grid of any grid of n points, built
+    once per size."""
+    mult = -1j * _sign_of_frequency(n)
+    mult.setflags(write=False)
+    return mult
 
 
 def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
@@ -94,7 +105,7 @@ def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
     convention the transform of a real even function is real odd.
     """
     if method == "multiplier":
-        return spectral_multiply(f, -1j * _sign_of_frequency(f.grid.size))
+        return spectral_multiply(f, _hilbert_multiplier(f.grid.size))
     if method in ("line", "principal_value"):
         # odd kernels on lags |m| < N, lag m at index m mod 2N (index N, lag
         # +-N, stays 0).  The wide multiplier's is (2/M) cot(pi m/M) on odd m
@@ -115,7 +126,7 @@ def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
         kernel[:n:-2] -= odd  # lags -m, at indices 2N - m
         del odd  # before the FFTs, which set the route's peak memory
         # padding f to 2N keeps the circular wrap off the grid
-        conv = np.fft.ifft(np.fft.fft(f.values, 2 * n) * np.fft.fft(kernel))[:n]
+        conv = np.fft.ifft(np.fft.fft(f.values, 2 * n) * np.fft.fft(kernel))[..., :n]
         return SampledFunction(f.grid, conv)
     raise ConfigurationError(f"unknown hilbert method {method!r}")
 

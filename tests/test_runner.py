@@ -489,21 +489,40 @@ def test_psi_invariance_certify_count(monkeypatch):
 
 
 def test_generators_fourier_count(monkeypatch):
-    # pins the suite's transform count: one seminorm tower per function, per
-    # draw and per difference quotient, each transforming a node only where
-    # the next generator changes domain
+    # pins the suite's transform work: one seminorm tower per function and per
+    # chunk of stacked draws or difference quotients, each transforming a node
+    # only where the next generator changes domain; one call transforms a
+    # chunk's rows, and a chunk's shared input once
     calls = []
     fourier = heisenrep.transforms.fourier
 
     def counting(f):
-        calls.append(f.grid.size)
+        calls.append(math.prod(f.values.shape[:-1]))
         return fourier(f)
 
     monkeypatch.setattr(heisenrep.transforms, "fourier", counting)
     monkeypatch.setattr(heisenrep.suites, "fourier", counting)
     monkeypatch.setattr(heisenrep.schwartz, "fourier", counting)
     run_suite(SuiteConfig(suite="generators"))
-    assert len(calls) == 1047
+    assert len(calls) == 282
+    assert sum(calls) == 954
+
+
+def test_default_pass_fft_work(monkeypatch):
+    # pins the FFT work of a default pass, counted at numpy's FFT: the draw
+    # loops hand over chunks of 4 draws at N = 4096, so a call transforms a
+    # stack of rows, and a chunk's shared input is transformed once
+    rows = []
+    fft = np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        rows.append(math.prod(np.shape(a)[:-1]))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    run_all(SuiteConfig(suite=SUITE_IDS[0]))
+    assert len(rows) == 977
+    assert sum(rows) == 2259
 
 
 def test_run_all_shares_one_grid_pair(monkeypatch):

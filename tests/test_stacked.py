@@ -1,0 +1,175 @@
+"""Stacked SampledFunctions: values of shape (..., N) are worked along the last
+axis, and a stack gives, row for row and bit for bit, what one function at a
+time gives."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heisenrep import (
+    ConfigurationError, GridMismatchError, GroupElement, SampledFunction, act,
+    fourier, hilbert, inner, integrate, inverse_fourier, make_grid, norm, proj_hardy,
+)
+from heisenrep.grid import stack_chunks
+from heisenrep.heisenberg import generator_apply, stack_elements
+from heisenrep.schwartz import moment, n_defect, seminorm_tower
+from heisenrep.transforms import spectral_multiply
+
+PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+GRIDS = (make_grid(8.0, 64), make_grid(32.0, 4096))
+stacks = st.tuples(st.sampled_from(GRIDS), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+
+
+def _random_values(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _stack(grid, rows, rng):
+    return SampledFunction(grid, _random_values(rng, (rows, grid.size)))
+
+
+def _elements(rng, rows):
+    """rows single elements with Python float components, as the suites draw them."""
+    return [GroupElement(*(float(v) for v in rng.uniform(-5, 5, 3))) for _ in range(rows)]
+
+
+def _rows(f):
+    return [SampledFunction(f.grid, row) for row in f.values]
+
+
+def _assert_rows(stacked, singles):
+    assert stacked.values.shape == (len(singles), stacked.grid.size)
+    for row, single in zip(stacked.values, singles):
+        assert stacked.grid == single.grid
+        assert row.tobytes() == single.values.tobytes()
+
+
+@PROPERTY
+@given(stacks)
+def test_stacked_transforms_match_rows(case):
+    grid, rows, seed = case
+    rng = np.random.default_rng(seed)
+    f = _stack(grid, rows, rng)
+    single = SampledFunction(grid, _random_values(rng, grid.size))
+    mult = _random_values(rng, grid.size)
+    mults = _random_values(rng, (rows, grid.size))
+    _assert_rows(fourier(f), [fourier(g) for g in _rows(f)])
+    _assert_rows(inverse_fourier(f), [inverse_fourier(g) for g in _rows(f)])
+    _assert_rows(spectral_multiply(f, mult), [spectral_multiply(g, mult) for g in _rows(f)])
+    # a stacked multiplier on one function transforms it once for every row
+    _assert_rows(spectral_multiply(single, mults), [spectral_multiply(single, m) for m in mults])
+    for method in ("multiplier", "line", "principal_value"):
+        _assert_rows(hilbert(f, method), [hilbert(g, method) for g in _rows(f)])
+    _assert_rows(proj_hardy(f, "plus"), [proj_hardy(g, "plus") for g in _rows(f)])
+
+
+@PROPERTY
+@given(stacks)
+def test_stacked_act_matches_rows(case):
+    grid, rows, seed = case
+    rng = np.random.default_rng(seed)
+    f = _stack(grid, rows, rng)
+    single = SampledFunction(grid, _random_values(rng, grid.size))
+    xis = _elements(rng, rows)
+    xi = stack_elements(xis)
+    assert xi.xi1.shape == xi.xi2.shape == xi.xi3.shape == (rows,)
+    # one function, moved by every element of the stack
+    _assert_rows(act(xi, single), [act(e, single) for e in xis])
+    # row i moved by element i
+    _assert_rows(act(xi, f), [act(e, g) for e, g in zip(xis, _rows(f))])
+    # every row moved by one element
+    _assert_rows(act(xis[0], f), [act(xis[0], g) for g in _rows(f)])
+
+
+@PROPERTY
+@given(stacks)
+def test_stacked_generators_match_rows(case):
+    grid, rows, seed = case
+    f = _stack(grid, rows, np.random.default_rng(seed))
+    for gen in ("M", "D", "C"):
+        _assert_rows(generator_apply(gen, f), [generator_apply(gen, g) for g in _rows(f)])
+
+
+@PROPERTY
+@given(stacks)
+def test_stacked_norm_and_tower_match_rows(case):
+    grid, rows, seed = case
+    f = _stack(grid, rows, np.random.default_rng(seed))
+    got = norm(f)
+    assert got.shape == (rows,)
+    assert got.tobytes() == np.array([norm(g) for g in _rows(f)]).tobytes()
+    for n in range(4):
+        tower = seminorm_tower(f, n)
+        singles = [seminorm_tower(g, n) for g in _rows(f)]
+        assert len(tower) == n + 1
+        for k, order in enumerate(tower):
+            assert order.tobytes() == np.array([s[k] for s in singles]).tobytes(), (n, k)
+
+
+def test_tower_of_a_large_stack_matches_rows():
+    # squaring a norm by multiplying rounds otherwise than Python's ** on a
+    # float in about 1 square in 1,200; 15,000 squares make that show
+    grid = GRIDS[0]
+    f = _stack(grid, 1000, np.random.default_rng(7))
+    singles = [seminorm_tower(g, 3) for g in _rows(f)]
+    for k, order in enumerate(seminorm_tower(f, 3)):
+        assert order.tobytes() == np.array([s[k] for s in singles]).tobytes(), k
+
+
+def test_stacks_of_more_axes_work_along_the_last():
+    rng = np.random.default_rng(3)
+    grid = GRIDS[0]
+    f = SampledFunction(grid, _random_values(rng, (2, 3, grid.size)))
+    flat = SampledFunction(grid, f.values.reshape(6, grid.size))
+    assert fourier(f).values.shape == (2, 3, grid.size)
+    assert fourier(f).values.tobytes() == fourier(flat).values.tobytes()
+    assert norm(f).shape == (2, 3)
+    assert norm(f).tobytes() == norm(flat).tobytes()
+
+
+def test_sampled_function_refuses_a_last_axis_off_the_grid():
+    grid = make_grid(4.0, 8)
+    for shape in ((9,), (3, 9), (8, 3), (2, 8, 1), ()):
+        with pytest.raises(GridMismatchError):
+            SampledFunction(grid, np.ones(shape))
+    assert SampledFunction(grid, np.ones((3, 8))).values.shape == (3, 8)
+
+
+def test_whole_sums_refuse_a_stack():
+    f = _stack(GRIDS[0], 2, np.random.default_rng(6))
+    single = _rows(f)[0]
+    for call in (lambda: integrate(f), lambda: inner(f, single), lambda: inner(single, f),
+                 lambda: moment(f, 1), lambda: n_defect(f)):
+        with pytest.raises(GridMismatchError, match="takes one function"):
+            call()
+
+
+def test_grid_mode_act_refuses_a_stack_of_elements():
+    grid = GRIDS[0]
+    f = SampledFunction(grid, np.ones(grid.size))
+    dx = grid.spacing
+    for xi in (GroupElement(np.array([dx, 2 * dx]), 0.0, 0.0),
+               GroupElement(dx, np.array([0.0, 1.0]), 0.0),
+               GroupElement(dx, 0.0, np.array([0.0, 1.0]))):
+        with pytest.raises(ConfigurationError, match="grid-mode act"):
+            act(xi, f, mode="grid")
+
+
+def test_grid_mode_act_moves_each_row_of_a_stack():
+    grid = GRIDS[0]
+    f = _stack(grid, 3, np.random.default_rng(4))
+    xi = GroupElement(5 * grid.spacing, 1.0, 0.5)
+    for m in (xi, GroupElement(-7 * grid.spacing, 0.0, 0.0)):
+        _assert_rows(act(m, f, mode="grid"), [act(m, g, mode="grid") for g in _rows(f)])
+
+
+def test_stack_chunks_hold_256_kib():
+    # max(1, 2^18 // (16 N)) rows: 4 at N = 4096, 1 from N = 2^14 on
+    assert [len(c) for c in stack_chunks(make_grid(32.0, 4096), range(10))] == [4, 4, 2]
+    assert [len(c) for c in stack_chunks(make_grid(32.0, 2 ** 14), range(3))] == [1, 1, 1]
+    assert [len(c) for c in stack_chunks(make_grid(32.0, 2 ** 16), range(2))] == [1, 1]
+    assert [len(c) for c in stack_chunks(make_grid(32.0, 1024), range(20))] == [16, 4]
+    assert stack_chunks(make_grid(32.0, 4096), []) == []
+    # draws keep their order across chunks
+    draws = list(range(11))
+    assert [d for c in stack_chunks(make_grid(32.0, 4096), draws) for d in c] == draws

@@ -223,6 +223,57 @@ def test_nodes_refuse_non_finite_frames():
         Affine(bump, rate=0.0)
 
 
+@pytest.mark.parametrize("width", [1e200, 1e-200, 1.4e154, 7e-155, 9.5e153, 10 ** 200])
+def test_gaussian_refuses_a_width_whose_square_leaves_the_float_range(width):
+    # sample divides by 2 w^2 and derivative by w^2, so the width is refused
+    # by name, with no other error or warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="GaussianPoly width"):
+            GaussianPoly(0.0, width, (1.0,))
+        with pytest.raises(ConfigurationError, match="GaussianPoly width"):
+            Affine(GaussianPoly(0.0, 1.0, (1.0,)), rate=1.0 / width)
+
+
+def test_gaussian_keeps_widths_whose_square_is_in_range():
+    grid = make_grid(8.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for width in (1e-154, 1e-3, 1.0, 1e3, 1e150):
+            g = GaussianPoly(0.0, width, (1.0,))
+            u = grid.points
+            with np.errstate(over="ignore"):  # as sample's own quiet scope
+                expected = np.exp(-(u * u) / (2.0 * width ** 2)) + 0j
+            assert sample(g, grid).values.tobytes() == expected.tobytes()
+            assert derivative(g, 1).coefficients == (0.0, -1.0 / width ** 2)
+
+
+def test_integers_past_the_float_range_are_refused_by_name():
+    # an int that cannot convert to float is refused like a non-finite value
+    for build, field in ((lambda: Piece(10 ** 400, 0.0, 1.0, (1.0,)), "piece x0"),
+                         (lambda: Piece(0.0, 0.0, 1.0, (1.0, 10 ** 400)), "piece coefficient 1"),
+                         (lambda: GaussianPoly(0.0, 10 ** 400, (1.0,)), "GaussianPoly width"),
+                         (lambda: Affine(CompactBump(0.0, 1.0, 2), gain=10 ** 400), "Affine gain"),
+                         (lambda: Affine(CompactBump(0.0, 1.0, 2), shift=-10 ** 400),
+                          "Affine shift")):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            build()
+    # integers inside the range stay accepted
+    assert Piece(10 ** 300, 0.0, 1.0, (1,)).x0 == 10 ** 300
+
+
+def test_pascal_tables_equal_the_binomials():
+    for n in (1, 2, 3, 7, 64, 301, 401):
+        binom, shift, upper = T._pascal(n)
+        expected = np.array([[float(math.comb(j, i)) for i in range(n)] for j in range(n)])
+        assert binom.tobytes() == expected.tobytes(), n
+        j, i = np.ogrid[:n, :n]
+        assert np.array_equal(shift, np.maximum(j - i, 0))
+        assert np.array_equal(upper, i <= j)
+        for table in (binom, shift, upper):
+            assert not table.flags.writeable
+
+
 def test_closed_forms_refuse_results_beyond_the_float_range():
     # finite coefficients whose moment and squared norm overflow used to give
     # inf+0j and nan with a RuntimeWarning; now a ConfigurationError naming
@@ -292,12 +343,14 @@ def test_closed_forms_are_finite_or_refused(pieces, n, sign, log_rate, shift, ga
     # past the float range every closed form raises ConfigurationError, never
     # another error, a warning or a non-finite value
     tf = PiecewisePoly(tuple(pieces))
-    gauss = GaussianPoly(pieces[0].x0, pieces[0].scale, pieces[0].coefficients)
     rate = sign * 10.0 ** log_rate
     grid = make_grid(8.0, 64)
     calls = (lambda: exact_moment(tf, n), lambda: exact_l2_norm(tf), lambda: exact_l1_norm(tf),
              lambda: moment_defects(tf, n), lambda: Affine(tf, rate, shift, gain),
-             lambda: Affine(gauss, rate, shift, gain), lambda: sample(tf, grid))
+             # a scale whose square leaves the range is refused as a width
+             lambda: Affine(GaussianPoly(pieces[0].x0, pieces[0].scale, pieces[0].coefficients),
+                            rate, shift, gain),
+             lambda: sample(tf, grid))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:

@@ -8,7 +8,8 @@ from heisenrep import (
 )
 from heisenrep.testfn import GaussianPoly, sample
 from heisenrep.transforms import (
-    LINE_PADDING, _alternating_signs, _sign_of_frequency, spectral_multiply,
+    LINE_PADDING, _alternating_signs, _hilbert_multiplier, _sign_of_frequency,
+    spectral_multiply,
 )
 
 GRID = make_grid(32.0, 4096)
@@ -65,6 +66,18 @@ def test_sign_of_frequency_is_the_sign_of_the_dual_points():
             assert table.tobytes() == np.sign(points).tobytes(), (size, half_width)
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+def test_hilbert_multiplier_is_one_read_only_table_per_size():
+    for size in (4, 64, 4096):
+        table = _hilbert_multiplier(size)
+        assert table is _hilbert_multiplier(size)
+        assert table.tobytes() == (-1j * _sign_of_frequency(size)).tobytes()
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    f = _random(3)
+    expected = spectral_multiply(f, -1j * _sign_of_frequency(GRID.size))
+    assert hilbert(f, "multiplier").values.tobytes() == expected.values.tobytes()
 
 
 def test_unitary_and_roundtrip():
