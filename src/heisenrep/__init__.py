@@ -21,7 +21,6 @@ from .grid import (
     SampledFunction,
     dual_grid,
     inner,
-    integrate,
     make_grid,
     norm,
     restrict_halfline,
@@ -49,7 +48,6 @@ __all__ = [
     "fourier",
     "hilbert",
     "inner",
-    "integrate",
     "inverse_fourier",
     "make_grid",
     "multiply",

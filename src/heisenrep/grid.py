@@ -86,24 +86,24 @@ def dual_grid(grid: GridSpec) -> GridSpec:
     return grid._dual
 
 
-# bytes of complex samples in one chunk of stacked draws; see stack_chunks
+# bytes of complex samples in one chunk of stacked draws; see per_chunk
 _STACK_BYTES = 2 ** 18
 
 
-def stack_chunks(grid: GridSpec, draws):
-    """The draws in order, in consecutive slices of max(1, 2^18 // (16 N)) rows:
-    4 at N = 4096, and 1 from N = 2^14 on, so a chunk's stack holds 256 KiB.
-
-    A draw loop hands each slice over as one stacked SampledFunction (or one
-    GroupElement with array components).  At N = 4096, on a 2-CPU host, the
-    100 towers of the norm-growth check went 169 -> 121 ms in chunks of 4 and
-    the 100 homomorphism draws 116 -> 72 ms; chunks of 8 were slower than 4,
-    and at 16 the towers were slower than one draw at a time (239 against
-    203 ms): a stack and its temporaries then outgrow a core's 2 MiB L2
-    cache.  Rows of a stack come out bit for bit as they do one at a time.
+def per_chunk(grid: GridSpec, draws, measure) -> np.ndarray:
+    """measure(draws[i:i + k]) on consecutive slices of k = max(1, 2^18 // (16 N))
+    draws (4 at N = 4096, 1 from N = 2^14 on: a slice's stack holds 256 KiB),
+    joined along the last axis in draw order.  measure stacks its slice and
+    returns one value per draw, or a tuple of such rows, one per quantity;
+    with no draws it sees the empty slice once, so the result keeps its rows.
+    At N = 4096, on a 2-CPU host, the 100 norm-growth towers went 169 -> 121
+    ms in chunks of 4 and the 100 homomorphism draws 116 -> 72 ms; chunks of
+    8 were slower than 4, and at 16 the towers were slower than one draw at
+    a time (239 against 203 ms), as a stack outgrows a core's 2 MiB L2 cache.
     """
     rows = max(1, _STACK_BYTES // (16 * grid.size))
-    return [draws[i:i + rows] for i in range(0, len(draws), rows)]
+    return np.concatenate([np.asarray(measure(draws[i:i + rows]))
+                           for i in range(0, max(len(draws), 1), rows)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ class SampledFunction:
 
     values may have shape (..., N): a stack of functions on one grid, one per
     row.  The spectral primitives (fourier, inverse_fourier, spectral_multiply,
-    act, generator_apply) and norm work along the last axis; integrate, inner
-    and the moment functionals refuse a stack with GridMismatchError.
+    act, generator_apply) and norm work along the last axis; inner and the
+    moment functionals refuse a stack with GridMismatchError.
     """
 
     grid: GridSpec
@@ -155,15 +155,6 @@ def _require_single(f: SampledFunction) -> None:
     """Refuse a stack where one function is summed whole."""
     if f.values.ndim != 1:
         raise GridMismatchError(f"takes one function, got a stack of shape {f.values.shape}")
-
-
-def integrate(f: SampledFunction) -> complex:
-    """Periodic-rectangle quadrature: dx * sum(values).
-
-    Spectrally accurate for smooth functions decaying inside the window.
-    """
-    _require_single(f)
-    return complex(f.grid.spacing * np.sum(f.values))
 
 
 def inner(f: SampledFunction, g: SampledFunction) -> complex:

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, PrecisionError
+from .errors import ConfigurationError, GridMismatchError, PrecisionError
 from .grid import GridSpec, SampledFunction, dual_grid
 from .transforms import spectral_multiply
 
@@ -93,11 +93,6 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
     return LieElement(0.0, 0.0, u.a * v.b - v.a * u.b)
 
 
-def stack_elements(elements) -> GroupElement:
-    """One GroupElement whose components stack those of the elements, in order."""
-    return GroupElement(*map(np.array, zip(*((e.xi1, e.xi2, e.xi3) for e in elements))))
-
-
 def in_semigroup(xi: GroupElement, sid: SemigroupId):
     """Exact, elementwise membership predicate; inverse-flagged ids test inverse(xi)."""
     if sid.inverted:
@@ -117,9 +112,16 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     xi1 be a multiple of the grid spacing.  Either acts on each row of a
     stacked f.  In spectral mode xi may be a stack of k elements (components
     of shape (k,)): the result is then a stack of k rows, and a single f is
-    transformed once for all of them.
+    transformed once for all of them; components and rows that do not
+    broadcast are refused with GridMismatchError.
     """
     if mode == "spectral":
+        try:
+            np.broadcast(xi.xi1, xi.xi2, xi.xi3, f.values[..., 0])
+        except ValueError:
+            raise GridMismatchError(
+                f"element components of shapes {np.shape(xi.xi1)}, {np.shape(xi.xi2)}, "
+                f"{np.shape(xi.xi3)} do not fit a stack of shape {f.values.shape[:-1]}") from None
         vals = spectral_multiply(f, _phase(xi.xi1, dual_grid(f.grid))).values
     elif mode == "grid":
         if np.ndim(xi.xi1) or np.ndim(xi.xi2) or np.ndim(xi.xi3):

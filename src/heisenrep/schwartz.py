@@ -16,10 +16,8 @@ import numpy as np
 
 from . import testfn
 from .errors import CapabilityError, ConfigurationError, require_order
-from .grid import SampledFunction, _require_single, norm, restrict_halfline, stack_chunks
-from .heisenberg import (
-    CHI1, CHI2, CHI3, act, element_from_lie, generator_apply, stack_elements,
-)
+from .grid import SampledFunction, _require_single, norm, per_chunk, restrict_halfline
+from .heisenberg import CHI1, CHI2, CHI3, GroupElement, act, element_from_lie, generator_apply
 from .transforms import fourier, inverse_fourier, proj_hardy
 
 # seminorm_sup scan: a Gaussian's half-window in units of its width, and the
@@ -85,34 +83,36 @@ def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0) -> l
     """Difference-quotient error curves ||((U(t chi) - I)/t - X) f||_k per t.
 
     Returns one curve [(t, error), ...] for each order k = 0..n; the
-    quotients are built a chunk of t values at a time (see
-    grid.stack_chunks), and each chunk is measured by one seminorm tower.
+    quotients of each chunk of t values (see grid.per_chunk) are measured by
+    one seminorm tower.
     """
     if gen not in _GENERATOR_DIRECTION:
         raise ConfigurationError(f"unknown generator {gen!r}")
     if not all(t > 0 for t in t_list):
         raise ConfigurationError("t_list entries must be positive")
     exact = generator_apply(gen, f)
-    errors = []
-    for chunk in stack_chunks(f.grid, np.array(t_list, dtype=float)):
-        step = element_from_lie(_GENERATOR_DIRECTION[gen], chunk)
-        quotient = (act(step, f, mode="spectral") - f) * (1.0 / chunk)[:, None]
-        errors.extend(np.transpose(seminorm_tower(quotient - exact, n)))
-    return [[(t, err[k]) for t, err in zip(t_list, errors)] for k in range(n + 1)]
+
+    def errors(t):
+        step = element_from_lie(_GENERATOR_DIRECTION[gen], t)
+        return seminorm_tower((act(step, f) - f) * (1.0 / t)[:, None] - exact, n)
+
+    curves = per_chunk(f.grid, np.array(t_list, dtype=float), errors)
+    return [[(t, err) for t, err in zip(t_list, curve)] for curve in curves]
 
 
-def norm_growth_check(xis, f: SampledFunction, n: int) -> np.ndarray:
+def norm_growth_check(xis: GroupElement, f: SampledFunction, n: int) -> np.ndarray:
     """Ratios ||U(xi) f||_k / ((1 + xi1^2 + xi2^2)^{k/2} ||f||_k), one row per
-    xi in xis and one column per order k = 0..n; f's tower is computed once,
-    and the towers of U(xi) f a chunk of stacked draws at a time."""
-    xis = list(xis)
+    element of the stack xis and one column per order k = 0..n; f's tower is
+    computed once, and the towers of U(xi) f a chunk of stacked draws at a
+    time (see grid.per_chunk)."""
     f_tower = seminorm_tower(f, n)
-    towers = [row for chunk in stack_chunks(f.grid, xis)
-              for row in np.transpose(seminorm_tower(act(stack_elements(chunk), f), n))]
+    draws = np.stack(np.broadcast_arrays(xis.xi1, xis.xi2, xis.xi3), axis=-1).reshape(-1, 3)
+    towers = per_chunk(f.grid, draws, lambda d: seminorm_tower(act(GroupElement(*d.T), f), n))
+    # Python floats: their ** is libm's pow, where an array's ** 2 multiplies
     return np.array([
-        [lhs / ((1.0 + xi.xi1 ** 2 + xi.xi2 ** 2) ** (k / 2.0) * f_tower[k])
+        [lhs / ((1.0 + xi1 ** 2 + xi2 ** 2) ** (k / 2.0) * f_tower[k])
          for k, lhs in enumerate(row)]
-        for xi, row in zip(xis, towers)])
+        for (xi1, xi2, _), row in zip(draws.tolist(), towers.T)])
 
 
 def seminorm_sup(tf, m: int, n: int) -> float:
@@ -202,6 +202,7 @@ def class_defects(f: SampledFunction, max_order: int = 8) -> dict:
     on the inverse transform (moments of f^ vanish iff derivatives of f
     vanish at the origin, and vice versa).
     """
+    _require_single(f)
     nf = norm(f)
     if nf == 0.0:
         zero = 0.0

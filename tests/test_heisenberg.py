@@ -196,7 +196,7 @@ def test_act_matches_exponential_phases(mode):
 
 def test_norm_growth_bound():
     rng = np.random.default_rng(2)
-    xis = [GroupElement(*(float(v) for v in rng.uniform(-5, 5, 3))) for _ in range(20)]
+    xis = GroupElement(*rng.uniform(-5, 5, (20, 3)).T)
     ratios = norm_growth_check(xis, GAUSS, 2)
     assert ratios.shape == (20, 3)
     assert np.all(ratios <= 1.0 + 1e-10)

@@ -350,7 +350,9 @@ def test_modulations_beyond_int64_refused():
 def test_non_finite_measurement_refused():
     # a draw of NaN is refused too, though max() of the draws would drop it
     rec = Recorder(SuiteConfig(suite="norms"), "norms")
-    for value in (math.nan, math.inf, -math.inf, [0.0, math.nan, 1e-12]):
+    # a Python float overflows to inf without an exception, which the
+    # runner's numpy trap does not see
+    for value in (math.nan, math.inf, -math.inf, [0.0, math.nan, 1e-12], 1e308 / 0.1):
         with pytest.raises(ConfigurationError, match="check seminorm-0 measured (nan|-?inf)"):
             rec.check("seminorm-0", value)
     assert rec.checks == []
@@ -429,6 +431,19 @@ def test_default_report_bytes_pinned():
     assert len(data) == 23387
     assert hashlib.sha256(data).hexdigest() == (
         "4ae635a950334de012252f8c6d2634357b7349a53fdd9b0cae789ff0704fe5aa")
+
+
+@pytest.mark.parametrize("size,length,digest", [
+    (8192, 23349, "465e00335057d4e021deb5168fff43a4b8b695dbe806714ae532e966ba1de0e0"),
+    (16384, 23401, "5f2f6b8834cb4eb643ebd6ac6d1d0b03d600624c5197b8264215292fd9d88d3a"),
+])
+def test_report_bytes_pinned_at_smaller_chunks(size, length, digest):
+    # the draw loops hand over 2 rows at N = 8192 and 1 row at N = 16384; the
+    # default run pins 4, so these pin the reports at the other chunk sizes
+    text = "".join(report_json(r) for r in run_all(SuiteConfig(suite=SUITE_IDS[0], size=size)))
+    data = text.encode()
+    assert len(data) == length
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_mirror_defects_detect_a_wrong_mirror(monkeypatch):

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from heisenrep import (
     ConfigurationError, GridMismatchError, GroupElement, SampledFunction, act,
-    fourier, hilbert, inner, integrate, inverse_fourier, make_grid, norm, proj_hardy,
+    fourier, hilbert, inner, inverse_fourier, make_grid, norm, proj_hardy,
 )
-from heisenrep.grid import stack_chunks
-from heisenrep.heisenberg import generator_apply, stack_elements
-from heisenrep.schwartz import moment, n_defect, seminorm_tower
+from heisenrep.grid import per_chunk
+from heisenrep.heisenberg import generator_apply
+from heisenrep.schwartz import (
+    class_defects, generator_convergence, moment, n_defect, norm_growth_check, seminorm_tower,
+)
 from heisenrep.transforms import spectral_multiply
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -29,8 +31,10 @@ def _stack(grid, rows, rng):
 
 
 def _elements(rng, rows):
-    """rows single elements with Python float components, as the suites draw them."""
-    return [GroupElement(*(float(v) for v in rng.uniform(-5, 5, 3))) for _ in range(rows)]
+    """rows elements drawn as one array, as the suites draw them: the stack,
+    and each row as a single element with Python float components."""
+    draws = rng.uniform(-5, 5, (rows, 3))
+    return GroupElement(*draws.T), [GroupElement(*d) for d in draws.tolist()]
 
 
 def _rows(f):
@@ -70,8 +74,7 @@ def test_stacked_act_matches_rows(case):
     rng = np.random.default_rng(seed)
     f = _stack(grid, rows, rng)
     single = SampledFunction(grid, _random_values(rng, grid.size))
-    xis = _elements(rng, rows)
-    xi = stack_elements(xis)
+    xi, xis = _elements(rng, rows)
     assert xi.xi1.shape == xi.xi2.shape == xi.xi3.shape == (rows,)
     # one function, moved by every element of the stack
     _assert_rows(act(xi, single), [act(e, single) for e in xis])
@@ -138,8 +141,8 @@ def test_sampled_function_refuses_a_last_axis_off_the_grid():
 def test_whole_sums_refuse_a_stack():
     f = _stack(GRIDS[0], 2, np.random.default_rng(6))
     single = _rows(f)[0]
-    for call in (lambda: integrate(f), lambda: inner(f, single), lambda: inner(single, f),
-                 lambda: moment(f, 1), lambda: n_defect(f)):
+    for call in (lambda: inner(f, single), lambda: inner(single, f),
+                 lambda: moment(f, 1), lambda: n_defect(f), lambda: class_defects(f)):
         with pytest.raises(GridMismatchError, match="takes one function"):
             call()
 
@@ -163,13 +166,35 @@ def test_grid_mode_act_moves_each_row_of_a_stack():
         _assert_rows(act(m, f, mode="grid"), [act(m, g, mode="grid") for g in _rows(f)])
 
 
-def test_stack_chunks_hold_256_kib():
-    # max(1, 2^18 // (16 N)) rows: 4 at N = 4096, 1 from N = 2^14 on
-    assert [len(c) for c in stack_chunks(make_grid(32.0, 4096), range(10))] == [4, 4, 2]
-    assert [len(c) for c in stack_chunks(make_grid(32.0, 2 ** 14), range(3))] == [1, 1, 1]
-    assert [len(c) for c in stack_chunks(make_grid(32.0, 2 ** 16), range(2))] == [1, 1]
-    assert [len(c) for c in stack_chunks(make_grid(32.0, 1024), range(20))] == [16, 4]
-    assert stack_chunks(make_grid(32.0, 4096), []) == []
-    # draws keep their order across chunks
-    draws = list(range(11))
-    assert [d for c in stack_chunks(make_grid(32.0, 4096), draws) for d in c] == draws
+def test_spectral_act_refuses_a_stack_that_does_not_fit():
+    grid = GRIDS[0]
+    f = _stack(grid, 2, np.random.default_rng(5))
+    three = np.array([0.5, 1.0, 1.5])
+    for xi, g in ((GroupElement(three, three, three), f),
+                  (GroupElement(three, np.array([0.0, 1.0]), 0.0), _rows(f)[0])):
+        with pytest.raises(GridMismatchError, match=r"shapes \(3,\).*stack of shape"):
+            act(xi, g)
+
+
+def test_per_chunk_hands_over_256_kib_in_draw_order():
+    # max(1, 2^18 // (16 N)) draws a slice: 4 at N = 4096, 1 from N = 2^14 on
+    for size, count, slices in ((4096, 10, [4, 4, 2]), (2 ** 14, 3, [1, 1, 1]),
+                                (2 ** 16, 2, [1, 1]), (1024, 20, [16, 4])):
+        seen = []
+
+        def measure(d):
+            seen.append(len(d))
+            return d, -d
+
+        draws = np.arange(count, dtype=float)
+        plus, minus = per_chunk(make_grid(32.0, size), draws, measure)
+        assert seen == slices
+        assert plus.tolist() == draws.tolist()
+        assert minus.tolist() == (-draws).tolist()
+    # no draws: measure sees the empty slice once, so the results keep their rows
+    assert per_chunk(make_grid(32.0, 4096), np.empty(0), lambda d: (d, d)).shape == (2, 0)
+    f = SampledFunction(GRIDS[0], np.exp(-GRIDS[0].points ** 2 / 2.0))
+    assert generator_convergence("D", f, [], 1) == [[], []]
+    empty = np.empty(0)
+    ratios = norm_growth_check(GroupElement(empty, empty, empty), f, 2)
+    assert ratios.shape == (0,)
