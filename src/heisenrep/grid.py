@@ -17,13 +17,18 @@ import numpy as np
 from .errors import ConfigurationError, GridMismatchError
 
 
+# largest complex sample array a grid may ask for: 256 MiB, 2^24 points
+MAX_GRID_BYTES = 2 ** 28
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid of N points on [-L, L), N a power of two.
+    """Uniform grid of N points on [-L, L), N a power of two from 4 to
+    MAX_GRID_BYTES / 16.
 
     The points and the dual grid are computed once per instance and the
     points are read-only.
@@ -40,6 +45,10 @@ class GridSpec:
             raise ConfigurationError(f"size must be a power of two, got {self.size}")
         if self.size < 4:
             raise ConfigurationError(f"size must be at least 4, got {self.size}")
+        if 16 * int(self.size) > MAX_GRID_BYTES:
+            raise ConfigurationError(
+                f"size {self.size} needs {16 * int(self.size)} bytes per complex array, "
+                f"past MAX_GRID_BYTES = {MAX_GRID_BYTES}")
         try:
             spacing = self.spacing
         except OverflowError:  # an integer beyond the float range
@@ -114,13 +123,23 @@ class SampledFunction:
     row.  The spectral primitives (fourier, inverse_fourier, spectral_multiply,
     act, generator_apply) and norm work along the last axis; inner and the
     moment functionals refuse a stack with GridMismatchError.
+
+    values are read-only.  An array that is complex, read-only and owns its
+    data is taken as it is: the library hands over the fresh buffer each
+    primitive fills (see _adopt).  Any other input is copied, so a caller's
+    writeable array, a view or real samples never alias the result.  A
+    frozen complex array that owns its data is shared with the result and
+    must stay frozen: its owner can turn writing back on with setflags.
     """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=complex)
+        vals = self.values
+        if not (type(vals) is np.ndarray and vals.dtype == complex
+                and not vals.flags.writeable and vals.flags.owndata):
+            vals = np.array(vals, dtype=complex)
         if vals.shape[-1:] != (self.grid.size,):
             raise GridMismatchError(
                 f"values shape {vals.shape} does not end in grid size {self.grid.size}"
@@ -131,19 +150,26 @@ class SampledFunction:
     # small immutable-vector algebra; enough for the operator expressions used here
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         _check_same_grid(self, other)
-        return SampledFunction(self.grid, self.values + other.values)
+        return _adopt(self.grid, self.values + other.values)
 
     def __sub__(self, other: "SampledFunction") -> "SampledFunction":
         _check_same_grid(self, other)
-        return SampledFunction(self.grid, self.values - other.values)
+        return _adopt(self.grid, self.values - other.values)
 
     def __mul__(self, scalar) -> "SampledFunction":
-        return SampledFunction(self.grid, self.values * scalar)
+        return _adopt(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SampledFunction":
-        return SampledFunction(self.grid, -self.values)
+        return _adopt(self.grid, -self.values)
+
+
+def _adopt(grid: GridSpec, buf: np.ndarray) -> SampledFunction:
+    """SampledFunction on buf without a copy, when buf is a fresh complex
+    array that nothing else writes: it is marked read-only here."""
+    buf.setflags(write=False)
+    return SampledFunction(grid, buf)
 
 
 def _check_same_grid(f: SampledFunction, g: SampledFunction) -> None:

@@ -12,9 +12,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError, PrecisionError
-from .grid import GridSpec, SampledFunction, dual_grid
-from .transforms import spectral_multiply
+from .errors import ConfigurationError, GridMismatchError, PrecisionError, require_order
+from .grid import GridSpec, SampledFunction, _adopt, dual_grid
+from .transforms import _multiplied, _multiply_into, spectral_multiply
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
             raise GridMismatchError(
                 f"element components of shapes {np.shape(xi.xi1)}, {np.shape(xi.xi2)}, "
                 f"{np.shape(xi.xi3)} do not fit a stack of shape {f.values.shape[:-1]}") from None
-        vals = spectral_multiply(f, _phase(xi.xi1, dual_grid(f.grid))).values
+        vals = _multiplied(f, _phase(xi.xi1, dual_grid(f.grid)))
     elif mode == "grid":
         if np.ndim(xi.xi1) or np.ndim(xi.xi2) or np.ndim(xi.xi3):
             raise ConfigurationError("grid-mode act takes one group element, not a stack; "
@@ -145,7 +145,7 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
                 vals[..., -m_round:] = f.values[..., : n + m_round]
     else:
         raise ConfigurationError(f"unknown act mode {mode!r}")
-    return SampledFunction(f.grid, _phase(xi.xi2, f.grid, np.exp(1j * xi.xi3)) * vals)
+    return _adopt(f.grid, _multiply_into(_phase(xi.xi2, f.grid, np.exp(1j * xi.xi3)), vals))
 
 
 def _phase(a: float, grid: GridSpec, factor: complex = 1.0) -> np.ndarray:
@@ -184,11 +184,12 @@ def _cis(t: np.ndarray) -> np.ndarray:
 def generator_apply(gen: str, f: SampledFunction) -> SampledFunction:
     """Lie-algebra generators: M = i*x*, D = d/dx (spectral), C = i*identity."""
     if gen == "M":
-        return SampledFunction(f.grid, 1j * f.grid.points * f.values)
+        ix = np.multiply(1j, f.grid.points)
+        return _adopt(f.grid, np.multiply(ix, f.values, out=ix if f.values.ndim == 1 else None))
     if gen == "D":
         return spectral_multiply(f, 1j * dual_grid(f.grid).points)
     if gen == "C":
-        return SampledFunction(f.grid, 1j * f.values)
+        return _adopt(f.grid, np.multiply(1j, f.values))
     raise ConfigurationError(f"unknown generator {gen!r}; expected 'M', 'D' or 'C'")
 
 
@@ -201,8 +202,10 @@ def random_in_semigroup(rng: np.random.Generator, sid: SemigroupId,
                         size=None) -> GroupElement:
     """Rejection-free sampler of semigroup members (inverse-flag aware).
 
-    size as in numpy: None draws one element, n gives array components.
+    size as in numpy: None draws one element, n >= 0 gives array components.
     Draw order: x1, x2, x3, then the extra coordinate of S1, S2 or S4."""
+    if size is not None:
+        require_order("size", size)
     x1 = rng.uniform(0.0, 5.0, size)
     x2 = rng.uniform(0.0, 5.0, size)
     x3 = rng.uniform(-5.0, 5.0, size)

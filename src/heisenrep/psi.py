@@ -20,7 +20,7 @@ import numpy as np
 
 from . import testfn
 from .errors import ClassMembershipError, ConfigurationError, SemigroupDomainError
-from .grid import GridSpec, SampledFunction, norm, restrict_halfline
+from .grid import GridSpec, SampledFunction, _check_same_grid, norm, restrict_halfline
 from .heisenberg import GroupElement, SemigroupId, act, in_semigroup
 from .schwartz import moment_defect, moment_orders, seminorm_iter
 from .transforms import _sign_of_frequency, fourier, proj_hardy
@@ -163,7 +163,9 @@ def tilde_synthesize(g: SampledFunction, h: SampledFunction) -> SampledFunction:
 
     Lives on the dual grid; by construction it equals the Fourier transform
     of the direct synthesis, so the two routes cross-check each other.
+    g and h must share a grid (GridMismatchError otherwise).
     """
+    _check_same_grid(g, h)
     ghat = fourier(g)
     hhat = fourier(h)
     s = _sign_of_frequency(g.grid.size)

@@ -10,6 +10,7 @@ down anywhere usable, so no cross-family comparison is attempted.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -118,7 +119,11 @@ def norm_growth_check(xis: GroupElement, f: SampledFunction, n: int) -> np.ndarr
 def seminorm_sup(tf, m: int, n: int) -> float:
     """sup_x |x^m * (d^n tf)(x)| via a dense scan, rerun on its own bracket,
     of each interval where d^n tf lives: each support interval of a compact
-    descriptor, and a Gaussian's centre +- SUP_SPAN widths."""
+    descriptor, and a Gaussian's centre +- SUP_SPAN widths.
+
+    The scan compares m*log|x| + log|d^n tf(x)|, as x^m may overflow where the
+    product does not; a sup past the float range raises ConfigurationError.
+    """
     require_order("seminorm_sup m", m)
     require_order("seminorm_sup n", n)
     d = testfn.derivative(tf, n)
@@ -126,7 +131,7 @@ def seminorm_sup(tf, m: int, n: int) -> float:
         windows = ((d.center - SUP_SPAN * d.width, d.center + SUP_SPAN * d.width),)
     else:
         windows = testfn.support(d)
-    best = 0.0
+    best = -math.inf
     for lo, hi in windows:
         # one scan, then two rescans of the +-2-cell bracket around the
         # argmax; each rescan shrinks the cell about 2,048-fold (1.6e-2 ->
@@ -134,12 +139,19 @@ def seminorm_sup(tf, m: int, n: int) -> float:
         # error goes as the square of the x-error, far below 1e-12 relative
         for _ in range(3):
             xs = np.linspace(lo, hi, SUP_SAMPLES)
-            vals = np.abs(xs ** m * testfn.evaluate(d, xs))
-            j = int(np.argmax(vals))
-            best = max(best, float(vals[j]))
+            with np.errstate(divide="ignore"):  # log 0 = -inf, a zero of the product
+                logs = np.log(np.abs(testfn.evaluate(d, xs)))
+                if m:
+                    logs += m * np.log(np.abs(xs))
+            j = int(np.argmax(logs))
+            best = max(best, float(logs[j]))
             h = (hi - lo) / (SUP_SAMPLES - 1)
             lo, hi = max(lo, xs[j] - 2 * h), min(hi, xs[j] + 2 * h)
-    return best
+    try:
+        return math.exp(best)
+    except OverflowError:
+        raise ConfigurationError(f"sup of |x^{m} d^{n} f| is about "
+                                 f"10^{best / math.log(10):.1f}, past the float range") from None
 
 
 class GridMoment(NamedTuple):

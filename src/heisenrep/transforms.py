@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import SampledFunction, dual_grid
+from .grid import GridSpec, SampledFunction, _adopt, dual_grid
 
 # zero-padding factor of the line Hilbert route
 LINE_PADDING = 16
@@ -29,10 +29,28 @@ def fourier(f: SampledFunction) -> SampledFunction:
     (dx/sqrt(2*pi)) sum_j f_j e^{-i x_j y_k} reduces to a standard FFT
     with alternating-sign pre/post twiddles (N/2 even kills the constant).
     """
-    alt = _alternating_signs(f.grid.size)
-    spec = alt * np.fft.fft(alt * f.values)
-    spec *= f.grid.spacing / np.sqrt(2.0 * np.pi)
-    return SampledFunction(dual_grid(f.grid), spec)
+    return _adopt(dual_grid(f.grid), _transform(f.values, f.grid))
+
+
+def inverse_fourier(f: SampledFunction) -> SampledFunction:
+    """Exact inverse of :func:`fourier` (the transform matrix is symmetric)."""
+    return _adopt(dual_grid(f.grid), _transform(f.values, f.grid, inverse=True))
+
+
+def _transform(values: np.ndarray, grid: GridSpec, inverse: bool = False, buf=None) -> np.ndarray:
+    """The rows of :func:`fourier` (conj . fourier . conj when `inverse`) of
+    samples on `grid`, computed in place in a fresh buffer, or in `buf`,
+    which may be `values`; each step rounds as alt * fft(alt * values) did."""
+    alt = _alternating_signs(grid.size)
+    if inverse:
+        values = buf = np.conjugate(values, out=buf)
+    buf = np.multiply(alt, values, out=buf)
+    np.fft.fft(buf, out=buf)
+    np.multiply(alt, buf, out=buf)
+    buf *= grid.spacing / np.sqrt(2.0 * np.pi)
+    if inverse:
+        np.conjugate(buf, out=buf)
+    return buf
 
 
 @cache
@@ -45,12 +63,6 @@ def _alternating_signs(n: int) -> np.ndarray:
     return alt
 
 
-def inverse_fourier(f: SampledFunction) -> SampledFunction:
-    """Exact inverse of :func:`fourier` (the transform matrix is symmetric)."""
-    out = fourier(SampledFunction(f.grid, np.conj(f.values)))
-    return SampledFunction(out.grid, np.conj(out.values))
-
-
 def spectral_multiply(f: SampledFunction, mult) -> SampledFunction:
     """Frequency multiplier: inverse_fourier(mult * fourier(f)), two FFTs.
 
@@ -59,8 +71,19 @@ def spectral_multiply(f: SampledFunction, mult) -> SampledFunction:
     stays the left operand: complex products are not bitwise commutative
     under FMA.
     """
-    spec = fourier(f)
-    return inverse_fourier(SampledFunction(spec.grid, mult * spec.values))
+    return _adopt(f.grid, _multiplied(f, mult))
+
+
+def _multiplied(f: SampledFunction, mult) -> np.ndarray:
+    """The rows of spectral_multiply(f, mult) in one fresh, writeable buffer
+    (two when a stacked mult outgrows f's rows)."""
+    spec = _multiply_into(mult, _transform(f.values, f.grid))
+    return _transform(spec, dual_grid(f.grid), inverse=True, buf=spec)
+
+
+def _multiply_into(a, buf: np.ndarray) -> np.ndarray:
+    """a * buf, a the left operand, written into buf when it has the product's shape."""
+    return np.multiply(a, buf, out=buf if np.broadcast(a, buf).shape == buf.shape else None)
 
 
 @cache
@@ -120,14 +143,20 @@ def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
             kernel[n] = 0.0
             odd = 2.0 / (wide * np.tan(np.pi * m / wide))
         else:
-            kernel = np.zeros(2 * n)
+            # complex, so it is transformed in place; a real kernel is
+            # transformed as its complex cast, bit for bit
+            kernel = np.zeros(2 * n, dtype=complex)
             odd = 2.0 / (np.pi * m)
         kernel[1:n:2] += odd  # lags m = 1, 3, ..., N - 1
         kernel[:n:-2] -= odd  # lags -m, at indices 2N - m
         del odd  # before the FFTs, which set the route's peak memory
         # padding f to 2N keeps the circular wrap off the grid
-        conv = np.fft.ifft(np.fft.fft(f.values, 2 * n) * np.fft.fft(kernel))[..., :n]
-        return SampledFunction(f.grid, conv)
+        conv = np.zeros(f.values.shape[:-1] + (2 * n,), dtype=complex)
+        conv[..., :n] = f.values
+        np.fft.fft(conv, out=conv)
+        conv *= np.fft.fft(kernel, out=kernel)
+        np.fft.ifft(conv, out=conv)
+        return _adopt(f.grid, conv[..., :n].copy())
     raise ConfigurationError(f"unknown hilbert method {method!r}")
 
 

@@ -9,6 +9,7 @@ from heisenrep import (
     ConfigurationError, GridMismatchError, GridSpec, SampledFunction, dual_grid, fourier,
     hilbert, inner, inverse_fourier, make_grid, norm, proj_hardy, restrict_halfline,
 )
+from heisenrep.grid import MAX_GRID_BYTES
 from heisenrep.heisenberg import generator_apply
 
 
@@ -40,6 +41,17 @@ def test_make_grid_validation():
                              (1e308, 4096), (5e-324, 4096)):
         with pytest.raises(ConfigurationError):
             GridSpec(half_width, size)
+
+
+def test_grid_size_capped_in_bytes():
+    # a complex array of the grid may take MAX_GRID_BYTES; nothing is allocated
+    # to refuse a larger one
+    top = MAX_GRID_BYTES // 16
+    assert top >= 2 ** 20
+    assert make_grid(1.0, top).size == top
+    for size in (2 * top, 2 ** 40, np.int64(2 ** 62)):
+        with pytest.raises(ConfigurationError, match="MAX_GRID_BYTES"):
+            make_grid(1.0, size)
 
 
 def test_dual_grid_involutive():
@@ -111,6 +123,39 @@ def test_sampled_function_immutable():
     f = SampledFunction(g, np.ones(8))
     with pytest.raises(ValueError):
         f.values[0] = 2.0
+
+
+def test_sampled_function_takes_only_a_frozen_complex_buffer():
+    g = make_grid(4.0, 8)
+    # a writeable caller array is copied: mutating it later changes nothing
+    a = np.arange(8, dtype=complex)
+    f = SampledFunction(g, a)
+    a[0] = 99.0
+    assert f.values[0] == 0.0 and f.values is not a
+    # a read-only view of a writeable array is copied
+    view = a[:]
+    view.setflags(write=False)
+    f = SampledFunction(g, view)
+    a[1] = 99.0
+    assert f.values[1] == 1.0 and f.values is not view
+    # real samples are copied into a complex array, even when read-only
+    real = np.arange(8.0)
+    real.setflags(write=False)
+    assert SampledFunction(g, real).values.dtype == complex
+    # a complex, read-only array that owns its data is taken as it is, so it
+    # is shared: its owner may turn writing back on, and a write after that
+    # shows through; the caller keeps such an array frozen
+    frozen = np.arange(8, dtype=complex)
+    frozen.setflags(write=False)
+    shared = SampledFunction(g, frozen)
+    assert shared.values is frozen
+    frozen.setflags(write=True)
+    frozen[2] = 99.0
+    assert shared.values[2] == 99.0
+    # every result is read-only, the arithmetic's included
+    h = SampledFunction(g, np.ones(8))
+    for result in (h, h + h, h - h, 2.0 * h, -h):
+        assert not result.values.flags.writeable
 
 
 def test_sampled_function_shape_check():

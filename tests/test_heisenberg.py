@@ -71,6 +71,12 @@ def test_semigroup_unknown_base():
         SemigroupId("S9")
 
 
+def test_random_in_semigroup_refuses_a_negative_size():
+    with pytest.raises(ConfigurationError, match="size"):
+        random_in_semigroup(np.random.default_rng(0), SemigroupId("S1"), -1)
+    assert np.shape(random_in_semigroup(np.random.default_rng(0), SemigroupId("S1"), 0).xi1) == (0,)
+
+
 def test_act_identity_and_unitarity():
     assert norm(act(IDENTITY, GAUSS) - GAUSS) < 1e-13
     xi = GroupElement(1.3, -0.7, 0.2)

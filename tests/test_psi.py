@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import heisenrep.psi
-from heisenrep import GroupElement, fourier, hilbert, make_grid, norm
-from heisenrep.errors import ClassMembershipError, ConfigurationError, SemigroupDomainError
+from heisenrep import GroupElement, SampledFunction, fourier, hilbert, make_grid, norm
+from heisenrep.errors import (
+    ClassMembershipError, ConfigurationError, GridMismatchError, SemigroupDomainError,
+)
 from heisenrep.psi import (
     act_psi, certify_nminus, coincidence_defect, contraction_contrast,
     halfline_contraction, hardy_semigroup_step, invariance_witness,
@@ -112,6 +114,14 @@ def test_tilde_routes_agree():
     phi = tilde_synthesize(psi.g, psi.h)
     via = fourier(psi.samples)
     assert norm(phi - via) < 1e-12 * norm(via)
+
+
+def test_tilde_synthesize_refuses_two_grids():
+    # one size, two windows: the spectra live on different dual grids
+    g = SampledFunction(make_grid(8.0, 64), np.ones(64))
+    h = SampledFunction(make_grid(4.0, 64), np.ones(64))
+    with pytest.raises(GridMismatchError):
+        tilde_synthesize(g, h)
 
 
 def test_tilde_norm_matches_pair_norm():

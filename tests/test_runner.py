@@ -13,9 +13,7 @@ import pytest
 
 import heisenrep.annihilator
 import heisenrep.psi
-import heisenrep.schwartz
 import heisenrep.suites
-import heisenrep.transforms
 from heisenrep.cli import build_parser, load_settings, main
 from heisenrep.errors import ConfigurationError
 from heisenrep.grid import dual_grid, make_grid
@@ -148,6 +146,13 @@ def test_cli_infinite_half_width_exits_two():
 
 def test_cli_huge_grid_size_exits_two():
     assert main(["--suite", "transforms", "--grid-size", str(2 ** 1400)]) == 2
+
+
+def test_cli_grid_past_the_byte_cap_exits_two(capsys):
+    # 2^40 points would take 16 TiB; the grid is refused before any is allocated
+    assert main(["--suite", "norms", "--grid-size", str(2 ** 40)]) == 2
+    err = capsys.readouterr().err
+    assert "MAX_GRID_BYTES" in err and len(err.strip().splitlines()) == 1
 
 
 def test_cli_negative_epsilon_exits_two():
@@ -507,17 +512,17 @@ def test_generators_fourier_count(monkeypatch):
     # pins the suite's transform work: one seminorm tower per function and per
     # chunk of stacked draws or difference quotients, each transforming a node
     # only where the next generator changes domain; one call transforms a
-    # chunk's rows, and a chunk's shared input once
+    # chunk's rows, and a chunk's shared input once.  Counted at numpy's FFT,
+    # which every transform reaches (inverse_fourier and spectral_multiply do
+    # not call fourier)
     calls = []
-    fourier = heisenrep.transforms.fourier
+    fft = np.fft.fft
 
-    def counting(f):
-        calls.append(math.prod(f.values.shape[:-1]))
-        return fourier(f)
+    def counting(a, *args, **kwargs):
+        calls.append(math.prod(np.shape(a)[:-1]))
+        return fft(a, *args, **kwargs)
 
-    monkeypatch.setattr(heisenrep.transforms, "fourier", counting)
-    monkeypatch.setattr(heisenrep.suites, "fourier", counting)
-    monkeypatch.setattr(heisenrep.schwartz, "fourier", counting)
+    monkeypatch.setattr(np.fft, "fft", counting)
     run_suite(SuiteConfig(suite="generators"))
     assert len(calls) == 282
     assert sum(calls) == 954

@@ -6,7 +6,6 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import heisenrep.schwartz
-import heisenrep.transforms
 from heisenrep import SampledFunction, dual_grid, fourier, make_grid, proj_hardy
 from heisenrep.errors import CapabilityError, ConfigurationError
 from heisenrep.psi import certify_nminus
@@ -35,22 +34,23 @@ def test_seminorm_tower_applies_each_word_once(monkeypatch):
     # every word in {M, D}^{<=n} is one generator_apply("M", .) on the grid
     # that holds the node (the image of D on the dual grid), and a node is
     # transformed only for its child of the other generator: 2^n - 1
-    # transforms, all through transforms.fourier
+    # transforms, each through schwartz.fourier or schwartz.inverse_fourier
     transforms, products = [], []
-    fourier = heisenrep.transforms.fourier
     apply = heisenrep.schwartz.generator_apply
 
-    def counting(f):
-        transforms.append(f.grid)
-        return fourier(f)
+    def counted(transform):
+        def counting(f):
+            transforms.append(f.grid)
+            return transform(f)
+        return counting
 
     def counting_products(gen, f):
         assert gen == "M"
         products.append(f.grid)
         return apply(gen, f)
 
-    monkeypatch.setattr(heisenrep.transforms, "fourier", counting)
-    monkeypatch.setattr(heisenrep.schwartz, "fourier", counting)
+    for name in ("fourier", "inverse_fourier"):
+        monkeypatch.setattr(heisenrep.schwartz, name, counted(getattr(heisenrep.schwartz, name)))
     monkeypatch.setattr(heisenrep.schwartz, "generator_apply", counting_products)
     counts = []
     for n in range(4):
@@ -181,6 +181,19 @@ def _sup_oracle(g, m, n):
     roots = P.polyroots(P.polysub(P.polyder(r), P.polymul([0.0, 1.0 / w ** 2], r)))
     u = roots[np.abs(roots.imag) < 1e-9].real
     return float(np.max(np.abs(P.polyval(u, r)) * np.exp(-u ** 2 / (2 * w ** 2))))
+
+
+@pytest.mark.parametrize("m", [2, 50, 200])
+def test_seminorm_sup_past_the_range_of_x_to_the_m(m):
+    # sup |x^m e^{-x^2/2}| = (m/e)^{m/2} at x = sqrt(m); at m = 200 it is about
+    # 1e186 while x^200 overflows on the scan's window
+    exact = math.exp(m / 2 * math.log(m / math.e))
+    assert abs(seminorm_sup(GaussianPoly(0.0, 1.0, (1.0,)), m, 0) - exact) < 1e-12 * exact
+
+
+def test_seminorm_sup_past_the_float_range_refused():
+    with pytest.raises(ConfigurationError, match="float range"):
+        seminorm_sup(GaussianPoly(0.0, 1.0, (1.0,)), 600, 0)
 
 
 def test_seminorm_sup_random_gaussian_polys():

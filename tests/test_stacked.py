@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from heisenrep import (
     ConfigurationError, GridMismatchError, GroupElement, SampledFunction, act,
-    fourier, hilbert, inner, inverse_fourier, make_grid, norm, proj_hardy,
+    dual_grid, fourier, hilbert, inner, inverse_fourier, make_grid, norm, proj_hardy,
 )
 from heisenrep.grid import per_chunk
-from heisenrep.heisenberg import generator_apply
+from heisenrep.heisenberg import _phase, generator_apply
 from heisenrep.schwartz import (
     class_defects, generator_convergence, moment, n_defect, norm_growth_check, seminorm_tower,
 )
-from heisenrep.transforms import spectral_multiply
+from heisenrep.transforms import LINE_PADDING, spectral_multiply
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 GRIDS = (make_grid(8.0, 64), make_grid(32.0, 4096))
@@ -198,3 +198,82 @@ def test_per_chunk_hands_over_256_kib_in_draw_order():
     empty = np.empty(0)
     ratios = norm_growth_check(GroupElement(empty, empty, empty), f, 2)
     assert ratios.shape == (0,)
+
+
+# The formulas each primitive computed with a fresh array per step, before
+# they filled one buffer; every step must round as it did there.
+def _formula_fourier(v, grid):
+    alt = np.where(np.arange(grid.size) % 2 == 0, 1.0, -1.0)
+    spec = alt * np.fft.fft(alt * v)
+    spec *= grid.spacing / np.sqrt(2.0 * np.pi)
+    return spec
+
+
+def _formula_inverse(v, grid):
+    return np.conj(_formula_fourier(np.conj(v), grid))
+
+
+def _formula_multiply(v, grid, mult):
+    # the spectrum is held by a name, as the SampledFunction held it: numpy
+    # writes a product of large arrays into a temporary right operand, and
+    # then multiplies in the other order, which rounds otherwise
+    spec = _formula_fourier(v, grid)
+    return _formula_inverse(mult * spec, dual_grid(grid))
+
+
+def _formula_convolution(v, method):
+    n = v.shape[-1]
+    m = np.arange(1, n, 2)
+    if method == "line":
+        wide = LINE_PADDING * n
+        kernel = (1j / wide) * np.where(np.arange(2 * n) % 2 == 0, 1.0, -1.0)
+        kernel[n] = 0.0
+        odd = 2.0 / (wide * np.tan(np.pi * m / wide))
+    else:
+        kernel = np.zeros(2 * n)
+        odd = 2.0 / (np.pi * m)
+    kernel[1:n:2] += odd
+    kernel[:n:-2] -= odd
+    return np.fft.ifft(np.fft.fft(v, 2 * n) * np.fft.fft(kernel))[..., :n]
+
+
+def _formula_act(xi, v, grid, mode):
+    if mode == "spectral":
+        vals = _formula_multiply(v, grid, _phase(xi.xi1, dual_grid(grid)))
+    else:
+        m = round(xi.xi1 / grid.spacing)
+        vals = np.zeros(v.shape, dtype=complex)
+        vals[..., : grid.size - m] = v[..., m:]
+    return _phase(xi.xi2, grid, np.exp(1j * xi.xi3)) * vals
+
+
+@pytest.mark.parametrize("size", [2 ** 10, 2 ** 16])
+def test_one_buffer_primitives_equal_their_formulas(size):
+    grid = make_grid(16.0, size)
+    dual = dual_grid(grid)
+    rng = np.random.default_rng(size)
+    sign = np.sign(np.arange(size) - size // 2).astype(float)
+    mults = _random_values(rng, (3, size))
+    xis, _ = _elements(rng, 3)
+    grid_xi = GroupElement(7 * grid.spacing, 1.25, -0.5)
+    for v in (_random_values(rng, size), _random_values(rng, (3, size))):
+        f = SampledFunction(grid, v)
+        expected = [
+            (fourier(f), _formula_fourier(v, grid)),
+            (inverse_fourier(f), _formula_inverse(v, grid)),
+            (spectral_multiply(f, mults), _formula_multiply(v, grid, mults)),
+            (hilbert(f), _formula_multiply(v, grid, -1j * sign)),
+            (proj_hardy(f, "plus"), _formula_multiply(v, grid, 0.5 * (1.0 + sign))),
+            (proj_hardy(f, "minus"), _formula_multiply(v, grid, 0.5 * (1.0 - sign))),
+            (hilbert(f, "line"), _formula_convolution(v, "line")),
+            (hilbert(f, "principal_value"), _formula_convolution(v, "principal_value")),
+            (act(xis, f), _formula_act(xis, v, grid, "spectral")),
+            (act(grid_xi, f), _formula_act(grid_xi, v, grid, "spectral")),
+            (act(grid_xi, f, "grid"), _formula_act(grid_xi, v, grid, "grid")),
+            (generator_apply("M", f), 1j * grid.points * v),
+            (generator_apply("D", f), _formula_multiply(v, grid, 1j * dual.points)),
+            (generator_apply("C", f), 1j * v),
+        ]
+        for k, (got, want) in enumerate(expected):
+            assert np.array_equal(got.values, want), k
+            assert not got.values.flags.writeable, k
