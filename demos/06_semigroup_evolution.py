@@ -29,10 +29,11 @@ print(f"left shift across 0: ||f|| = {b2:.6f}, ||Q+ U(xi) f|| = {a2:.6f} "
 smooth = inverse_fourier(sample(CompactBump(0.25, 6.0, 10), dual_grid(grid)))
 witness = inverse_fourier(sample(CompactBump(0.1, 1.0, 8), dual_grid(grid)))
 print("\nHardy-plus defect after modulation e^{i x xi2}:")
-for xi2 in (0.0, 1.0, 5.0):
-    print(f"  xi2 = {xi2:4.1f}: {hardy_semigroup_step(smooth, xi2):.3e}")
-print(f"  xi2 = -0.5 (near-zero-spectrum witness): "
-      f"{hardy_semigroup_step(witness, -0.5):.3e}")
+xi2s = (0.0, 1.0, 5.0)
+for xi2, defect in zip(xi2s, hardy_semigroup_step(smooth, xi2s)):
+    print(f"  xi2 = {xi2:4.1f}: {defect:.3e}")
+(backward,) = hardy_semigroup_step(witness, [-0.5])
+print(f"  xi2 = -0.5 (near-zero-spectrum witness): {backward:.3e}")
 
 # the two semigroup pictures are conjugate under the Fourier transform:
 # F U(xi) F^-1 = U((-xi2, xi1, xi3 - xi1 xi2))

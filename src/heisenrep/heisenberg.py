@@ -110,23 +110,23 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     wraparound, exact homomorphism); grid mode shifts samples by an integer
     number of cells with zero fill (exact support semantics) and demands
     xi1 be a multiple of the grid spacing.  Either acts on each row of a
-    stacked f.  In spectral mode xi may be a stack of k elements (components
-    of shape (k,)): the result is then a stack of k rows, and a single f is
-    transformed once for all of them; components and rows that do not
-    broadcast are refused with GridMismatchError.
+    stacked f.  xi may be a stack of k elements (components of shape (k,)),
+    which gives a stack of k rows; grid mode takes one xi1, shared by every
+    row.  A single f is transformed once for all of them; components and
+    rows that do not broadcast are refused with GridMismatchError.
     """
+    try:
+        np.broadcast(xi.xi1, xi.xi2, xi.xi3, f.values[..., 0])
+    except ValueError:
+        raise GridMismatchError(
+            f"element components of shapes {np.shape(xi.xi1)}, {np.shape(xi.xi2)}, "
+            f"{np.shape(xi.xi3)} do not fit a stack of shape {f.values.shape[:-1]}") from None
     if mode == "spectral":
-        try:
-            np.broadcast(xi.xi1, xi.xi2, xi.xi3, f.values[..., 0])
-        except ValueError:
-            raise GridMismatchError(
-                f"element components of shapes {np.shape(xi.xi1)}, {np.shape(xi.xi2)}, "
-                f"{np.shape(xi.xi3)} do not fit a stack of shape {f.values.shape[:-1]}") from None
         vals = _multiplied(f, _phase(xi.xi1, dual_grid(f.grid)))
     elif mode == "grid":
-        if np.ndim(xi.xi1) or np.ndim(xi.xi2) or np.ndim(xi.xi3):
-            raise ConfigurationError("grid-mode act takes one group element, not a stack; "
-                                     "use spectral mode for stacked elements")
+        if np.ndim(xi.xi1):
+            raise ConfigurationError("grid-mode act takes one translation xi1, not a stack; "
+                                     "use spectral mode for stacked translations")
         dx = f.grid.spacing
         m = xi.xi1 / dx
         if not (np.isfinite(m) and abs(m - round(m)) <= 1e-9):
@@ -153,9 +153,9 @@ def _phase(a: float, grid: GridSpec, factor: complex = 1.0) -> np.ndarray:
     a and factor may hold one value per row of a stack, which gives one row each.
 
     With j = b*B + r and B = 2^floor(log2(N)/2), which divides every grid
-    size (a power of two), e^{i a x_j} = cis(a x_{bB}) * cis(a r h): the
+    size (a power of two), e^{i a x_j} = e^{i a x_{bB}} * e^{i a r h}: the
     outer product of an N/B-point coarse table, which holds the factor, and
-    a B-point fine one, so N/B + B cos/sin pairs are evaluated instead of N.
+    a B-point fine one, so N/B + B exponentials are evaluated instead of N.
     Both tables come from half_width and spacing (the coarse one reads the
     grid points), never from a difference of points, so the error stays
     that of rounding the argument a*x_j, plus a few ulps for the products.
@@ -163,22 +163,10 @@ def _phase(a: float, grid: GridSpec, factor: complex = 1.0) -> np.ndarray:
     n = int(grid.size)
     block = 1 << ((n.bit_length() - 1) // 2)
     a = np.asarray(a)[..., None]
-    coarse = np.asarray(factor)[..., None] * _cis(a * grid.points[::block])
-    fine = _cis(a * (grid.spacing * np.arange(block)))
+    coarse = np.asarray(factor)[..., None] * np.exp(1j * (a * grid.points[::block]))
+    fine = np.exp(1j * (a * (grid.spacing * np.arange(block))))
     table = coarse[..., :, None] * fine[..., None, :]
     return table.reshape(table.shape[:-2] + (n,))
-
-
-def _cis(t: np.ndarray) -> np.ndarray:
-    """e^{it} = cos t + i sin t for real t, filled in place.
-
-    Equal to np.exp(1j * t) up to the sign of zero imaginary parts, and
-    cheaper, because no complex argument is formed.
-    """
-    out = np.empty(t.shape, dtype=complex)
-    np.cos(t, out=out.real)
-    np.sin(t, out=out.imag)
-    return out
 
 
 def generator_apply(gen: str, f: SampledFunction) -> SampledFunction:

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import testfn
 from .errors import ClassMembershipError, ConfigurationError, SemigroupDomainError
-from .grid import GridSpec, SampledFunction, _check_same_grid, norm, restrict_halfline
+from .grid import GridSpec, SampledFunction, _check_same_grid, norm, per_chunk, restrict_halfline
 from .heisenberg import GroupElement, SemigroupId, act, in_semigroup
-from .schwartz import moment_defect, moment_orders, seminorm_iter
+from .schwartz import moment_defect, moment_orders, seminorm_tower
 from .transforms import _sign_of_frequency, fourier, proj_hardy
 
 # relative moment defect a certificate tolerates at every certified order
@@ -173,11 +173,11 @@ def tilde_synthesize(g: SampledFunction, h: SampledFunction) -> SampledFunction:
     return SampledFunction(ghat.grid, vals)
 
 
-def tilde_norm(g: SampledFunction, h: SampledFunction, n: int) -> float:
-    """Norm of phi through the transform pair: (||ghat||_n^2 + ||hhat||_n^2)^(1/2)."""
-    ghat = fourier(g)
-    hhat = fourier(h)
-    return math.hypot(seminorm_iter(ghat, n), seminorm_iter(hhat, n))
+def tilde_norm(g: SampledFunction, h: SampledFunction, n: int) -> list:
+    """Norms of phi through the transform pair, (||ghat||_k^2 + ||hhat||_k^2)^(1/2)
+    for k = 0..n, from one seminorm tower of each transform."""
+    return [math.hypot(a, b) for a, b in zip(seminorm_tower(fourier(g), n),
+                                             seminorm_tower(fourier(h), n))]
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +205,10 @@ def contraction_contrast(xi: GroupElement, f: SampledFunction):
     return norm(f), norm(restrict_halfline(moved, "plus"))
 
 
-def hardy_semigroup_step(f: SampledFunction, xi2: float) -> float:
-    """Hardy-plus defect of e^{i x xi2} f for a Hardy-plus input.
+def hardy_semigroup_step(f: SampledFunction, xi2s) -> np.ndarray:
+    """Hardy-plus defects of e^{i x xi2} f, one per modulation of the sequence
+    xi2s, a chunk of them stacked at a time (see grid.per_chunk); the input f
+    must itself be Hardy-plus, which is checked once.
 
     Nonnegative xi2 shifts the spectrum right and preserves the class;
     negative xi2 pushes spectral mass below zero and the defect records it.
@@ -216,5 +218,9 @@ def hardy_semigroup_step(f: SampledFunction, xi2: float) -> float:
         raise ClassMembershipError(
             f"input Hardy-plus defect {before:.3e} exceeds {HARDY_INPUT_THRESHOLD:.1e}"
         )
-    modulated = act(GroupElement(0.0, xi2, 0.0), f, mode="grid")
-    return norm(proj_hardy(modulated, "minus")) / norm(modulated)
+
+    def defects(xi2):
+        modulated = act(GroupElement(0.0, xi2, 0.0), f, mode="grid")
+        return norm(proj_hardy(modulated, "minus")) / norm(modulated)
+
+    return per_chunk(f.grid, np.asarray(xi2s, dtype=float).reshape(-1), defects)

@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError
+from .errors import ConfigurationError, HeisenrepError
 from .suites import CHECKS, SUITE_IDS, SUITES, Recorder, SuiteConfig
 
 
@@ -54,7 +54,8 @@ def _run(base: SuiteConfig, suite_ids) -> list[dict]:
     run builds one grid and one dual.  Each suite runs with numpy's overflow,
     0/0 and division by zero raising (underflow, as of e^{-y^2/2}, stays
     quiet); an ArithmeticError means the window cannot resolve the check
-    being measured, and is refused."""
+    being measured.  It is refused as a ConfigurationError, and a suite's
+    HeisenrepError as its own type, each naming the suite, check and window."""
     # a tolerance key is a check id; one that names no check of the suites
     # (a typo, or a check of a suite not selected) would set nothing
     unknown = set(base.tolerances) - {c.id for s in suite_ids for c in CHECKS[s]}
@@ -66,11 +67,12 @@ def _run(base: SuiteConfig, suite_ids) -> list[dict]:
         try:
             with np.errstate(all="raise", under="ignore"):
                 SUITES[suite_id](base, recorder)
-        except ArithmeticError as exc:
+        except (ArithmeticError, HeisenrepError) as exc:
             # suites record in catalogue order: the check after the last recorded
             pending = CHECKS[suite_id][len(recorder.checks):]
             at = f"check {pending[0].id}" if pending else "after its last check"
-            raise ConfigurationError(
+            refusal = type(exc) if isinstance(exc, HeisenrepError) else ConfigurationError
+            raise refusal(
                 f"suite {suite_id}, {at}: {exc} on the grid with "
                 f"half_width={base.half_width}, size={base.size}") from exc
         runs.append((build_report(suite_id, base, recorder), recorder.curves))

@@ -230,15 +230,16 @@ def class_defects(f: SampledFunction, max_order: int = 8) -> dict:
     }
 
 
-def psi_norm(g: SampledFunction, h: SampledFunction, n: int) -> float:
-    """Four-term norm of the pair (g, h) defining f = -i P+ g + i P- h:
+def psi_norm(g: SampledFunction, h: SampledFunction, n: int) -> list:
+    """[||f||_0, ..., ||f||_n] of the four-term norm of the pair (g, h)
+    defining f = -i P+ g + i P- h, from one seminorm tower per term:
 
-        ||f||_n^2 = ||-iP+g||_n^2 + ||iP-h||_n^2 + ||iP-g||_n^2 + ||-iP+h||_n^2.
+        ||f||_k^2 = ||-iP+g||_k^2 + ||iP-h||_k^2 + ||iP-g||_k^2 + ||-iP+h||_k^2.
     """
-    terms = [
+    towers = [seminorm_tower(t, n) for t in (
         proj_hardy(g, "plus") * (-1j),
         proj_hardy(h, "minus") * 1j,
         proj_hardy(g, "minus") * 1j,
         proj_hardy(h, "plus") * (-1j),
-    ]
-    return float(np.sqrt(sum(seminorm_iter(t, n) ** 2 for t in terms)))
+    )]
+    return [float(np.sqrt(sum(tower[k] ** 2 for tower in towers))) for k in range(n + 1)]

@@ -147,9 +147,7 @@ class Recorder:
         draws = [measured] if isinstance(measured, numbers.Real) else list(measured)
         for value in draws:
             if not math.isfinite(value):
-                raise ConfigurationError(
-                    f"check {check_id} measured {value} on the grid with "
-                    f"half_width={self.config.half_width}, size={self.config.size}")
+                raise ConfigurationError(f"measured {value}")
         measured = max(draws)
         default = entry.threshold
         thr = float(self.config.tolerances.get(
@@ -362,8 +360,7 @@ def _random_modulation(grid: GridSpec, rng) -> float:
     dy = np.pi / grid.half_width
     top = int(5.0 / dy)
     if top > np.iinfo(np.int64).max:
-        raise ConfigurationError(f"modulation bins in [-5, 5] outnumber int64 on the grid "
-                                 f"with half_width={grid.half_width}, size={grid.size}")
+        raise ConfigurationError("modulation bins in [-5, 5] outnumber int64")
     return dy * float(rng.integers(-top, top + 1))
 
 
@@ -401,10 +398,8 @@ def _sample_fixed(tf, grid: GridSpec, dual: bool = False) -> SampledFunction:
     then measure nothing, and not every such check divides by zero."""
     f = testfn.sample(tf, dual_grid(grid) if dual else grid)
     if not f.values.any():
-        raise ConfigurationError(
-            f"the test function supported on {testfn.support(tf)} samples to zero on "
-            f"the {'dual of the ' if dual else ''}grid "
-            f"with half_width={grid.half_width}, size={grid.size}")
+        raise ConfigurationError(f"the {'spectrum' if dual else 'test function'} supported on "
+                                 f"{testfn.support(tf)} samples to zero at {grid.size} points")
     return f
 
 
@@ -597,16 +592,12 @@ def suite_norms(cfg: SuiteConfig, rec: Recorder) -> None:
 
     gs = _sample_fixed(_edge_witness(), grid)
     hs = _sample_fixed(_wide_witness(), grid)
-    total = psi_norm(gs, hs, 1)
-    rec.check("pair-norm-symmetry", abs(total - psi_norm(hs, gs, 1)) / total)
+    total = psi_norm(gs, hs, 1)[1]
+    rec.check("pair-norm-symmetry", abs(total - psi_norm(hs, gs, 1)[1]) / total)
 
-    parts = [
-        seminorm_iter(proj_hardy(gs, "plus"), 1),
-        seminorm_iter(proj_hardy(hs, "minus"), 1),
-        seminorm_iter(proj_hardy(gs, "minus"), 1),
-        seminorm_iter(proj_hardy(hs, "plus"), 1),
-    ]
-    rec.check("pair-norm-bound", [p / total for p in parts])
+    parts = ((gs, "plus"), (hs, "minus"), (gs, "minus"), (hs, "plus"))
+    rec.check("pair-norm-bound", [seminorm_iter(proj_hardy(f, side), 1) / total
+                                  for f, side in parts])
 
 
 def suite_appendix_a(cfg: SuiteConfig, rec: Recorder) -> None:
@@ -684,9 +675,8 @@ def suite_tilde_space(cfg: SuiteConfig, rec: Recorder) -> None:
     phi = tilde_synthesize(psi.g, psi.h)
     rec.check("route-agreement", _rel(phi, fourier(psi.samples)))
 
-    pair_norms = [psi_norm(psi.g, psi.h, n) for n in (0, 1, 2)]
-    rec.check("norm-routes", [abs(tilde_norm(psi.g, psi.h, n) - b) / b
-                              for n, b in enumerate(pair_norms)])
+    rec.check("norm-routes", [abs(a - b) / b for a, b in zip(tilde_norm(psi.g, psi.h, 2),
+                                                             psi_norm(psi.g, psi.h, 2))])
 
     # a null second component leaves a single projection: phi supported y > 0
     ghat = fourier(psi.g)
@@ -720,14 +710,13 @@ def suite_semigroup_evolution(cfg: SuiteConfig, rec: Recorder) -> None:
     rec.check("strict-contrast", after / before)
 
     smooth = _hardy_plus_function(grid, testfn.CompactBump(0.25, 6.0, 10))
-    rec.check("hardy-forward", [hardy_semigroup_step(smooth, xi2) for xi2 in (0.0, 1.0, 5.0)])
+    rec.check("hardy-forward", hardy_semigroup_step(smooth, (0.0, 1.0, 5.0)))
 
     witness = _hardy_plus_function(grid, testfn.CompactBump(0.1, 1.0, 8))
-    rec.check("hardy-backward", hardy_semigroup_step(witness, -0.5))
-
-    curve = [(float(x2), hardy_semigroup_step(witness, float(x2)))
-             for x2 in np.linspace(-1.0, 1.0, 21)]
-    rec.curve("hardy_step_vs_xi2", curve)
+    xi2s = np.linspace(-1.0, 1.0, 21)
+    curve = dict(zip(xi2s.tolist(), hardy_semigroup_step(witness, xi2s)))
+    rec.check("hardy-backward", curve[-0.5])
+    rec.curve("hardy_step_vs_xi2", curve.items())
 
 
 def suite_conjugation(cfg: SuiteConfig, rec: Recorder) -> None:

@@ -40,15 +40,22 @@ L1_CELLS = 4096
 TestFunction = Union["GaussianPoly", "PiecewisePoly"]
 
 
-def _require_finite(node: str, coefficients, **fields) -> None:
+def _require_finite(node: str, coefficients, **fields) -> tuple:
     """Refuse a non-finite field by name, then a non-finite coefficient by
-    index; an integer beyond the float range counts as non-finite."""
+    index; an integer beyond the float range counts as non-finite.  Returns
+    the coefficients as Python floats, or Python complex numbers where they
+    are not real, so equal coefficients compute alike whatever their type."""
     for name, value in fields.items():
         if not _is_finite(value):
             raise ConfigurationError(f"{node} {name} must be finite, got {value!r}")
+    kept = []
     for j, cj in enumerate(coefficients):
         if not _is_finite(cj):
             raise ConfigurationError(f"{node} coefficient {j} must be finite, got {cj!r}")
+        # the ABC check is slow, so floats and ints (numpy's float64 too) pass first
+        real = isinstance(cj, (float, int)) or isinstance(cj, numbers.Real)
+        kept.append(float(cj) if real else complex(cj))
+    return tuple(kept)
 
 
 def _is_finite(value) -> bool:
@@ -92,11 +99,11 @@ class Piece:
     scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if not self.coefficients:
+        coefficients = _require_finite("piece", self.coefficients,
+                                       x0=self.x0, a=self.a, b=self.b, scale=self.scale)
+        if not coefficients:
             raise ConfigurationError("piece needs at least one coefficient")
-        _require_finite("piece", self.coefficients,
-                        x0=self.x0, a=self.a, b=self.b, scale=self.scale)
+        object.__setattr__(self, "coefficients", coefficients)
         # a == b stays allowed: a narrow piece far from the origin can round
         # to a single point
         if not self.a <= self.b:
@@ -167,11 +174,14 @@ def CompactBump(a: float, b: float, p: int) -> PiecewisePoly:
     require_type("CompactBump p", p, numbers.Integral, "an integer")
     if p < 1:
         raise ConfigurationError("CompactBump needs p >= 1")
+    _require_float_binomials(p)
     x0 = 0.5 * (a + b)
     half = 0.5 * (b - a)
     c = np.zeros(2 * p + 1)
     c[::2] = [(-1) ** j * math.comb(p, j) for j in range(p + 1)]
-    c = c * half ** (2 * p)
+    # libm's pow, as Python's **; past the float range inf, which Piece refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = c * np.float_power(half, 2 * p)
     return PiecewisePoly((Piece(x0, a, b, tuple(c), half),), smooth=p - 1)
 
 
@@ -308,14 +318,20 @@ def _deriv(tf, k):
 # ---------------------------------------------------------------------------
 # piecewise-polynomial forms
 
+def _require_float_binomials(n: int) -> None:
+    """Refuse a degree n whose middle binomial passes the float range (from
+    1030 on); past 1100 none is computed, as C(n, n // 2) >= 2^n / (n + 1)."""
+    if n > 1100 or math.comb(n, n // 2) > sys.float_info.max:
+        raise ConfigurationError(f"binomials of degree {n} lie beyond the float range")
+
+
 @functools.lru_cache(maxsize=None)
 def _pascal(n: int):
     """Read-only [j, i] tables for degrees below n: comb(j, i), the power
     j - i of the shift (0 where i > j), and the mask of the terms i <= j;
-    a degree whose middle binomial passes the float range (from 1030 on) is
-    refused before any table is built."""
-    if math.comb(n - 1, (n - 1) // 2) > sys.float_info.max:
-        raise ConfigurationError(f"binomials of degree {n - 1} lie beyond the float range")
+    a degree past _require_float_binomials is refused before any table is
+    built."""
+    _require_float_binomials(n - 1)
     # Pascal's rule in exact integers, row j padded with zeros past i = j,
     # and one rounding to float per entry
     rows, row = [], [1]
@@ -403,10 +419,7 @@ def _piece_moments(pc: Piece, n_max: int) -> list:
     if t.dtype.kind != "c":
         rows = (t / q).reshape(orders, -1).tolist()
         return [complex(_fsum_or_nan(rows[n][:(n + 1) * size]), 0.0) for n in range(orders)]
-    # numpy complex scalars divide by multiplying with 1/q, Python ones by dividing
-    by_reciprocal = [isinstance(cj, np.complexfloating) for cj in pc.coefficients]
-    re, im = (np.where(by_reciprocal, part * (1.0 / q), part / q).reshape(orders, -1).tolist()
-              for part in (t.real, t.imag))
+    re, im = ((part / q).reshape(orders, -1).tolist() for part in (t.real, t.imag))
     return [complex(_fsum_or_nan(re[n][:(n + 1) * size]), _fsum_or_nan(im[n][:(n + 1) * size]))
             for n in range(orders)]
 

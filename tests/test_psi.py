@@ -126,10 +126,13 @@ def test_tilde_synthesize_refuses_two_grids():
 
 def test_tilde_norm_matches_pair_norm():
     g, h = sample(EDGE, GRID), sample(WIDE, GRID)
-    for n in (0, 1, 2):
-        a = tilde_norm(g, h, n)
-        b = psi_norm(g, h, n)
+    tilde, pair = tilde_norm(g, h, 2), psi_norm(g, h, 2)
+    assert len(tilde) == len(pair) == 3
+    for a, b in zip(tilde, pair):
         assert abs(a - b) < 1e-6 * b
+    # order k of a call does not depend on the top order asked for
+    for n in (0, 1):
+        assert tilde_norm(g, h, n) == tilde[:n + 1]
 
 
 def test_halfline_contraction_guard_and_value():
@@ -155,12 +158,24 @@ def test_contraction_contrast_loses_norm():
 def test_hardy_semigroup_step_directions():
     spec = sample(CompactBump(0.25, 6.0, 10), dual_grid(GRID))
     smooth = inverse_fourier(spec)
-    assert hardy_semigroup_step(smooth, 5.0) < 1e-6
+    assert hardy_semigroup_step(smooth, [5.0]).shape == (1,)
+    assert hardy_semigroup_step(smooth, [5.0])[0] < 1e-6
     witness = inverse_fourier(sample(CompactBump(0.1, 1.0, 8), dual_grid(GRID)))
-    assert hardy_semigroup_step(witness, -0.5) > 1e-2
+    assert hardy_semigroup_step(witness, [-0.5])[0] > 1e-2
     bad = sample(GaussianPoly(0.0, 1.0, (1.0,)), GRID)
     with pytest.raises(ClassMembershipError):
-        hardy_semigroup_step(bad, 1.0)
+        hardy_semigroup_step(bad, [1.0])
+
+
+def test_hardy_semigroup_step_stack_matches_one_at_a_time():
+    # 9 modulations span three chunks at N = 4096; each defect is bit-identical
+    # to that of its modulation measured alone
+    witness = inverse_fourier(sample(CompactBump(0.1, 1.0, 8), dual_grid(GRID)))
+    xi2s = np.linspace(-1.0, 1.0, 9)
+    defects = hardy_semigroup_step(witness, xi2s)
+    assert defects.shape == (9,)
+    assert defects.tolist() == [hardy_semigroup_step(witness, [x])[0] for x in xi2s]
+    assert hardy_semigroup_step(witness, []).shape == (0,)
 
 
 def test_amplified_descriptor_certifies():

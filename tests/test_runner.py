@@ -15,8 +15,8 @@ import heisenrep.annihilator
 import heisenrep.psi
 import heisenrep.suites
 from heisenrep.cli import build_parser, load_settings, main
-from heisenrep.errors import ConfigurationError
-from heisenrep.grid import dual_grid, make_grid
+from heisenrep.errors import ClassMembershipError, ConfigurationError
+from heisenrep.grid import dual_grid
 from heisenrep.heisenberg import GroupElement
 from heisenrep.runner import report_json, run_all, run_suite
 from heisenrep.suites import CHECKS, SUITE_IDS, Recorder, SuiteConfig
@@ -316,6 +316,9 @@ def test_cli_window_sweep_runs_or_refuses_in_one_line(capsys, suite, half_width)
     err = capsys.readouterr().err
     assert code in (0, 1, 2), err
     assert len(err.splitlines()) == (1 if code == 2 else 0), err
+    # every refusal raised inside a suite names the suite, the check and the window
+    if code == 2:
+        assert f"suite {suite}, " in err and "half_width=" in err and "size=" in err, err
 
 
 def test_floating_point_boundary_names_the_check_being_measured(tmp_path, capsys, monkeypatch):
@@ -347,9 +350,33 @@ def test_floating_point_boundary_names_the_check_being_measured(tmp_path, capsys
 
 
 def test_modulations_beyond_int64_refused():
-    with pytest.raises(ConfigurationError,
-                       match=r"outnumber int64 on the grid with half_width=1e\+300, size=4096"):
-        heisenrep.suites._random_modulation(make_grid(1e300, 4096), np.random.default_rng(0))
+    with pytest.raises(ConfigurationError, match=r"^suite group-axioms, check homomorphism: "
+                       r"modulation bins in \[-5, 5\] outnumber int64 on the grid "
+                       r"with half_width=1e\+300, size=4096$"):
+        run_suite(SuiteConfig("group-axioms", half_width=1e300))
+
+
+@pytest.mark.parametrize("suite", ["psi-invariance", "tilde-space"])
+def test_refusal_inside_a_suite_keeps_its_type_and_names_the_window(suite):
+    # the psi witnesses are not certified on this coarse grid; the refusal
+    # used to name neither the suite nor the window
+    first = CHECKS[suite][0].id
+    with pytest.raises(ClassMembershipError, match=(
+            rf"^suite {suite}, check {first}: moment defect 5.460e-05 at order 1 exceeds "
+            r"threshold 1.0e-06 on the grid with half_width=32.0, size=1024$")):
+        run_suite(SuiteConfig(suite, size=1024))
+
+
+def test_non_finite_measurement_names_the_suite_and_check(monkeypatch):
+    def overflows(cfg, rec):
+        rec.check(CHECKS["norms"][0].id, 0.0)
+        rec.check(CHECKS["norms"][1].id, 1e308 / 0.1)
+
+    monkeypatch.setitem(heisenrep.suites.SUITES, "norms", overflows)
+    with pytest.raises(ConfigurationError, match=(
+            rf"^suite norms, check {CHECKS['norms'][1].id}: measured inf on the grid "
+            r"with half_width=32.0, size=4096$")):
+        run_suite(SuiteConfig(suite="norms"))
 
 
 def test_non_finite_measurement_refused():
@@ -358,7 +385,7 @@ def test_non_finite_measurement_refused():
     # a Python float overflows to inf without an exception, which the
     # runner's numpy trap does not see
     for value in (math.nan, math.inf, -math.inf, [0.0, math.nan, 1e-12], 1e308 / 0.1):
-        with pytest.raises(ConfigurationError, match="check seminorm-0 measured (nan|-?inf)"):
+        with pytest.raises(ConfigurationError, match="^measured (nan|-?inf)$"):
             rec.check("seminorm-0", value)
     assert rec.checks == []
     with pytest.raises(ValueError):
@@ -541,8 +568,8 @@ def test_default_pass_fft_work(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", counting)
     run_all(SuiteConfig(suite=SUITE_IDS[0]))
-    assert len(rows) == 977
-    assert sum(rows) == 2259
+    assert len(rows) == 869
+    assert sum(rows) == 2185
 
 
 def test_run_all_shares_one_grid_pair(monkeypatch):

@@ -245,8 +245,11 @@ def test_psi_norm_symmetric_and_positive():
     g = sample(Translated(derivative(CompactBump(0.0, 1.0, 10), 5), -1.0), GRID)
     h = sample(Translated(derivative(CompactBump(0.0, 10.0, 10), 5), -10.0), GRID)
     a = psi_norm(g, h, 1)
-    assert a > 0
-    assert abs(a - psi_norm(h, g, 1)) < 1e-12 * a
+    assert len(a) == 2 and 0 < a[0] < a[1]
+    assert abs(a[1] - psi_norm(h, g, 1)[1]) < 1e-12 * a[1]
+    # order k of a call does not depend on the top order asked for
+    assert psi_norm(g, h, 0) == a[:1]
+    assert psi_norm(g, h, 2)[:2] == a
 
 
 def test_psi_norm_regression_anchor():
@@ -254,7 +257,7 @@ def test_psi_norm_regression_anchor():
     # change in the projections, the seminorm tower, or the descriptors
     g = sample(Translated(derivative(CompactBump(0.0, 1.0, 10), 5), -1.0), GRID)
     h = sample(Translated(derivative(CompactBump(0.0, 10.0, 10), 5), -10.0), GRID)
-    assert abs(psi_norm(g, h, 1) / 2258002163555908.0 - 1.0) < 1e-10
+    assert abs(psi_norm(g, h, 1)[1] / 2258002163555908.0 - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------

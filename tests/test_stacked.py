@@ -151,11 +151,33 @@ def test_grid_mode_act_refuses_a_stack_of_elements():
     grid = GRIDS[0]
     f = SampledFunction(grid, np.ones(grid.size))
     dx = grid.spacing
-    for xi in (GroupElement(np.array([dx, 2 * dx]), 0.0, 0.0),
-               GroupElement(dx, np.array([0.0, 1.0]), 0.0),
-               GroupElement(dx, 0.0, np.array([0.0, 1.0]))):
-        with pytest.raises(ConfigurationError, match="grid-mode act"):
-            act(xi, f, mode="grid")
+    with pytest.raises(ConfigurationError, match="grid-mode act"):
+        act(GroupElement(np.array([dx, 2 * dx]), 0.0, 0.0), f, mode="grid")
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_grid_mode_act_stacks_modulations(grid):
+    # one shift shared by every row, and one row per stacked xi2 and xi3
+    rng = np.random.default_rng(7)
+    f = SampledFunction(grid, _random_values(rng, grid.size))
+    xi2, xi3 = rng.uniform(-5, 5, (2, 5))
+    for xi1 in (0.0, 3 * grid.spacing, -2 * grid.spacing):
+        stacked = act(GroupElement(xi1, xi2, xi3), f, mode="grid")
+        _assert_rows(stacked, [act(GroupElement(xi1, b, c), f, mode="grid")
+                               for b, c in zip(xi2.tolist(), xi3.tolist())])
+        _assert_rows(act(GroupElement(xi1, xi2, 0.0), f, mode="grid"),
+                     [act(GroupElement(xi1, b, 0.0), f, mode="grid") for b in xi2.tolist()])
+
+
+def test_grid_mode_act_refuses_a_stack_that_does_not_fit():
+    # the check spectral mode makes, before either mode acts
+    grid = GRIDS[0]
+    f = _stack(grid, 2, np.random.default_rng(5))
+    three = np.array([0.5, 1.0, 1.5])
+    for xi, g in ((GroupElement(0.0, three, three), f),
+                  (GroupElement(0.0, three, np.array([0.0, 1.0])), _rows(f)[0])):
+        with pytest.raises(GridMismatchError, match=r"shapes \(\).*stack of shape"):
+            act(xi, g, mode="grid")
 
 
 def test_grid_mode_act_moves_each_row_of_a_stack():

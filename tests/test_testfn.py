@@ -312,7 +312,13 @@ def test_closed_forms_refuse_results_beyond_the_float_range():
     # an L^1 norm past the range (inf after two RuntimeWarnings)
     (lambda: exact_l1_norm(PiecewisePoly((Piece(0.0, -1.0, 1.0, (1e308, 1e308)),))),
      "L\\^1 norm of PiecewisePoly"),
-], ids=["moment-order-1100", "defects-order-1100", "moment-order-1030", "defect-scale", "l1"])
+    # a bump whose binomials C(p, j) pass the range (a bare OverflowError
+    # after 0.14 s), and one whose half-width^(2p) does (a bare OverflowError)
+    (lambda: CompactBump(0.0, 1.0, 2000), "binomials of degree 2000"),
+    (lambda: CompactBump(0.0, 1.0, 10 ** 9), "binomials of degree 1000000000"),
+    (lambda: CompactBump(0.0, 100.0, 200), "piece coefficient 0 must be finite"),
+], ids=["moment-order-1100", "defects-order-1100", "moment-order-1030", "defect-scale", "l1",
+        "bump-binomials", "bump-binomials-huge", "bump-power"])
 def test_closed_forms_refuse_past_the_float_range_in_one_way(refused, message):
     start = time.perf_counter()
     with warnings.catch_warnings():
@@ -320,6 +326,21 @@ def test_closed_forms_refuse_past_the_float_range_in_one_way(refused, message):
         with pytest.raises(ConfigurationError, match=message):
             refused()
     assert time.perf_counter() - start < 1.0
+
+
+def test_equal_pieces_give_equal_moments():
+    # two pieces that are == and hash alike, one built from Python complex
+    # coefficients and one from numpy's; their order-3 moments differed in
+    # the last digits, as numpy's complex scalars divided by a reciprocal
+    c = 0.0709297482015403 + 2.702782177955612j
+    built = [Piece(-3.5584038728036624, -6.409487269501669, -0.7073204761056551,
+                   (1.0, cj, cj), 2.8510833966980074) for cj in (c, np.complex128(c))]
+    assert built[0] == built[1] and hash(built[0]) == hash(built[1])
+    for pc in built:
+        assert [type(cj) for cj in pc.coefficients] == [float, complex, complex]
+    first, second = (exact_moment(PiecewisePoly((pc,)), 3) for pc in built)
+    assert first.imag == 128.87301056603798
+    assert first == second
 
 
 @st.composite
