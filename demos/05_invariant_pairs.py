@@ -31,7 +31,7 @@ for name, desc in (("edge", edge), ("wide", wide)):
 # synthesis f = -i P+ g + i P- h keeps the certified samples g and h
 psi = synthesize(edge, wide, grid)
 print(f"\ncoincidence defect of the two projections on (0, inf): "
-      f"{coincidence_defect(edge, grid):.3e}")
+      f"{coincidence_defect(psi.g):.3e}")
 print(f"pair norm ||(g,h)||_1 = {psi_norm(psi.g, psi.h, 1)[1]:.6e}")
 
 # forward translations keep the class; the moved pair is certified again

@@ -139,7 +139,10 @@ class SampledFunction:
         vals = self.values
         if not (type(vals) is np.ndarray and vals.dtype == complex
                 and not vals.flags.writeable and vals.flags.owndata):
-            vals = np.array(vals, dtype=complex)
+            try:
+                vals = np.array(vals, dtype=complex)
+            except (TypeError, ValueError) as err:
+                raise ConfigurationError(f"values must be complex numbers: {err}") from None
         if vals.shape[-1:] != (self.grid.size,):
             raise GridMismatchError(
                 f"values shape {vals.shape} does not end in grid size {self.grid.size}"

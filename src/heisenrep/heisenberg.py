@@ -109,12 +109,16 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     spectral mode translates by a frequency-domain phase (any xi1, periodic
     wraparound, exact homomorphism); grid mode shifts samples by an integer
     number of cells with zero fill (exact support semantics) and demands
-    xi1 be a multiple of the grid spacing.  Either acts on each row of a
-    stacked f.  xi may be a stack of k elements (components of shape (k,)),
-    which gives a stack of k rows; grid mode takes one xi1, shared by every
-    row.  A single f is transformed once for all of them; components and
-    rows that do not broadcast are refused with GridMismatchError.
+    every xi1 be a multiple of the grid spacing.  Both act on each row of a
+    stacked f, and take a stack of k elements (components of shape (k,)),
+    which gives k rows, each moved by its own element; spectral mode
+    transforms a single f once for all of them.  Components that are not
+    real and finite raise ConfigurationError; components and rows that do
+    not broadcast, GridMismatchError.
     """
+    if not all(np.asarray(c).dtype.kind in "iuf" and np.isfinite(c).all()
+               for c in (xi.xi1, xi.xi2, xi.xi3)):
+        raise ConfigurationError(f"group element components must be real and finite, got {xi}")
     try:
         np.broadcast(xi.xi1, xi.xi2, xi.xi3, f.values[..., 0])
     except ValueError:
@@ -124,25 +128,24 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     if mode == "spectral":
         vals = _multiplied(f, _phase(xi.xi1, dual_grid(f.grid)))
     elif mode == "grid":
-        if np.ndim(xi.xi1):
-            raise ConfigurationError("grid-mode act takes one translation xi1, not a stack; "
-                                     "use spectral mode for stacked translations")
         dx = f.grid.spacing
-        m = xi.xi1 / dx
-        if not (np.isfinite(m) and abs(m - round(m)) <= 1e-9):
+        with np.errstate(over="ignore"):  # a quotient past the float range is refused below
+            m = np.divide(xi.xi1, dx)
+        cells = np.rint(m)
+        if not (np.isfinite(m).all() and (np.abs(m - cells) <= 1e-9).all()):
             raise PrecisionError(
                 f"grid-mode translation needs xi1 a finite multiple of spacing {dx}, got {xi.xi1}"
             )
-        m_round = round(m)
         n = f.grid.size
-        vals = np.zeros(f.values.shape, dtype=complex)
-        # f(x + xi1): values move toward lower indices for xi1 > 0
-        if m_round >= 0:
-            if m_round < n:
-                vals[..., : n - m_round] = f.values[..., m_round:]
-        else:
-            if -m_round < n:
-                vals[..., -m_round:] = f.values[..., : n + m_round]
+        vals = np.zeros(np.broadcast_shapes(cells.shape + (1,), f.values.shape), dtype=complex)
+        cells, rows = np.broadcast_to(cells, vals.shape[:-1]), np.broadcast_to(f.values, vals.shape)
+        # f(x + xi1): values move toward lower indices for xi1 > 0, each row by its own
+        for i in np.ndindex(cells.shape):
+            k = int(cells[i])
+            if 0 <= k < n:
+                vals[i][: n - k] = rows[i][k:]
+            elif -n < k < 0:
+                vals[i][-k:] = rows[i][: n + k]
     else:
         raise ConfigurationError(f"unknown act mode {mode!r}")
     return _adopt(f.grid, _multiply_into(_phase(xi.xi2, f.grid, np.exp(1j * xi.xi3)), vals))

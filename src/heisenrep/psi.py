@@ -20,7 +20,10 @@ import numpy as np
 
 from . import testfn
 from .errors import ClassMembershipError, ConfigurationError, SemigroupDomainError
-from .grid import GridSpec, SampledFunction, _check_same_grid, norm, per_chunk, restrict_halfline
+from .grid import (
+    GridSpec, SampledFunction, _check_same_grid, _require_single, norm, per_chunk,
+    restrict_halfline,
+)
 from .heisenberg import GroupElement, SemigroupId, act, in_semigroup
 from .schwartz import moment_defect, moment_orders, seminorm_tower
 from .transforms import _sign_of_frequency, fourier, proj_hardy
@@ -31,11 +34,14 @@ CERTIFICATE_THRESHOLD = 1e-6
 HARDY_INPUT_THRESHOLD = 1e-8
 
 
-def snap_to_grid(shift: float, grid: GridSpec) -> float:
-    """Nearest multiple of the grid spacing; callers record the adjustment."""
-    if not math.isfinite(shift / grid.spacing):
+def snap_to_grid(shift, grid: GridSpec):
+    """Nearest multiple of the grid spacing, a float, or an array of one per
+    shift of a stack; halves round to even.  Callers record the adjustment."""
+    with np.errstate(over="ignore"):  # a quotient past the float range is refused below
+        snapped = np.rint(np.divide(shift, grid.spacing)) * grid.spacing
+    if not np.isfinite(snapped).all():
         raise ConfigurationError(f"a grid shift must be finite, got {shift}")
-    return round(shift / grid.spacing) * grid.spacing
+    return snapped if snapped.ndim else float(snapped)
 
 
 def certify_nminus(desc, grid: GridSpec,
@@ -103,13 +109,13 @@ def synthesize(g_desc, h_desc, grid: GridSpec, max_moment: int = 4) -> PsiElemen
     return PsiElement(g_desc, h_desc, max_moment, samples, g, h, max(g_defect, h_defect))
 
 
-def coincidence_defect(desc, grid: GridSpec) -> float:
-    """|| Q+ (-i P+ u - i P- u) || / ||u|| for a negatively supported u.
+def coincidence_defect(u: SampledFunction):
+    """|| Q+ (-i P+ u - i P- u) || / ||u|| for negatively supported samples u,
+    one per row of a stack.
 
     Since -iP+ - iP- = -i * identity, the quantity is exactly the plus-side
-    mass of u itself; certified descriptors give machine zero.
+    mass of u itself; certified samples give machine zero.
     """
-    u = testfn.sample(desc, grid)
     combined = proj_hardy(u, "plus") * (-1j) + proj_hardy(u, "minus") * (-1j)
     return norm(restrict_halfline(combined, "plus")) / norm(u)
 
@@ -136,22 +142,18 @@ def act_psi(xi: GroupElement, psi: PsiElement):
     return synthesize(g_new, h_new, psi.g.grid, psi.max_moment), snapped
 
 
-def invariance_witness(xi: GroupElement, g: SampledFunction) -> float:
-    """How badly U(xi) breaks the certificate of certified samples g,
-    such as a PsiElement's g or h.
+def invariance_witness(xi: GroupElement, g: SampledFunction):
+    """How badly U(xi), xi1 snapped to the grid, breaks the certificate of
+    certified samples g, such as a PsiElement's g or h.
 
-    xi1 < 0: plus-side support mass of the translated g (grid translation).
-    xi2 != 0: relative order-0 moment defect of e^{i x xi2} g.
-    xi in the invariant semigroup: the (tiny) order-0 defect after acting.
+    A translation (xi2 = 0): the share ||Q+ U(xi) g|| / ||g|| of mass moved
+    onto x >= 0, one per element of a stack; it is zero for xi1 >= 0.
+    Any other element: the relative order-0 moment defect of U(xi) g.
     """
-    if xi.xi1 < 0:
-        xi1 = snap_to_grid(xi.xi1, g.grid)
-        moved = act(GroupElement(xi1, 0.0, 0.0), g, mode="grid")
-        return norm(restrict_halfline(moved, "plus")) / norm(g)
-    if xi.xi2 != 0:
-        return moment_defect(act(GroupElement(0.0, xi.xi2, 0.0), g, mode="grid"), 0)
-    xi1 = snap_to_grid(xi.xi1, g.grid)
-    moved = act(GroupElement(xi1, 0.0, xi.xi3), g, mode="grid")
+    if np.all(xi.xi2 == 0):
+        before, after = contraction_contrast(xi, g)
+        return after / before
+    moved = act(GroupElement(snap_to_grid(xi.xi1, g.grid), xi.xi2, xi.xi3), g, mode="grid")
     return moment_defect(moved, 0)
 
 
@@ -184,22 +186,22 @@ def tilde_norm(g: SampledFunction, h: SampledFunction, n: int) -> list:
 # semigroup experiments
 
 def halfline_contraction(xi: GroupElement, f: SampledFunction):
-    """(||f||, ||Q+ U(xi) f||) for xi with inverse in the xi1 >= 0 semigroup.
+    """(||f||, ||Q+ U(xi) f||) for xi with inverse in the xi1 >= 0 semigroup;
+    each is one per row for a stack of elements or of functions (see act).
 
     Such xi translate right (xi1 <= 0), keeping mass inside (0, inf), so the
     action contracts (indeed preserves) the half-line norm.
     """
-    if not in_semigroup(xi, SemigroupId("S1", inverted=True)):
+    if not np.all(in_semigroup(xi, SemigroupId("S1", inverted=True))):
         raise SemigroupDomainError("xi must have its inverse in the xi1>=0 semigroup")
-    minus_mass = norm(restrict_halfline(f, "minus"))
-    if minus_mass != 0.0:
+    if np.any(norm(restrict_halfline(f, "minus")) != 0.0):
         raise ClassMembershipError("input carries mass on x < 0")
     return contraction_contrast(xi, f)
 
 
 def contraction_contrast(xi: GroupElement, f: SampledFunction):
-    """Same measurement without the semigroup guard: for xi1 > 0 part of the
-    mass crosses into x < 0 and Q+ U(xi) genuinely loses norm."""
+    """Same measurement without the semigroup guard, xi1 snapped to the grid: for
+    xi1 > 0 part of the mass crosses into x < 0 and Q+ U(xi) genuinely loses norm."""
     xi1 = snap_to_grid(xi.xi1, f.grid)
     moved = act(GroupElement(xi1, xi.xi2, xi.xi3), f, mode="grid")
     return norm(f), norm(restrict_halfline(moved, "plus"))
@@ -208,11 +210,12 @@ def contraction_contrast(xi: GroupElement, f: SampledFunction):
 def hardy_semigroup_step(f: SampledFunction, xi2s) -> np.ndarray:
     """Hardy-plus defects of e^{i x xi2} f, one per modulation of the sequence
     xi2s, a chunk of them stacked at a time (see grid.per_chunk); the input f
-    must itself be Hardy-plus, which is checked once.
+    must itself be one Hardy-plus function, which is checked once.
 
     Nonnegative xi2 shifts the spectrum right and preserves the class;
     negative xi2 pushes spectral mass below zero and the defect records it.
     """
+    _require_single(f)
     before = norm(proj_hardy(f, "minus")) / norm(f)
     if before >= HARDY_INPUT_THRESHOLD:
         raise ClassMembershipError(

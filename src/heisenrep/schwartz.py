@@ -89,8 +89,8 @@ def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0) -> l
     """
     if gen not in _GENERATOR_DIRECTION:
         raise ConfigurationError(f"unknown generator {gen!r}")
-    if not all(t > 0 for t in t_list):
-        raise ConfigurationError("t_list entries must be positive")
+    if not all(0 < t < math.inf for t in t_list):
+        raise ConfigurationError("t_list entries must be positive and finite")
     exact = generator_apply(gen, f)
 
     def errors(t):

@@ -403,6 +403,11 @@ def _sample_fixed(tf, grid: GridSpec, dual: bool = False) -> SampledFunction:
     return f
 
 
+def _sample_stack(descs, grid: GridSpec) -> SampledFunction:
+    """Samples of each descriptor, one row each, refused as _sample_fixed refuses."""
+    return SampledFunction(grid, [_sample_fixed(tf, grid).values for tf in descs])
+
+
 def _hardy_plus_function(grid: GridSpec, spectrum) -> SampledFunction:
     """Inverse transform of exact samples of a compactly supported spectrum."""
     return inverse_fourier(_sample_fixed(spectrum, grid, dual=True))
@@ -641,19 +646,17 @@ def suite_psi_invariance(cfg: SuiteConfig, rec: Recorder) -> None:
 
     rec.check("invariance-survival", [act_psi(GroupElement(xi1, 0.0, 0.3), psi)[0].n_defect
                                       for xi1 in (0.0, grid.spacing, 1.0, 5.0)])
-    rec.check("witness-negative-translation",
-              invariance_witness(GroupElement(-0.5, 0.0, 0.0), psi.g))
+    # steps of 1/8, so xi1 = -0.5 is a point of the curve
+    xi1s = np.linspace(-2.0, 0.0, 17)
+    spill = per_chunk(grid, xi1s, lambda d: invariance_witness(GroupElement(d, 0.0, 0.0), psi.g))
+    rec.check("witness-negative-translation", spill[xi1s.tolist().index(-0.5)])
     rec.check("witness-modulation", invariance_witness(GroupElement(0.0, 1.0, 0.0), psi.h))
+    rec.curve("witness_vs_xi1", zip(xi1s, spill))
+    rec.check("witness-monotone", all(spill[:-1] >= spill[1:] - 1e-12))
 
-    curve = []
-    for xi1 in np.linspace(-2.0, 0.0, 17):
-        curve.append((float(xi1),
-                      invariance_witness(GroupElement(float(xi1), 0.0, 0.0), psi.g)))
-    rec.curve("witness_vs_xi1", curve)
-    rec.check("witness-monotone",
-              all(curve[i][1] >= curve[i + 1][1] - 1e-12 for i in range(len(curve) - 1)))
-
-    rec.check("coincidence", [coincidence_defect(_random_nminus(rng), grid) for _ in range(20)])
+    descs = [_random_nminus(rng) for _ in range(20)]
+    rec.check("coincidence", per_chunk(grid, descs,
+                                       lambda d: coincidence_defect(_sample_stack(d, grid))))
 
     f_gg = synthesize(psi.g_desc, psi.g_desc, grid, cfg.max_moment).samples
     rec.check("equal-pair-hilbert", _rel(f_gg, hilbert(psi.g, "multiplier")))
@@ -694,16 +697,17 @@ def suite_semigroup_evolution(cfg: SuiteConfig, rec: Recorder) -> None:
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
 
-    ratios = []
-    for _ in range(100):
-        width = float(rng.uniform(0.5, 4.0))
-        left = float(rng.uniform(0.1, 10.0))
-        f = _sample_fixed(testfn.CompactBump(left, left + width, 4), grid)
-        xi = GroupElement(-float(rng.uniform(0, 5)), float(rng.uniform(-5, 5)),
-                          float(rng.uniform(-5, 5)))
-        before, after = halfline_contraction(xi, f)
-        ratios.append(after / before)
-    rec.check("contraction", ratios)
+    # rows (width, left, xi1, xi2, xi3), drawn one row at a time
+    draws = np.array([[rng.uniform(0.5, 4.0), rng.uniform(0.1, 10.0), -rng.uniform(0, 5),
+                       rng.uniform(-5, 5), rng.uniform(-5, 5)] for _ in range(100)])
+
+    def contraction(d):
+        f = _sample_stack([testfn.CompactBump(left, left + width, 4)
+                           for width, left in d[:, :2].tolist()], grid)
+        before, after = halfline_contraction(GroupElement(*d[:, 2:].T), f)
+        return after / before
+
+    rec.check("contraction", per_chunk(grid, draws, contraction))
 
     f = _sample_fixed(testfn.CompactBump(0.5, 1.5, 4), grid)
     before, after = contraction_contrast(GroupElement(1.0, 0.0, 0.0), f)

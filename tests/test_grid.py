@@ -164,6 +164,13 @@ def test_sampled_function_shape_check():
         SampledFunction(g, np.ones(9))
 
 
+def test_sampled_function_refuses_values_that_are_not_numbers():
+    g = make_grid(4.0, 8)
+    for values in (["a"] * 8, [[1.0] * 8, [1.0] * 7], object()):
+        with pytest.raises(ConfigurationError, match="complex numbers"):
+            SampledFunction(g, values)
+
+
 def test_algebra_and_grid_mismatch():
     g = make_grid(4.0, 8)
     f = SampledFunction(g, np.arange(8))

@@ -95,9 +95,30 @@ def test_act_grid_mode_exact_support():
     moved = act(xi, GAUSS, mode="grid")
     assert np.array_equal(moved.values[:-4], GAUSS.values[4:])
     assert np.all(moved.values[-4:] == 0.0)
-    for xi1 in (0.1 * GRID.spacing, np.nan, np.inf, -np.inf):
+    # PrecisionError means a finite xi1 off the grid; a non-finite one is
+    # refused by the component check both modes make
+    for xi1 in (0.1 * GRID.spacing, 1e308):
         with pytest.raises(PrecisionError):
             act(GroupElement(xi1, 0.0, 0.0), GAUSS, mode="grid")
+    for xi1 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="real and finite"):
+            act(GroupElement(xi1, 0.0, 0.0), GAUSS, mode="grid")
+
+
+@pytest.mark.parametrize("mode", ["spectral", "grid"])
+def test_act_refuses_components_not_real_and_finite(mode):
+    # one ConfigurationError, before either mode acts, for each component
+    bad = ("a", np.inf, -np.inf, np.nan, 1j, 10 ** 400, np.array([0.0, np.nan]),
+           np.array(["a", "b"]), None)
+    for value in bad:
+        for xi in (GroupElement(value, 0.0, 0.0), GroupElement(0.0, value, 0.0),
+                   GroupElement(0.0, 0.0, value)):
+            with pytest.raises(ConfigurationError, match="real and finite"):
+                act(xi, GAUSS, mode=mode)
+    # integers and numpy floats are real
+    dx = GRID.spacing
+    assert act(GroupElement(0, np.float64(0.0), np.int64(0)), GAUSS, mode=mode).grid == GRID
+    assert act(GroupElement(np.float32(4 * dx), 1, 0), GAUSS, mode=mode).grid == GRID
 
 
 def test_homomorphism_spectral_commensurate_modulation():
@@ -130,6 +151,13 @@ def test_generator_convergence_first_order():
             errs = [e for _, e in curve]
             assert 1.8 <= errs[0] / errs[1] <= 2.2
             assert 1.8 <= errs[1] / errs[2] <= 2.2
+
+
+def test_generator_convergence_refuses_non_finite_steps():
+    # refused with the non-positive steps, before any element is formed
+    for t_list in ([0.0], [-1e-3], [np.inf], [np.nan], [1e-3, np.inf]):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            generator_convergence("D", GAUSS, t_list)
 
 
 def _phase_bound(a, grid):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import heisenrep.psi
-from heisenrep import GroupElement, SampledFunction, fourier, hilbert, make_grid, norm
+from heisenrep import GroupElement, SampledFunction, act, fourier, hilbert, make_grid, norm
 from heisenrep.errors import (
     ClassMembershipError, ConfigurationError, GridMismatchError, SemigroupDomainError,
 )
@@ -11,7 +11,7 @@ from heisenrep.psi import (
     halfline_contraction, hardy_semigroup_step, invariance_witness,
     snap_to_grid, synthesize, tilde_norm, tilde_synthesize,
 )
-from heisenrep.schwartz import psi_norm
+from heisenrep.schwartz import moment_defect, psi_norm
 from heisenrep.testfn import (
     Affine, CompactBump, GaussianPoly, Translated, derivative, sample,
 )
@@ -24,8 +24,18 @@ WIDE = Translated(derivative(CompactBump(0.0, 10.0, 10), 5), -10.0)
 
 
 def test_snap_to_grid():
-    assert snap_to_grid(3.0 * GRID.spacing + 1e-12, GRID) == 3.0 * GRID.spacing
+    dx = GRID.spacing
+    assert snap_to_grid(3.0 * dx + 1e-12, GRID) == 3.0 * dx
     assert snap_to_grid(0.0, GRID) == 0.0
+    assert type(snap_to_grid(1.0, GRID)) is float
+    # a stack snaps each shift as round() snaps it alone: halves go to even
+    shifts = np.array([-2.5 * dx, -0.5 * dx, 0.5 * dx, 1.5 * dx, 1.0, -3.0 * dx - 1e-12])
+    snapped = snap_to_grid(shifts, GRID)
+    assert snapped.tolist() == [round(s / dx) * dx for s in shifts.tolist()]
+    assert snapped.tolist() == [-2 * dx, -0.0, 0.0, 2 * dx, 1.0, -3.0 * dx]
+    for bad in (np.inf, np.nan, 1e308, np.array([0.0, np.inf])):
+        with pytest.raises(ConfigurationError, match="finite"):
+            snap_to_grid(bad, GRID)
 
 
 def test_certify_accepts_edge_and_wide():
@@ -59,7 +69,19 @@ def test_synthesize_and_coincidence():
     assert np.array_equal(psi.g.values, g.values)
     assert np.array_equal(psi.h.values, h.values)
     assert psi.n_defect == max(g_defect, h_defect)
-    assert coincidence_defect(EDGE, GRID) < 1e-12
+    assert coincidence_defect(g) < 1e-12
+
+
+def test_coincidence_defect_takes_a_stack_of_samples():
+    # one defect per row, each bit-identical to the row measured alone
+    rows = [sample(Affine(d, gain=k), GRID) for d in (EDGE, WIDE) for k in (1.0, 2.0 - 1j)]
+    stack = SampledFunction(GRID, [u.values for u in rows])
+    defects = coincidence_defect(stack)
+    assert defects.shape == (4,)
+    assert defects.tolist() == [coincidence_defect(u) for u in rows]
+    assert max(defects) < 1e-12
+    # mass on x >= 0 shows
+    assert coincidence_defect(sample(CompactBump(1.0, 2.0, 4), GRID)) > 0.9
 
 
 def test_equal_pair_is_hilbert_transform():
@@ -106,7 +128,25 @@ def test_invariance_witness_directions():
     psi = synthesize(EDGE, WIDE, GRID)
     assert invariance_witness(GroupElement(-0.5, 0.0, 0.0), psi.g) > 0.1
     assert invariance_witness(GroupElement(0.0, 1.0, 0.0), psi.h) > 0.1
-    assert invariance_witness(GroupElement(1.0, 0.0, 0.0), psi.g) < 1e-6
+    assert invariance_witness(GroupElement(1.0, 0.0, 0.0), psi.g) == 0.0
+    # a modulation keeps its translation and phase: the order-0 defect of U(xi) g
+    xi = GroupElement(2.0, 1.0, 0.3)
+    assert invariance_witness(xi, psi.h) == moment_defect(act(xi, psi.h, mode="grid"), 0)
+
+
+def test_invariance_witness_stacks_translations():
+    # the plus-side spill of each translation, bit-identical to one at a time,
+    # and zero from xi1 = 0 on
+    psi = synthesize(EDGE, WIDE, GRID)
+    xi1 = np.linspace(-2.0, 1.0, 13)
+    spill = invariance_witness(GroupElement(xi1, 0.0, 0.7), psi.g)
+    assert spill.shape == (13,)
+    assert spill.tolist() == [invariance_witness(GroupElement(a, 0.0, 0.7), psi.g)
+                              for a in xi1.tolist()]
+    assert np.all(spill[xi1 >= 0] == 0.0)
+    assert np.all(np.diff(spill[xi1 <= 0]) <= 0.0) and spill[0] > 0.1
+    before, after = contraction_contrast(GroupElement(-0.5, 0.0, 0.7), psi.g)
+    assert spill[6] == after / before
 
 
 def test_tilde_routes_agree():
@@ -146,6 +186,29 @@ def test_halfline_contraction_guard_and_value():
         halfline_contraction(GroupElement(-1.0, 0.0, 0.0), g)
 
 
+def test_halfline_contraction_takes_stacks():
+    # one pair per row, bit-identical to one row at a time; every element and
+    # every row is guarded
+    bumps = [CompactBump(left, left + 1.0, 4) for left in (0.5, 2.0, 7.0)]
+    f = SampledFunction(GRID, [sample(b, GRID).values for b in bumps])
+    xi = GroupElement(np.array([-1.0, 0.0, -4.5]), np.array([0.5, -2.0, 3.0]),
+                      np.array([0.2, 0.0, -1.0]))
+    before, after = halfline_contraction(xi, f)
+    assert before.shape == after.shape == (3,)
+    singles = [halfline_contraction(GroupElement(a, b, c), sample(bump, GRID))
+               for a, b, c, bump in zip(xi.xi1.tolist(), xi.xi2.tolist(), xi.xi3.tolist(),
+                                        bumps)]
+    assert before.tolist() == [s[0] for s in singles]
+    assert after.tolist() == [s[1] for s in singles]
+    assert np.all(after <= before * (1 + 1e-12))
+    with pytest.raises(SemigroupDomainError):
+        halfline_contraction(GroupElement(np.array([-1.0, 0.5, -1.0]), 0.0, 0.0), f)
+    mixed = SampledFunction(GRID, [f.values[0], sample(CompactBump(-2.0, -1.0, 4), GRID).values,
+                                   f.values[2]])
+    with pytest.raises(ClassMembershipError):
+        halfline_contraction(xi, mixed)
+
+
 def test_contraction_contrast_loses_norm():
     f = sample(CompactBump(0.5, 1.5, 4), GRID)
     before, after = contraction_contrast(GroupElement(1.0, 0.0, 0.0), f)
@@ -153,6 +216,13 @@ def test_contraction_contrast_loses_norm():
     for xi1 in (np.nan, np.inf):
         with pytest.raises(ConfigurationError):
             contraction_contrast(GroupElement(xi1, 0.0, 0.0), f)
+    # a stack of shifts, each snapped to the grid: one pair per element
+    xi1 = np.array([1.0, 0.0, -0.5, 1.5 + 0.3 * GRID.spacing])
+    before, after = contraction_contrast(GroupElement(xi1, 0.0, 0.0), f)
+    assert before == norm(f)
+    assert after.tolist() == [contraction_contrast(GroupElement(a, 0.0, 0.0), f)[1]
+                              for a in xi1.tolist()]
+    assert after[0] <= 0.9 * before and after[1] == after[2] == before and after[3] == 0.0
 
 
 def test_hardy_semigroup_step_directions():
@@ -176,6 +246,14 @@ def test_hardy_semigroup_step_stack_matches_one_at_a_time():
     assert defects.shape == (9,)
     assert defects.tolist() == [hardy_semigroup_step(witness, [x])[0] for x in xi2s]
     assert hardy_semigroup_step(witness, []).shape == (0,)
+
+
+def test_hardy_semigroup_step_refuses_a_stacked_input():
+    # the modulations are the stack; f is one Hardy-plus function
+    witness = inverse_fourier(sample(CompactBump(0.1, 1.0, 8), dual_grid(GRID)))
+    stack = SampledFunction(GRID, [witness.values, witness.values])
+    with pytest.raises(GridMismatchError, match="takes one function"):
+        hardy_semigroup_step(stack, [0.5])
 
 
 def test_amplified_descriptor_certifies():

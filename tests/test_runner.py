@@ -478,6 +478,40 @@ def test_report_bytes_pinned_at_smaller_chunks(size, length, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# sha256 of each curve file of a default `heisenrep --out DIR --emit-csv`,
+# pinned as the reports are: a pure refactor keeps these bytes too
+CURVE_DIGESTS = {
+    "generators_convergence_C_n0.csv":
+        "502f1eaf2eb04a3dcb25311623cd559a62c3939e15806807191bb98514d67e4a",
+    "generators_convergence_C_n1.csv":
+        "304c2c07c857d2f4ff7a6e37a911314d31795f38876428f6c38bdab970e9a7da",
+    "generators_convergence_C_n2.csv":
+        "8040bf4c053eefb1332525509c88c03994ec266b9d472a10a34a83f02bff7402",
+    "generators_convergence_D_n0.csv":
+        "72b57e38de01c8973ef44270583f7d35f0da22eb4e059ad7a24dcf1fe5dd9fe8",
+    "generators_convergence_D_n1.csv":
+        "0862b87ad66cefcdee0d75b2db406f2f8743fbba6160d450ef386e21cb42938b",
+    "generators_convergence_D_n2.csv":
+        "10b781682c5962ebdea38cb20068578ce8afe315f1d574b3c78ae95d7b588ae3",
+    "generators_convergence_M_n0.csv":
+        "08c2be41253884c5565bef37cbbeb05db267433e9e64263937ced7f16fb13c87",
+    "generators_convergence_M_n1.csv":
+        "c6c9a4f5f111eff63d3bd8a5f82817a841882cfae9adf01f15ce6b8577fdb621",
+    "generators_convergence_M_n2.csv":
+        "c79459866737e7377fe60960d6fc51e7021e41ada7e64c65caa6323dbed6e5d1",
+    "psi-invariance_witness_vs_xi1.csv":
+        "1bd39df2dd7a0242523b9abca41152223716aa6d14c7c39b518f81617cb43650",
+    "semigroup-evolution_hardy_step_vs_xi2.csv":
+        "e539537be9db2d1f680b8269ad2369a9ba5afebf7af8ea3f2a4fe1bf5536edd2",
+}
+
+
+def test_default_curve_files_pinned(tmp_path):
+    assert main(["--out", str(tmp_path), "--emit-csv"]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.glob("*.csv")} == CURVE_DIGESTS
+
+
 def test_mirror_defects_detect_a_wrong_mirror(monkeypatch):
     # a mirror that lost its last block's piece no longer annihilates the
     # top moment
@@ -568,7 +602,7 @@ def test_default_pass_fft_work(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", counting)
     run_all(SuiteConfig(suite=SUITE_IDS[0]))
-    assert len(rows) == 869
+    assert len(rows) == 809
     assert sum(rows) == 2185
 
 

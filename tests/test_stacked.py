@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heisenrep import (
-    ConfigurationError, GridMismatchError, GroupElement, SampledFunction, act,
+    GridMismatchError, GroupElement, PrecisionError, SampledFunction, act,
     dual_grid, fourier, hilbert, inner, inverse_fourier, make_grid, norm, proj_hardy,
 )
 from heisenrep.grid import per_chunk
@@ -147,12 +147,44 @@ def test_whole_sums_refuse_a_stack():
             call()
 
 
-def test_grid_mode_act_refuses_a_stack_of_elements():
+@pytest.mark.parametrize("grid", GRIDS)
+def test_grid_mode_act_shifts_each_row_by_its_own_xi1(grid):
+    # shifts of -N - 3, -N, -N + 1, -5, 0, 7, N - 1, N and 2N cells: partial,
+    # zero and whole moves either way, each row bit-identical to a call alone
+    n, dx = grid.size, grid.spacing
+    rng = np.random.default_rng(8)
+    cells = np.array([-n - 3, -n, -n + 1, -5, 0, 7, n - 1, n, 2 * n])
+    xi1 = cells * dx
+    xi2, xi3 = rng.uniform(-5, 5, (2, len(cells)))
+    f = _stack(grid, len(cells), rng)
+    single = _rows(f)[0]
+    # a single f with a stacked xi, then a stacked f with each xi alone
+    _assert_rows(act(GroupElement(xi1, xi2, xi3), single, mode="grid"),
+                 [act(GroupElement(a, b, c), single, mode="grid")
+                  for a, b, c in zip(xi1.tolist(), xi2.tolist(), xi3.tolist())])
+    for a in xi1.tolist():
+        _assert_rows(act(GroupElement(a, 1.5, 0.5), f, mode="grid"),
+                     [act(GroupElement(a, 1.5, 0.5), g, mode="grid") for g in _rows(f)])
+    # both stacked: row i of f moves by xi1[i]
+    _assert_rows(act(GroupElement(xi1, xi2, 0.0), f, mode="grid"),
+                 [act(GroupElement(a, b, 0.0), g, mode="grid")
+                  for a, b, g in zip(xi1.tolist(), xi2.tolist(), _rows(f))])
+    # the shifts themselves: zero fill, and no row moves past the window
+    moved = act(GroupElement(xi1, 0.0, 0.0), f, mode="grid").values
+    assert not moved[[0, 1, 7, 8]].any()
+    assert np.array_equal(moved[2, n - 1:], f.values[2, :1])
+    assert np.array_equal(moved[3], np.concatenate([np.zeros(5), f.values[3, :-5]]))
+    assert np.array_equal(moved[4], f.values[4])
+    assert np.array_equal(moved[5], np.concatenate([f.values[5, 7:], np.zeros(7)]))
+    assert np.array_equal(moved[6, :1], f.values[6, n - 1:])
+
+
+def test_grid_mode_act_refuses_a_stacked_xi1_off_the_grid():
     grid = GRIDS[0]
     f = SampledFunction(grid, np.ones(grid.size))
     dx = grid.spacing
-    with pytest.raises(ConfigurationError, match="grid-mode act"):
-        act(GroupElement(np.array([dx, 2 * dx]), 0.0, 0.0), f, mode="grid")
+    with pytest.raises(PrecisionError, match="finite multiple"):
+        act(GroupElement(np.array([dx, 2.5 * dx]), 0.0, 0.0), f, mode="grid")
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -178,6 +210,8 @@ def test_grid_mode_act_refuses_a_stack_that_does_not_fit():
                   (GroupElement(0.0, three, np.array([0.0, 1.0])), _rows(f)[0])):
         with pytest.raises(GridMismatchError, match=r"shapes \(\).*stack of shape"):
             act(xi, g, mode="grid")
+    with pytest.raises(GridMismatchError, match=r"shapes \(3,\).*stack of shape \(2,\)"):
+        act(GroupElement(three * grid.spacing, 0.0, 0.0), f, mode="grid")
 
 
 def test_grid_mode_act_moves_each_row_of_a_stack():
