@@ -6,10 +6,9 @@ Run with:  python3 demos/05_invariant_pairs.py
 
 from heisenrep import GroupElement, make_grid, norm
 from heisenrep.psi import (
-    act_psi, certify_nminus, coincidence_defect, invariance_witness,
+    act_psi, certify_nminus, coincidence_defect, invariance_witness, psi_norm,
     synthesize, tilde_norm, tilde_synthesize,
 )
-from heisenrep.schwartz import psi_norm
 from heisenrep.testfn import CompactBump, Translated, derivative
 from heisenrep.transforms import fourier
 

@@ -180,17 +180,17 @@ def _check_same_grid(f: SampledFunction, g: SampledFunction) -> None:
         raise GridMismatchError("operands live on different grids")
 
 
-def _require_single(f: SampledFunction) -> None:
+def _require_single(*fs: SampledFunction) -> None:
     """Refuse a stack where one function is summed whole."""
-    if f.values.ndim != 1:
-        raise GridMismatchError(f"takes one function, got a stack of shape {f.values.shape}")
+    for f in fs:
+        if f.values.ndim != 1:
+            raise GridMismatchError(f"takes one function, got a stack of shape {f.values.shape}")
 
 
 def inner(f: SampledFunction, g: SampledFunction) -> complex:
     """L^2 inner product dx * sum(conj(f) g); conjugate-linear in f."""
     _check_same_grid(f, g)
-    _require_single(f)
-    _require_single(g)
+    _require_single(f, g)
     return complex(f.grid.spacing * np.vdot(f.values, g.values))
 
 

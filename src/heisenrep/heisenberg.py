@@ -113,8 +113,8 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     stacked f, and take a stack of k elements (components of shape (k,)),
     which gives k rows, each moved by its own element; spectral mode
     transforms a single f once for all of them.  Components that are not
-    real and finite raise ConfigurationError; components and rows that do
-    not broadcast, GridMismatchError.
+    real and finite, or put a phase xi2 x (in spectral mode also xi1 y) past
+    the float range, raise ConfigurationError; unbroadcastable ones, GridMismatchError.
     """
     if not all(np.asarray(c).dtype.kind in "iuf" and np.isfinite(c).all()
                for c in (xi.xi1, xi.xi2, xi.xi3)):
@@ -125,6 +125,11 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
         raise GridMismatchError(
             f"element components of shapes {np.shape(xi.xi1)}, {np.shape(xi.xi2)}, "
             f"{np.shape(xi.xi3)} do not fit a stack of shape {f.values.shape[:-1]}") from None
+    with np.errstate(over="ignore"):  # a phase past the float range is refused below
+        x_phase = np.abs(xi.xi2) * f.grid.half_width
+        y_phase = np.abs(xi.xi1) * dual_grid(f.grid).half_width
+    if not (np.isfinite(x_phase).all() and (mode == "grid" or np.isfinite(y_phase).all())):
+        raise ConfigurationError(f"the phase arguments of {xi} pass the float range on {f.grid}")
     if mode == "spectral":
         vals = _multiplied(f, _phase(xi.xi1, dual_grid(f.grid)))
     elif mode == "grid":

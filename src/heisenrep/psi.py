@@ -21,12 +21,12 @@ import numpy as np
 from . import testfn
 from .errors import ClassMembershipError, ConfigurationError, SemigroupDomainError
 from .grid import (
-    GridSpec, SampledFunction, _check_same_grid, _require_single, norm, per_chunk,
+    GridSpec, SampledFunction, _adopt, _check_same_grid, _require_single, norm, per_chunk,
     restrict_halfline,
 )
 from .heisenberg import GroupElement, SemigroupId, act, in_semigroup
-from .schwartz import moment_defect, moment_orders, seminorm_tower
-from .transforms import _sign_of_frequency, fourier, proj_hardy
+from .schwartz import moment_orders, seminorm_tower
+from .transforms import _hardy_multipliers, fourier, proj_hardy, spectral_multiply
 
 # relative moment defect a certificate tolerates at every certified order
 CERTIFICATE_THRESHOLD = 1e-6
@@ -105,19 +105,45 @@ def synthesize(g_desc, h_desc, grid: GridSpec, max_moment: int = 4) -> PsiElemen
     passed as both g and h is certified once."""
     g, g_defect = certify_nminus(g_desc, grid, max_moment)
     h, h_defect = (g, g_defect) if h_desc is g_desc else certify_nminus(h_desc, grid, max_moment)
-    samples = proj_hardy(g, "plus") * (-1j) + proj_hardy(h, "minus") * 1j
+    plus_g, minus_h = spectral_multiply(_pair(g, h), _hardy_multipliers(grid.size)).values
+    samples = _adopt(grid, plus_g * (-1j) + minus_h * 1j)
     return PsiElement(g_desc, h_desc, max_moment, samples, g, h, max(g_defect, h_defect))
+
+
+def _pair(g: SampledFunction, h: SampledFunction) -> SampledFunction:
+    """The stack [g, h] of one function g and one h on one grid, or GridMismatchError."""
+    _check_same_grid(g, h)
+    _require_single(g, h)
+    return _adopt(g.grid, np.stack([g.values, h.values]))
+
+
+def pair_terms(g: SampledFunction, h: SampledFunction) -> SampledFunction:
+    """-iP+g, iP-h, iP-g and -iP+h, the pair norm's terms, as one stack: the
+    Hardy table's two rows times the stack [g, h] give the halves [side, function]."""
+    halves = spectral_multiply(_pair(g, h), _hardy_multipliers(g.grid.size)[:, None]).values
+    return _adopt(g.grid, halves[[0, 1, 1, 0], [0, 1, 0, 1]] * np.array([[-1j], [1j], [1j], [-1j]]))
+
+
+def psi_norm(g: SampledFunction, h: SampledFunction, n: int) -> list:
+    """[||f||_0, ..., ||f||_n] of the pair (g, h) defining f = -i P+ g + i P- h,
+    from one seminorm tower of its terms: ||f||_k^2 = ||-iP+g||_k^2 +
+    ||iP-h||_k^2 + ||iP-g||_k^2 + ||-iP+h||_k^2."""
+    return [float(np.sqrt(sum(t ** 2 for t in order)))
+            for order in seminorm_tower(pair_terms(g, h), n)]
 
 
 def coincidence_defect(u: SampledFunction):
     """|| Q+ (-i P+ u - i P- u) || / ||u|| for negatively supported samples u,
-    one per row of a stack.
+    one per row of a stack; a zero row raises ClassMembershipError.
 
     Since -iP+ - iP- = -i * identity, the quantity is exactly the plus-side
     mass of u itself; certified samples give machine zero.
     """
+    nu = norm(u)
+    if np.any(nu == 0.0):
+        raise ClassMembershipError("samples are zero")
     combined = proj_hardy(u, "plus") * (-1j) + proj_hardy(u, "minus") * (-1j)
-    return norm(restrict_halfline(combined, "plus")) / norm(u)
+    return norm(restrict_halfline(combined, "plus")) / nu
 
 
 def act_psi(xi: GroupElement, psi: PsiElement):
@@ -147,14 +173,17 @@ def invariance_witness(xi: GroupElement, g: SampledFunction):
     certified samples g, such as a PsiElement's g or h.
 
     A translation (xi2 = 0): the share ||Q+ U(xi) g|| / ||g|| of mass moved
-    onto x >= 0, one per element of a stack; it is zero for xi1 >= 0.
+    onto x >= 0, one per element of a stack; it is zero for xi1 >= 0, and
+    zero samples raise ClassMembershipError.
     Any other element: the relative order-0 moment defect of U(xi) g.
     """
     if np.all(xi.xi2 == 0):
         before, after = contraction_contrast(xi, g)
+        if np.any(before == 0.0):
+            raise ClassMembershipError("samples are zero")
         return after / before
     moved = act(GroupElement(snap_to_grid(xi.xi1, g.grid), xi.xi2, xi.xi3), g, mode="grid")
-    return moment_defect(moved, 0)
+    return next(moment_orders(moved)).defect
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +194,17 @@ def tilde_synthesize(g: SampledFunction, h: SampledFunction) -> SampledFunction:
 
     Lives on the dual grid; by construction it equals the Fourier transform
     of the direct synthesis, so the two routes cross-check each other.
-    g and h must share a grid (GridMismatchError otherwise).
+    g and h must be single functions on one grid (GridMismatchError otherwise).
     """
-    _check_same_grid(g, h)
-    ghat = fourier(g)
-    hhat = fourier(h)
-    s = _sign_of_frequency(g.grid.size)
-    vals = -0.5j * (1.0 + s) * ghat.values + 0.5j * (1.0 - s) * hhat.values
-    return SampledFunction(ghat.grid, vals)
+    spec = fourier(_pair(g, h))
+    plus, minus = _hardy_multipliers(g.grid.size)
+    return _adopt(spec.grid, -1j * plus * spec.values[0] + 1j * minus * spec.values[1])
 
 
 def tilde_norm(g: SampledFunction, h: SampledFunction, n: int) -> list:
     """Norms of phi through the transform pair, (||ghat||_k^2 + ||hhat||_k^2)^(1/2)
-    for k = 0..n, from one seminorm tower of each transform."""
-    return [math.hypot(a, b) for a, b in zip(seminorm_tower(fourier(g), n),
-                                             seminorm_tower(fourier(h), n))]
+    for k = 0..n, from one seminorm tower of the stacked transforms."""
+    return [math.hypot(*order) for order in seminorm_tower(fourier(_pair(g, h)), n)]
 
 
 # ---------------------------------------------------------------------------

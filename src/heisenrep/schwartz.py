@@ -89,8 +89,8 @@ def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0) -> l
     """
     if gen not in _GENERATOR_DIRECTION:
         raise ConfigurationError(f"unknown generator {gen!r}")
-    if not all(0 < t < math.inf for t in t_list):
-        raise ConfigurationError("t_list entries must be positive and finite")
+    if not all(0 < t < math.inf and 1.0 / t < math.inf for t in map(float, t_list)):
+        raise ConfigurationError("t_list entries must be positive and finite, as must 1/t")
     exact = generator_apply(gen, f)
 
     def errors(t):
@@ -105,15 +105,21 @@ def norm_growth_check(xis: GroupElement, f: SampledFunction, n: int) -> np.ndarr
     """Ratios ||U(xi) f||_k / ((1 + xi1^2 + xi2^2)^{k/2} ||f||_k), one row per
     element of the stack xis and one column per order k = 0..n; f's tower is
     computed once, and the towers of U(xi) f a chunk of stacked draws at a
-    time (see grid.per_chunk)."""
-    f_tower = seminorm_tower(f, n)
+    time (see grid.per_chunk).  A bound past the float range raises
+    ConfigurationError naming its element."""
+    f_tower = [float(v) for v in seminorm_tower(f, n)]
     draws = np.stack(np.broadcast_arrays(xis.xi1, xis.xi2, xis.xi3), axis=-1).reshape(-1, 3)
     towers = per_chunk(f.grid, draws, lambda d: seminorm_tower(act(GroupElement(*d.T), f), n))
-    # Python floats: their ** is libm's pow, where an array's ** 2 multiplies
-    return np.array([
-        [lhs / ((1.0 + xi1 ** 2 + xi2 ** 2) ** (k / 2.0) * f_tower[k])
-         for k, lhs in enumerate(row)]
-        for (xi1, xi2, _), row in zip(draws.tolist(), towers.T)])
+    ratios = []
+    for (xi1, xi2, xi3), row in zip(draws.tolist(), towers.T):
+        try:  # Python floats: their ** is libm's pow, where an array's ** 2 multiplies
+            bounds = [(1.0 + xi1 ** 2 + xi2 ** 2) ** (k / 2.0) * f_tower[k] for k in range(n + 1)]
+        except OverflowError:
+            bounds = [math.inf]
+        if not max(bounds) < math.inf:
+            raise ConfigurationError(f"the norm-growth bound of ({xi1}, {xi2}, {xi3}) overflows")
+        ratios.append([lhs / b for lhs, b in zip(row, bounds)])
+    return np.array(ratios)
 
 
 def seminorm_sup(tf, m: int, n: int) -> float:
@@ -184,21 +190,6 @@ def moment_orders(f: SampledFunction):
         xn = xn * x
 
 
-def _order(f: SampledFunction, n: int) -> GridMoment:
-    require_order("moment order", n)
-    return next(itertools.islice(moment_orders(f), n, None))
-
-
-def moment(f: SampledFunction, n: int) -> complex:
-    """Grid moment integral of x^n f(x) dx."""
-    return _order(f, n).value
-
-
-def moment_defect(f: SampledFunction, n: int) -> float:
-    """|moment| relative to the L^1 mass of x^n f; 0/0 counts as 0."""
-    return _order(f, n).defect
-
-
 def n_defect(f: SampledFunction, max_order: int = 8) -> float:
     """Worst relative moment defect over orders 0..max_order, in one walk."""
     require_order("max_order", max_order)
@@ -228,18 +219,3 @@ def class_defects(f: SampledFunction, max_order: int = 8) -> dict:
         "support_plus": norm(restrict_halfline(f, "minus")) / nf,
         "support_minus": norm(restrict_halfline(f, "plus")) / nf,
     }
-
-
-def psi_norm(g: SampledFunction, h: SampledFunction, n: int) -> list:
-    """[||f||_0, ..., ||f||_n] of the four-term norm of the pair (g, h)
-    defining f = -i P+ g + i P- h, from one seminorm tower per term:
-
-        ||f||_k^2 = ||-iP+g||_k^2 + ||iP-h||_k^2 + ||iP-g||_k^2 + ||-iP+h||_k^2.
-    """
-    towers = [seminorm_tower(t, n) for t in (
-        proj_hardy(g, "plus") * (-1j),
-        proj_hardy(h, "minus") * 1j,
-        proj_hardy(g, "minus") * 1j,
-        proj_hardy(h, "plus") * (-1j),
-    )]
-    return [float(np.sqrt(sum(tower[k] ** 2 for tower in towers))) for k in range(n + 1)]

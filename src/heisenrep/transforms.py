@@ -87,19 +87,20 @@ def _multiply_into(a, buf: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _sign_of_frequency(n: int) -> np.ndarray:
-    """Read-only sgn(y) on the dual grid of any grid of n points, built once
-    per size: y_k = (k - n/2) pi/L has the sign of k - n/2 whatever L."""
-    sign = np.sign(np.arange(n) - n // 2).astype(float)
-    sign.setflags(write=False)
-    return sign
+def _hardy_multipliers(n: int) -> np.ndarray:
+    """Read-only rows (1 + sgn y)/2 of P+ and (1 - sgn y)/2 of P- on the dual
+    grid of any grid of n points, built once per size: y_k = (k - n/2) pi/L
+    has the sign of k - n/2 whatever L."""
+    table = 0.5 * (1.0 + np.outer((1.0, -1.0), np.sign(np.arange(n) - n // 2)))
+    table.setflags(write=False)
+    return table
 
 
 @cache
 def _hilbert_multiplier(n: int) -> np.ndarray:
-    """Read-only -i * sgn(y) on the dual grid of any grid of n points, built
-    once per size."""
-    mult = -1j * _sign_of_frequency(n)
+    """Read-only -i * sgn(y) = -i (P+ - P-) on the dual grid of any grid of n
+    points, built once per size."""
+    mult = -1j * np.subtract(*_hardy_multipliers(n))
     mult.setflags(write=False)
     return mult
 
@@ -161,16 +162,11 @@ def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
 
 
 def proj_hardy(f: SampledFunction, side: str) -> SampledFunction:
-    """Hardy projections: frequency multipliers (1 +/- sgn(y))/2.
+    """Hardy projections: the frequency multipliers (1 +/- sgn(y))/2 of _hardy_multipliers.
 
     The zero-frequency bin gets weight 1/2 on both sides so that
     P+ + P- = I holds exactly on samples.
     """
-    s = _sign_of_frequency(f.grid.size)
-    if side == "plus":
-        mult = 0.5 * (1.0 + s)
-    elif side == "minus":
-        mult = 0.5 * (1.0 - s)
-    else:
+    if side not in ("plus", "minus"):
         raise ConfigurationError(f"side must be 'plus' or 'minus', got {side!r}")
-    return spectral_multiply(f, mult)
+    return spectral_multiply(f, _hardy_multipliers(f.grid.size)[int(side == "minus")])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +123,28 @@ def test_act_refuses_components_not_real_and_finite(mode):
     assert act(GroupElement(np.float32(4 * dx), 1, 0), GAUSS, mode=mode).grid == GRID
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["spectral", "grid"])
+def test_act_refuses_phase_arguments_past_the_float_range(mode):
+    # xi2 * x on f's grid in both modes, xi1 * y on the dual in spectral
+    # mode; the largest components whose arguments stay finite still act
+    big = np.finfo(float).max
+    huge = [GroupElement(0.0, 1e308, 0.0), GroupElement(0.0, np.array([0.0, -1e308]), 0.0)]
+    if mode == "spectral":
+        huge += [GroupElement(1e308, 0.0, 0.0), GroupElement(np.array([1e308, 0.0]), 0.0, 0.0)]
+    else:
+        with pytest.raises(PrecisionError):
+            act(GroupElement(1e308, 0.0, 0.0), GAUSS, mode=mode)
+    for xi in huge:
+        with pytest.raises(ConfigurationError, match="float range"):
+            act(xi, GAUSS, mode=mode)
+    edge = [GroupElement(0.0, np.nextafter(big / GRID.half_width, 0.0), 0.0)]
+    if mode == "spectral":
+        edge.append(GroupElement(np.nextafter(big / dual_grid(GRID).half_width, 0.0), 0.0, 0.0))
+    for xi in edge:
+        assert np.isfinite(act(xi, GAUSS, mode=mode).values).all()
+
+
 def test_homomorphism_spectral_commensurate_modulation():
     dy = np.pi / GRID.half_width
     rng = np.random.default_rng(1)
@@ -158,6 +182,27 @@ def test_generator_convergence_refuses_non_finite_steps():
     for t_list in ([0.0], [-1e-3], [np.inf], [np.nan], [1e-3, np.inf]):
         with pytest.raises(ConfigurationError, match="positive and finite"):
             generator_convergence("D", GAUSS, t_list)
+
+
+@pytest.mark.filterwarnings("error")
+def test_generator_convergence_refuses_a_step_with_an_infinite_reciprocal():
+    # 1/t of a subnormal step overflows (the curve read NaN)
+    for t_list in ([1e-320], [1e-3, 5e-324]):
+        with pytest.raises(ConfigurationError, match="positive and finite, as must 1/t"):
+            generator_convergence("D", GAUSS, t_list)
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_growth_check_refuses_a_bound_past_the_float_range():
+    # xi1 ** 2 overflows at 1e200, the order-3 power at 1e110; 1e100 still measures
+    for xi1 in (1e200, 1e110, -1e200):
+        xis = GroupElement(np.array([0.5, xi1]), np.array([0.0, 0.0]), np.array([0.0, 0.0]))
+        message = re.escape(f"bound of ({xi1!r}, 0.0, 0.0) overflows")
+        with pytest.raises(ConfigurationError, match=message):
+            norm_growth_check(xis, GAUSS, 3)
+    ratios = norm_growth_check(GroupElement(np.array([1e100]), np.array([0.0]), np.array([0.0])),
+                               GAUSS, 3)
+    assert np.isfinite(ratios).all()
 
 
 def _phase_bound(a, grid):

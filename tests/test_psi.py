@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 import heisenrep.psi
-from heisenrep import GroupElement, SampledFunction, act, fourier, hilbert, make_grid, norm
+from heisenrep import (
+    GroupElement, SampledFunction, act, fourier, hilbert, make_grid, norm, proj_hardy,
+)
 from heisenrep.errors import (
     ClassMembershipError, ConfigurationError, GridMismatchError, SemigroupDomainError,
 )
 from heisenrep.psi import (
     act_psi, certify_nminus, coincidence_defect, contraction_contrast,
-    halfline_contraction, hardy_semigroup_step, invariance_witness,
-    snap_to_grid, synthesize, tilde_norm, tilde_synthesize,
+    halfline_contraction, hardy_semigroup_step, invariance_witness, pair_terms,
+    psi_norm, snap_to_grid, synthesize, tilde_norm, tilde_synthesize,
 )
-from heisenrep.schwartz import moment_defect, psi_norm
+from heisenrep.schwartz import moment_orders, seminorm_tower
 from heisenrep.testfn import (
     Affine, CompactBump, GaussianPoly, Translated, derivative, sample,
 )
@@ -131,7 +133,7 @@ def test_invariance_witness_directions():
     assert invariance_witness(GroupElement(1.0, 0.0, 0.0), psi.g) == 0.0
     # a modulation keeps its translation and phase: the order-0 defect of U(xi) g
     xi = GroupElement(2.0, 1.0, 0.3)
-    assert invariance_witness(xi, psi.h) == moment_defect(act(xi, psi.h, mode="grid"), 0)
+    assert invariance_witness(xi, psi.h) == next(moment_orders(act(xi, psi.h, mode="grid"))).defect
 
 
 def test_invariance_witness_stacks_translations():
@@ -173,6 +175,70 @@ def test_tilde_norm_matches_pair_norm():
     # order k of a call does not depend on the top order asked for
     for n in (0, 1):
         assert tilde_norm(g, h, n) == tilde[:n + 1]
+
+
+def _parent_psi_norm(g, h, n):
+    """The pair norm's former formula, one projection and one tower per term."""
+    towers = [seminorm_tower(t, n) for t in (
+        proj_hardy(g, "plus") * (-1j),
+        proj_hardy(h, "minus") * 1j,
+        proj_hardy(g, "minus") * 1j,
+        proj_hardy(h, "plus") * (-1j),
+    )]
+    return [float(np.sqrt(sum(tower[k] ** 2 for tower in towers))) for k in range(n + 1)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_pair_terms_and_synthesize_bit_identical_to_one_projection_at_a_time():
+    g, h = sample(EDGE, GRID), sample(WIDE, GRID)
+    terms = pair_terms(g, h)
+    assert terms.grid == GRID and terms.values.shape == (4, GRID.size)
+    expected = (proj_hardy(g, "plus") * (-1j), proj_hardy(h, "minus") * 1j,
+                proj_hardy(g, "minus") * 1j, proj_hardy(h, "plus") * (-1j))
+    for row, ref in zip(terms.values, expected):
+        assert row.tobytes() == ref.values.tobytes()
+    for h_desc in (WIDE, EDGE):
+        psi = synthesize(EDGE, h_desc, GRID)
+        ref = proj_hardy(psi.g, "plus") * (-1j) + proj_hardy(psi.h, "minus") * 1j
+        assert psi.samples.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_psi_norm_bit_identical_to_one_tower_per_term():
+    rng = np.random.default_rng(17)
+    pairs = [(sample(EDGE, GRID), sample(WIDE, GRID)),
+             tuple(SampledFunction(GRID, rng.standard_normal(GRID.size)
+                                   + 1j * rng.standard_normal(GRID.size)) for _ in range(2))]
+    for g, h in pairs:
+        for n in range(4):
+            assert psi_norm(g, h, n) == _parent_psi_norm(g, h, n)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pair_norms_refuse_two_grids_and_stacks():
+    # psi_norm of these Gaussians returned [1.84, 7.38], mixing the two grids
+    g = sample(GaussianPoly(0.0, 1.0, (1.0,)), make_grid(32.0, 64))
+    h = sample(GaussianPoly(0.0, 1.0, (1.0,)), make_grid(16.0, 64))
+    stack = SampledFunction(g.grid, np.ones((2, 64)))
+    for call in (lambda a, b: pair_terms(a, b), lambda a, b: psi_norm(a, b, 1),
+                 lambda a, b: tilde_norm(a, b, 1), tilde_synthesize):
+        with pytest.raises(GridMismatchError, match="different grids"):
+            call(g, h)
+        for a, b in ((stack, g), (g, stack), (stack, stack)):
+            with pytest.raises(GridMismatchError, match="takes one function"):
+                call(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_samples_refused_by_the_witnesses():
+    # they divided by ||u|| = 0: a bare ZeroDivisionError, or NaN rows
+    zero = SampledFunction(GRID, np.zeros(GRID.size))
+    rows = SampledFunction(GRID, [sample(EDGE, GRID).values, np.zeros(GRID.size)])
+    for call in (lambda: coincidence_defect(zero), lambda: coincidence_defect(rows),
+                 lambda: invariance_witness(GroupElement(-1.0, 0.0, 0.0), zero),
+                 lambda: invariance_witness(GroupElement(np.array([-1.0, 0.5]), 0.0, 0.0), rows)):
+        with pytest.raises(ClassMembershipError, match="samples are zero"):
+            call()
 
 
 def test_halfline_contraction_guard_and_value():

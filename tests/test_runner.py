@@ -590,20 +590,38 @@ def test_generators_fourier_count(monkeypatch):
 
 
 def test_default_pass_fft_work(monkeypatch):
-    # pins the FFT work of a default pass, counted at numpy's FFT: the draw
-    # loops hand over chunks of 4 draws at N = 4096, so a call transforms a
-    # stack of rows, and a chunk's shared input is transformed once
-    rows = []
+    # pins the FFT work of a default pass per suite, as (calls, rows) counted
+    # at numpy's FFT: the draw loops hand over chunks of 4 draws at N = 4096,
+    # so a call transforms a stack of rows, and a chunk's shared input is
+    # transformed once; a Hardy pair is projected, and its terms measured,
+    # as one stack
+    rows = {suite_id: [] for suite_id in SUITE_IDS}
+    current = []
     fft = np.fft.fft
 
     def counting(a, *args, **kwargs):
-        rows.append(math.prod(np.shape(a)[:-1]))
+        rows[current[-1]].append(math.prod(np.shape(a)[:-1]))
         return fft(a, *args, **kwargs)
 
+    for suite_id, suite in list(heisenrep.suites.SUITES.items()):
+        def entered(cfg, rec, suite_id=suite_id, suite=suite):
+            current.append(suite_id)
+            suite(cfg, rec)
+        monkeypatch.setitem(heisenrep.suites.SUITES, suite_id, entered)
     monkeypatch.setattr(np.fft, "fft", counting)
     run_all(SuiteConfig(suite=SUITE_IDS[0]))
-    assert len(rows) == 809
-    assert sum(rows) == 2185
+    assert {suite_id: (len(r), sum(r)) for suite_id, r in rows.items()} == {
+        "group-axioms": (151, 451),
+        "transforms": (55, 166),
+        "paley-wiener": (43, 71),
+        "generators": (282, 954),
+        "norms": (27, 48),
+        "appendix-a": (0, 0),
+        "psi-invariance": (44, 124),
+        "tilde-space": (15, 36),
+        "semigroup-evolution": (20, 54),
+        "conjugation": (102, 273),
+    }
 
 
 def test_run_all_shares_one_grid_pair(monkeypatch):

@@ -8,10 +8,9 @@ from numpy.polynomial import polynomial as P
 import heisenrep.schwartz
 from heisenrep import SampledFunction, dual_grid, fourier, make_grid, proj_hardy
 from heisenrep.errors import CapabilityError, ConfigurationError
-from heisenrep.psi import certify_nminus
+from heisenrep.psi import certify_nminus, psi_norm
 from heisenrep.schwartz import (
-    class_defects, moment, moment_defect, moment_orders, n_defect, psi_norm,
-    seminorm_iter, seminorm_sup, seminorm_tower,
+    class_defects, moment_orders, n_defect, seminorm_iter, seminorm_sup, seminorm_tower,
 )
 from heisenrep.testfn import (
     Affine, CompactBump, GaussianPoly, Summed, Translated, derivative, sample,
@@ -207,9 +206,10 @@ def test_seminorm_sup_random_gaussian_polys():
 
 
 def test_moment_oracles():
-    assert abs(moment(GAUSS, 0) - math.sqrt(2 * math.pi)) < 1e-12
-    assert abs(moment(GAUSS, 1)) < 1e-14
-    assert abs(moment(GAUSS, 2) - math.sqrt(2 * math.pi)) < 1e-12
+    m0, m1, m2 = (order.value for _, order in zip(range(3), moment_orders(GAUSS)))
+    assert abs(m0 - math.sqrt(2 * math.pi)) < 1e-12
+    assert abs(m1) < 1e-14
+    assert abs(m2 - math.sqrt(2 * math.pi)) < 1e-12
 
 
 def test_moment_defect_scales():
@@ -217,7 +217,7 @@ def test_moment_defect_scales():
     # leaves only truncation error, well under the certificate threshold
     d = sample(Translated(derivative(CompactBump(0.0, 2.0, 10), 5), -3.0), GRID)
     assert n_defect(d, 4) < 1e-6
-    assert moment_defect(GAUSS, 0) > 0.5  # a Gaussian has no vanishing moments
+    assert next(moment_orders(GAUSS)).defect > 0.5  # a Gaussian has no vanishing moments
 
 
 def test_class_defects_fields():
@@ -288,8 +288,7 @@ def test_low_moment_orders_bit_identical_to_power(f):
     for n, order in zip(range(3), moment_orders(f)):
         value, scale = _power_moment(f, n)
         assert order == (value, scale)
-        assert moment(f, n) == value
-        assert moment_defect(f, n) == (0.0 if scale == 0.0 else abs(value) / scale)
+        assert order.defect == (0.0 if scale == 0.0 else abs(value) / scale)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -365,9 +364,5 @@ def test_moment_walks_never_raise_points_to_a_power():
 def test_moment_orders_refuse_bad_orders():
     for bad in (-1, 1.5, True):
         with pytest.raises(ConfigurationError):
-            moment(GAUSS, bad)
-        with pytest.raises(ConfigurationError):
-            moment_defect(GAUSS, bad)
-        with pytest.raises(ConfigurationError):
             n_defect(GAUSS, bad)
-    assert moment(GAUSS, np.int64(2)) == moment(GAUSS, 2)
+    assert n_defect(GAUSS, np.int64(2)) == n_defect(GAUSS, 2)

@@ -13,7 +13,8 @@ from heisenrep import (
 from heisenrep.grid import per_chunk
 from heisenrep.heisenberg import _phase, generator_apply
 from heisenrep.schwartz import (
-    class_defects, generator_convergence, moment, n_defect, norm_growth_check, seminorm_tower,
+    class_defects, generator_convergence, moment_orders, n_defect, norm_growth_check,
+    seminorm_tower,
 )
 from heisenrep.transforms import LINE_PADDING, spectral_multiply
 
@@ -142,7 +143,7 @@ def test_whole_sums_refuse_a_stack():
     f = _stack(GRIDS[0], 2, np.random.default_rng(6))
     single = _rows(f)[0]
     for call in (lambda: inner(f, single), lambda: inner(single, f),
-                 lambda: moment(f, 1), lambda: n_defect(f), lambda: class_defects(f)):
+                 lambda: next(moment_orders(f)), lambda: n_defect(f), lambda: class_defects(f)):
         with pytest.raises(GridMismatchError, match="takes one function"):
             call()
 

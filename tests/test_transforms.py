@@ -8,7 +8,7 @@ from heisenrep import (
 )
 from heisenrep.testfn import GaussianPoly, sample
 from heisenrep.transforms import (
-    LINE_PADDING, _alternating_signs, _hilbert_multiplier, _sign_of_frequency,
+    LINE_PADDING, _alternating_signs, _hardy_multipliers, _hilbert_multiplier,
     spectral_multiply,
 )
 
@@ -55,17 +55,20 @@ def test_twiddle_read_only():
         alt[0] = -1.0
 
 
+def _sign_of_frequency(size):
+    """sgn(y) on the dual grid of any grid of `size` points."""
+    return np.sign(dual_grid(make_grid(1.0, size)).points)
+
+
 def test_sign_of_frequency_is_the_sign_of_the_dual_points():
     # the dual points are (k - N/2) pi/L, so their signs, the zero at k = N/2
-    # included, depend on N alone, from the smallest window to the widest
+    # included, depend on N alone, from the smallest window to the widest; the
+    # Hardy table holds sgn(y) as the difference of its rows, P+ - P-
     for size in (4, 64, 4096, 65536):
-        table = _sign_of_frequency(size)
-        assert table is _sign_of_frequency(size)
+        plus, minus = _hardy_multipliers(size)
         for half_width in (1e-300, 1e-100, 1e-3, 1.0, 32.0, 1e3, 1e100, 1e300):
             points = dual_grid(make_grid(half_width, size)).points
-            assert table.tobytes() == np.sign(points).tobytes(), (size, half_width)
-        with pytest.raises(ValueError):
-            table[0] = 1.0
+            assert (plus - minus).tobytes() == np.sign(points).tobytes(), (size, half_width)
 
 
 def test_hilbert_multiplier_is_one_read_only_table_per_size():
@@ -78,6 +81,26 @@ def test_hilbert_multiplier_is_one_read_only_table_per_size():
     f = _random(3)
     expected = spectral_multiply(f, -1j * _sign_of_frequency(GRID.size))
     assert hilbert(f, "multiplier").values.tobytes() == expected.values.tobytes()
+
+
+def test_hardy_multipliers_are_one_read_only_table_per_size():
+    # rows (1 + sgn y)/2 and (1 - sgn y)/2; proj_hardy reads one row each
+    for size in (4, 64, 4096):
+        table = _hardy_multipliers(size)
+        assert table is _hardy_multipliers(size)
+        assert table.shape == (2, size)
+        s = _sign_of_frequency(size)
+        assert table[0].tobytes() == (0.5 * (1.0 + s)).tobytes()
+        assert table[1].tobytes() == (0.5 * (1.0 - s)).tobytes()
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    f = _random(4)
+    for row, side in enumerate(("plus", "minus")):
+        expected = spectral_multiply(f, _hardy_multipliers(GRID.size)[row])
+        assert proj_hardy(f, side).values.tobytes() == expected.values.tobytes()
+    for side in ("both", True, 0):
+        with pytest.raises(ConfigurationError, match="side"):
+            proj_hardy(f, side)
 
 
 def test_unitary_and_roundtrip():
