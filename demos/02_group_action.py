@@ -5,10 +5,9 @@ Run with:  python3 demos/02_group_action.py
 
 import numpy as np
 
-from heisenrep import GroupElement, SemigroupId, act, bracket, make_grid, multiply, norm
+from heisenrep import GroupElement, act, bracket, make_grid, multiply, norm
 from heisenrep.heisenberg import (
-    CHI1, CHI2, in_semigroup, inverse, random_in_semigroup,
-    semigroup_noninverse_witness,
+    CHI1, CHI2, SEMIGROUPS, in_semigroup, inverse, random_in_semigroup,
 )
 from heisenrep.testfn import GaussianPoly, sample
 
@@ -22,12 +21,10 @@ print("[chi1, chi2]  =", bracket(CHI1, CHI2))
 
 # subsemigroups: closed under the product, not under inversion
 rng = np.random.default_rng(0)
-for base in ("S1zero", "S1", "S2zero", "S2", "S3", "S4"):
-    sid = SemigroupId(base)
-    a, b = random_in_semigroup(rng, sid), random_in_semigroup(rng, sid)
-    w = semigroup_noninverse_witness(sid)
-    print(f"{base:7s}: product closed = {in_semigroup(multiply(a, b), sid)}, "
-          f"witness inverse inside = {in_semigroup(inverse(w), sid)}")
+for base, semigroup in SEMIGROUPS.items():
+    a, b = random_in_semigroup(rng, base), random_in_semigroup(rng, base)
+    print(f"{base:7s}: product closed = {in_semigroup(multiply(a, b), base)}, "
+          f"witness inverse inside = {in_semigroup(inverse(semigroup.witness), base)}")
 
 # the action (U(xi) f)(x) = e^{i xi3} e^{i x xi2} f(x + xi1) is unitary for
 # every xi; the homomorphism U(xi eta) = U(xi) U(eta) is exact on the grid

@@ -25,7 +25,7 @@ from .grid import (
     norm,
     restrict_halfline,
 )
-from .heisenberg import GroupElement, LieElement, SemigroupId, act, bracket, multiply
+from .heisenberg import GroupElement, LieElement, act, bracket, multiply
 from .transforms import fourier, hilbert, inverse_fourier, proj_hardy
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "PrecisionError",
     "SampledFunction",
     "SemigroupDomainError",
-    "SemigroupId",
     "act",
     "bracket",
     "dual_grid",

@@ -65,16 +65,11 @@ SEMIGROUPS = {
 }
 
 
-@dataclass(frozen=True)
-class SemigroupId:
-    base: str
-    inverted: bool = False
-
-    def __post_init__(self):
-        if self.base not in SEMIGROUPS:
-            raise ConfigurationError(
-                f"unknown semigroup {self.base!r}; expected one of {tuple(SEMIGROUPS)}"
-            )
+def _semigroup(base: str) -> Semigroup:
+    """The SEMIGROUPS entry named base; ConfigurationError for any other value."""
+    if not isinstance(base, str) or base not in SEMIGROUPS:
+        raise ConfigurationError(f"unknown semigroup {base!r}; expected one of {tuple(SEMIGROUPS)}")
+    return SEMIGROUPS[base]
 
 
 def multiply(xi: GroupElement, eta: GroupElement) -> GroupElement:
@@ -93,11 +88,10 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
     return LieElement(0.0, 0.0, u.a * v.b - v.a * u.b)
 
 
-def in_semigroup(xi: GroupElement, sid: SemigroupId):
-    """Exact, elementwise membership predicate; inverse-flagged ids test inverse(xi)."""
-    if sid.inverted:
-        xi = inverse(xi)
-    return SEMIGROUPS[sid.base].contains(xi.xi1, xi.xi2, xi.xi3)
+def in_semigroup(xi: GroupElement, base: str):
+    """Exact, elementwise membership predicate of the semigroup named base;
+    in_semigroup(inverse(xi), base) tests membership of its inverse set."""
+    return _semigroup(base).contains(xi.xi1, xi.xi2, xi.xi3)
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +188,19 @@ def conjugate_by_fourier(xi: GroupElement) -> GroupElement:
     return GroupElement(-xi.xi2, xi.xi1, xi.xi3 - xi.xi1 * xi.xi2)
 
 
-def random_in_semigroup(rng: np.random.Generator, sid: SemigroupId,
-                        size=None) -> GroupElement:
-    """Rejection-free sampler of semigroup members (inverse-flag aware).
+def random_in_semigroup(rng: np.random.Generator, base: str, size=None) -> GroupElement:
+    """Rejection-free sampler of members of the semigroup named base.
 
     size as in numpy: None draws one element, n >= 0 gives array components.
     Draw order: x1, x2, x3, then the extra coordinate of S1, S2 or S4."""
+    semigroup = _semigroup(base)
     if size is not None:
         require_order("size", size)
     x1 = rng.uniform(0.0, 5.0, size)
     x2 = rng.uniform(0.0, 5.0, size)
     x3 = rng.uniform(-5.0, 5.0, size)
-    xi = GroupElement(*SEMIGROUPS[sid.base].sample(
+    return GroupElement(*semigroup.sample(
         x1, x2, x3, lambda low, high: rng.uniform(low, high, size)))
-    return inverse(xi) if sid.inverted else xi
-
-
-def semigroup_noninverse_witness(sid: SemigroupId) -> GroupElement:
-    """A stored element of the semigroup whose inverse falls outside it."""
-    xi = SEMIGROUPS[sid.base].witness
-    return inverse(xi) if sid.inverted else xi
 
 
 def element_from_lie(v: LieElement, t: float = 1.0) -> GroupElement:

@@ -24,7 +24,7 @@ from .grid import (
     GridSpec, SampledFunction, _adopt, _check_same_grid, _require_single, norm, per_chunk,
     restrict_halfline,
 )
-from .heisenberg import GroupElement, SemigroupId, act, in_semigroup
+from .heisenberg import GroupElement, act, in_semigroup, inverse
 from .schwartz import moment_orders, seminorm_tower
 from .transforms import _hardy_multipliers, fourier, proj_hardy, spectral_multiply
 
@@ -142,8 +142,9 @@ def coincidence_defect(u: SampledFunction):
     nu = norm(u)
     if np.any(nu == 0.0):
         raise ClassMembershipError("samples are zero")
-    combined = proj_hardy(u, "plus") * (-1j) + proj_hardy(u, "minus") * (-1j)
-    return norm(restrict_halfline(combined, "plus")) / nu
+    table = _hardy_multipliers(u.grid.size).reshape((2,) + (1,) * (u.values.ndim - 1) + (-1,))
+    plus, minus = spectral_multiply(u, table).values
+    return norm(restrict_halfline(_adopt(u.grid, plus * (-1j) + minus * (-1j)), "plus")) / nu
 
 
 def act_psi(xi: GroupElement, psi: PsiElement):
@@ -154,7 +155,7 @@ def act_psi(xi: GroupElement, psi: PsiElement):
     together with the snapped group parameter.  Elements outside the
     semigroup are refused — measure the failure with invariance_witness.
     """
-    if not in_semigroup(xi, SemigroupId("S1zero")):
+    if not in_semigroup(xi, "S1zero"):
         raise SemigroupDomainError(
             f"({xi.xi1}, {xi.xi2}, {xi.xi3}) lies outside the xi1>=0, xi2=0 "
             "semigroup; use invariance_witness to quantify the breakage"
@@ -217,7 +218,7 @@ def halfline_contraction(xi: GroupElement, f: SampledFunction):
     Such xi translate right (xi1 <= 0), keeping mass inside (0, inf), so the
     action contracts (indeed preserves) the half-line norm.
     """
-    if not np.all(in_semigroup(xi, SemigroupId("S1", inverted=True))):
+    if not np.all(in_semigroup(inverse(xi), "S1")):
         raise SemigroupDomainError("xi must have its inverse in the xi1>=0 semigroup")
     if np.any(norm(restrict_halfline(f, "minus")) != 0.0):
         raise ClassMembershipError("input carries mass on x < 0")

@@ -5,7 +5,7 @@ The discrete transform maps samples on a grid to samples on its dual grid
 (frequencies y_k = -pi/dx + k*pi/L) and is exactly unitary with respect to
 the weighted norms on both grids.  Because N/2 is even for every grid this
 package accepts, the transform matrix is symmetric, which makes
-inverse_fourier = conj . fourier . conj an exact inverse.
+inverse_fourier = conj . fourier . conj (the backward FFT) an exact inverse.
 """
 
 from __future__ import annotations
@@ -38,18 +38,17 @@ def inverse_fourier(f: SampledFunction) -> SampledFunction:
 
 
 def _transform(values: np.ndarray, grid: GridSpec, inverse: bool = False, buf=None) -> np.ndarray:
-    """The rows of :func:`fourier` (conj . fourier . conj when `inverse`) of
-    samples on `grid`, computed in place in a fresh buffer, or in `buf`,
-    which may be `values`; each step rounds as alt * fft(alt * values) did."""
+    """Rows of :func:`fourier` (conj . fourier . conj if `inverse`: the unscaled backward
+    FFT gives it bit for bit, but a zero's sign) of samples on `grid`, in place in a fresh
+    buffer, or in `buf`, which may be `values`; each step rounds as alt * fft(alt * values)."""
     alt = _alternating_signs(grid.size)
-    if inverse:
-        values = buf = np.conjugate(values, out=buf)
     buf = np.multiply(alt, values, out=buf)
-    np.fft.fft(buf, out=buf)
+    if inverse:
+        np.fft.ifft(buf, out=buf, norm="forward")
+    else:
+        np.fft.fft(buf, out=buf)
     np.multiply(alt, buf, out=buf)
     buf *= grid.spacing / np.sqrt(2.0 * np.pi)
-    if inverse:
-        np.conjugate(buf, out=buf)
     return buf
 
 

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heisenrep import (
-    GroupElement, LieElement, SampledFunction, SemigroupId, act, bracket,
+    GroupElement, LieElement, SampledFunction, act, bracket,
     dual_grid, fourier, inverse_fourier, make_grid, multiply, norm,
 )
 from heisenrep.errors import ConfigurationError, PrecisionError
 from heisenrep.heisenberg import (
     CHI1, CHI2, CHI3, IDENTITY, SEMIGROUPS, _phase, conjugate_by_fourier,
     element_from_lie, generator_apply, in_semigroup, inverse,
-    random_in_semigroup, semigroup_noninverse_witness,
+    random_in_semigroup,
 )
 from heisenrep.schwartz import generator_convergence, norm_growth_check
 from heisenrep.testfn import GaussianPoly, sample
@@ -48,35 +48,50 @@ def test_semigroup_membership_and_witnesses():
     rng = np.random.default_rng(0)
     bases = ("S1zero", "S1", "S2zero", "S2", "S3", "S4")
     assert tuple(SEMIGROUPS) == bases
-    for base in bases:
-        sid = SemigroupId(base)
-        assert in_semigroup(IDENTITY, sid)
+    for base, semigroup in SEMIGROUPS.items():
+        assert in_semigroup(IDENTITY, base)
         for _ in range(50):
-            a = random_in_semigroup(rng, sid)
-            b = random_in_semigroup(rng, sid)
-            assert in_semigroup(multiply(a, b), sid)
-        w = semigroup_noninverse_witness(sid)
-        assert in_semigroup(w, sid)
-        assert not in_semigroup(inverse(w), sid)
-        # inverse-flagged id mirrors membership
-        assert in_semigroup(inverse(w), SemigroupId(base, inverted=True))
+            a = random_in_semigroup(rng, base)
+            b = random_in_semigroup(rng, base)
+            assert in_semigroup(multiply(a, b), base)
+        w = semigroup.witness
+        assert in_semigroup(w, base)
+        assert not in_semigroup(inverse(w), base)
         # array-valued draws, tested elementwise
-        for array_sid in (sid, SemigroupId(base, inverted=True)):
-            batch = random_in_semigroup(rng, array_sid, 1000)
-            assert np.shape(batch.xi3) == (1000,)
-            assert np.all(in_semigroup(batch, array_sid))
-            assert np.all(in_semigroup(multiply(batch, batch), array_sid))
+        batch = random_in_semigroup(rng, base, 1000)
+        assert np.shape(batch.xi3) == (1000,)
+        assert np.all(in_semigroup(batch, base))
+        assert np.all(in_semigroup(multiply(batch, batch), base))
+        # the inverse set S^-1 = {xi : inverse(xi) in S} holds the inverted
+        # draws and is closed under the product
+        batch = inverse(random_in_semigroup(rng, base, 1000))
+        assert np.all(in_semigroup(inverse(batch), base))
+        assert np.all(in_semigroup(inverse(multiply(batch, batch)), base))
+
+
+def _refused(base):
+    # refused with the names the table holds, before any draw
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigurationError, match="unknown semigroup .*expected one of"):
+        in_semigroup(IDENTITY, base)
+    with pytest.raises(ConfigurationError, match="unknown semigroup .*expected one of"):
+        random_in_semigroup(rng, base, 3)
+    assert rng.uniform() == np.random.default_rng(0).uniform()
 
 
 def test_semigroup_unknown_base():
-    with pytest.raises(ConfigurationError):
-        SemigroupId("S9")
+    _refused("S9")
+
+
+@pytest.mark.parametrize("base", [["S1"], ("S1",), 1, None])
+def test_semigroup_refuses_a_base_that_is_not_a_str(base):
+    _refused(base)
 
 
 def test_random_in_semigroup_refuses_a_negative_size():
     with pytest.raises(ConfigurationError, match="size"):
-        random_in_semigroup(np.random.default_rng(0), SemigroupId("S1"), -1)
-    assert np.shape(random_in_semigroup(np.random.default_rng(0), SemigroupId("S1"), 0).xi1) == (0,)
+        random_in_semigroup(np.random.default_rng(0), "S1", -1)
+    assert np.shape(random_in_semigroup(np.random.default_rng(0), "S1", 0).xi1) == (0,)
 
 
 def test_act_identity_and_unitarity():

@@ -569,21 +569,24 @@ def test_psi_invariance_certify_count(monkeypatch):
     assert len(calls) == 19
 
 
+def _count_ffts(monkeypatch, record):
+    """Hand record the number of rows of each call to numpy's fft or ifft."""
+    for name in ("fft", "ifft"):
+        def counting(a, *args, transform=getattr(np.fft, name), **kwargs):
+            record(math.prod(np.shape(a)[:-1]))
+            return transform(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+
+
 def test_generators_fourier_count(monkeypatch):
     # pins the suite's transform work: one seminorm tower per function and per
     # chunk of stacked draws or difference quotients, each transforming a node
     # only where the next generator changes domain; one call transforms a
-    # chunk's rows, and a chunk's shared input once.  Counted at numpy's FFT,
-    # which every transform reaches (inverse_fourier and spectral_multiply do
-    # not call fourier)
+    # chunk's rows, and a chunk's shared input once.  Counted at numpy's
+    # forward and backward FFTs, which every transform reaches (inverse_fourier
+    # and spectral_multiply do not call fourier)
     calls = []
-    fft = np.fft.fft
-
-    def counting(a, *args, **kwargs):
-        calls.append(math.prod(np.shape(a)[:-1]))
-        return fft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counting)
+    _count_ffts(monkeypatch, calls.append)
     run_suite(SuiteConfig(suite="generators"))
     assert len(calls) == 282
     assert sum(calls) == 954
@@ -591,33 +594,27 @@ def test_generators_fourier_count(monkeypatch):
 
 def test_default_pass_fft_work(monkeypatch):
     # pins the FFT work of a default pass per suite, as (calls, rows) counted
-    # at numpy's FFT: the draw loops hand over chunks of 4 draws at N = 4096,
-    # so a call transforms a stack of rows, and a chunk's shared input is
-    # transformed once; a Hardy pair is projected, and its terms measured,
-    # as one stack
+    # at numpy's forward and backward FFTs: the draw loops hand over chunks of
+    # 4 draws at N = 4096, so a call transforms a stack of rows, and a chunk's
+    # shared input is transformed once; a Hardy pair is projected, and its
+    # terms measured, as one stack
     rows = {suite_id: [] for suite_id in SUITE_IDS}
     current = []
-    fft = np.fft.fft
-
-    def counting(a, *args, **kwargs):
-        rows[current[-1]].append(math.prod(np.shape(a)[:-1]))
-        return fft(a, *args, **kwargs)
-
     for suite_id, suite in list(heisenrep.suites.SUITES.items()):
         def entered(cfg, rec, suite_id=suite_id, suite=suite):
             current.append(suite_id)
             suite(cfg, rec)
         monkeypatch.setitem(heisenrep.suites.SUITES, suite_id, entered)
-    monkeypatch.setattr(np.fft, "fft", counting)
+    _count_ffts(monkeypatch, lambda n: rows[current[-1]].append(n))
     run_all(SuiteConfig(suite=SUITE_IDS[0]))
     assert {suite_id: (len(r), sum(r)) for suite_id, r in rows.items()} == {
         "group-axioms": (151, 451),
-        "transforms": (55, 166),
-        "paley-wiener": (43, 71),
+        "transforms": (56, 167),
+        "paley-wiener": (45, 73),
         "generators": (282, 954),
         "norms": (27, 48),
         "appendix-a": (0, 0),
-        "psi-invariance": (44, 124),
+        "psi-invariance": (34, 104),
         "tilde-space": (15, 36),
         "semigroup-evolution": (20, 54),
         "conjugation": (102, 273),
