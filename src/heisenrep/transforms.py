@@ -38,9 +38,9 @@ def inverse_fourier(f: SampledFunction) -> SampledFunction:
 
 
 def _transform(values: np.ndarray, grid: GridSpec, inverse: bool = False, buf=None) -> np.ndarray:
-    """Rows of :func:`fourier` (conj . fourier . conj if `inverse`: the unscaled backward
-    FFT gives it bit for bit, but a zero's sign) of samples on `grid`, in place in a fresh
-    buffer, or in `buf`, which may be `values`; each step rounds as alt * fft(alt * values)."""
+    """Rows of :func:`fourier`, or conj . fourier . conj if `inverse` (the unscaled backward
+    FFT, equal bit for bit up to the sign of zeros), of samples on `grid`, in place in a
+    fresh buffer or in `buf`, which may be `values`; steps round as alt * fft(alt * values)."""
     alt = _alternating_signs(grid.size)
     buf = np.multiply(alt, values, out=buf)
     if inverse:
