@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError, PrecisionError, require_order
 from .grid import GridSpec, SampledFunction, _adopt, dual_grid
-from .transforms import _multiplied, _multiply_into, spectral_multiply
+from .transforms import _backward, _forward, _multiply_into, spectral_multiply
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     if not (np.isfinite(x_phase).all() and (mode == "grid" or np.isfinite(y_phase).all())):
         raise ConfigurationError(f"the phase arguments of {xi} pass the float range on {f.grid}")
     if mode == "spectral":
-        vals = _multiplied(f, _phase(xi.xi1, dual_grid(f.grid)))
+        vals = _backward(_phase(xi.xi1, dual_grid(f.grid)), _forward(f), dual_grid(f.grid))
     elif mode == "grid":
         dx = f.grid.spacing
         with np.errstate(over="ignore"):  # a quotient past the float range is refused below

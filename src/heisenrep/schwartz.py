@@ -19,7 +19,7 @@ from . import testfn
 from .errors import CapabilityError, ConfigurationError, require_order
 from .grid import SampledFunction, _require_single, norm, per_chunk, restrict_halfline
 from .heisenberg import CHI1, CHI2, CHI3, GroupElement, act, element_from_lie, generator_apply
-from .transforms import fourier, inverse_fourier, proj_hardy
+from .transforms import _hardy_multipliers, fourier, inverse_fourier, spectral_multiply
 
 # seminorm_sup scan: a Gaussian's half-window in units of its width, and the
 # point count of each scan
@@ -211,11 +211,12 @@ def class_defects(f: SampledFunction, max_order: int = 8) -> dict:
         zero = 0.0
         return {"n_defect": zero, "m_defect": zero, "hardy_plus": zero,
                 "hardy_minus": zero, "support_plus": zero, "support_minus": zero}
+    plus, minus = norm(spectral_multiply(f, _hardy_multipliers(f.grid.size))) / nf
     return {
         "n_defect": n_defect(f, max_order),
         "m_defect": n_defect(inverse_fourier(f), max_order),
-        "hardy_plus": norm(proj_hardy(f, "minus")) / nf,
-        "hardy_minus": norm(proj_hardy(f, "plus")) / nf,
+        "hardy_plus": float(minus),
+        "hardy_minus": float(plus),
         "support_plus": norm(restrict_halfline(f, "minus")) / nf,
         "support_minus": norm(restrict_halfline(f, "plus")) / nf,
     }

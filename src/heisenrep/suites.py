@@ -533,9 +533,8 @@ def suite_paley_wiener(cfg: SuiteConfig, rec: Recorder) -> None:
 
     # the shared zero-frequency bin carries weight 1/2 in each projection,
     # so idempotence only holds on mean-free inputs; D kills that bin exactly
-    mf = generator_apply("D", f)
-    rec.check("projection-idempotent",
-              _rel(proj_hardy(proj_hardy(mf, "plus"), "plus"), proj_hardy(mf, "plus")))
+    mf_plus = proj_hardy(generator_apply("D", f), "plus")
+    rec.check("projection-idempotent", _rel(proj_hardy(mf_plus, "plus"), mf_plus))
 
     hf = hilbert(f, "multiplier")
     def hilbert_translation(xi1):

@@ -42,9 +42,9 @@ TestFunction = Union["GaussianPoly", "PiecewisePoly"]
 
 def _require_finite(node: str, coefficients, **fields) -> tuple:
     """Refuse a non-finite field by name, then a non-finite coefficient by
-    index; an integer beyond the float range counts as non-finite.  Returns
-    the coefficients as Python floats, or Python complex numbers where they
-    are not real, so equal coefficients compute alike whatever their type."""
+    index (an int past the float range or a non-number is non-finite), and
+    return the coefficients as Python floats, or Python complex numbers where
+    they are not real, so equal coefficients compute alike whatever their type."""
     for name, value in fields.items():
         if not _is_finite(value):
             raise ConfigurationError(f"{node} {name} must be finite, got {value!r}")
@@ -61,7 +61,7 @@ def _require_finite(node: str, coefficients, **fields) -> tuple:
 def _is_finite(value) -> bool:
     try:
         return cmath.isfinite(value)
-    except OverflowError:  # int too large to convert to float
+    except (OverflowError, TypeError):  # an int too large for a float, or not a number
         return False
 
 
@@ -209,7 +209,7 @@ def _eval(tf, x) -> np.ndarray:
         return _horner(u, tf.coefficients) * np.exp(-(u * u) / (2.0 * tf.width ** 2)) + 0j
     if isinstance(tf, PiecewisePoly):
         return _eval_pieces(tf.pieces, x)
-    raise TypeError(f"not a TestFunction descriptor: {tf!r}")
+    raise ConfigurationError(f"not a TestFunction descriptor: {tf!r}")
 
 
 def _eval_pieces(pieces, x) -> np.ndarray:
@@ -254,7 +254,7 @@ def smoothness_budget(tf: TestFunction) -> float:
         return math.inf
     if isinstance(tf, PiecewisePoly):
         return tf.smooth
-    raise TypeError(f"not a TestFunction descriptor: {tf!r}")
+    raise ConfigurationError(f"not a TestFunction descriptor: {tf!r}")
 
 
 def support(tf: TestFunction):
@@ -263,7 +263,7 @@ def support(tf: TestFunction):
         return ((-math.inf, math.inf),)
     if isinstance(tf, PiecewisePoly):
         return _merge_intervals([(pc.a, pc.b) for pc in tf.pieces])
-    raise TypeError(f"not a TestFunction descriptor: {tf!r}")
+    raise ConfigurationError(f"not a TestFunction descriptor: {tf!r}")
 
 
 def _merge_intervals(ivals):

@@ -29,25 +29,30 @@ def fourier(f: SampledFunction) -> SampledFunction:
     (dx/sqrt(2*pi)) sum_j f_j e^{-i x_j y_k} reduces to a standard FFT
     with alternating-sign pre/post twiddles (N/2 even kills the constant).
     """
-    return _adopt(dual_grid(f.grid), _transform(f.values, f.grid))
+    return _adopt(dual_grid(f.grid), _multiply_into(_alternating_signs(f.grid.size), _forward(f)))
 
 
 def inverse_fourier(f: SampledFunction) -> SampledFunction:
     """Exact inverse of :func:`fourier` (the transform matrix is symmetric)."""
-    return _adopt(dual_grid(f.grid), _transform(f.values, f.grid, inverse=True))
+    return _adopt(dual_grid(f.grid), _backward(_alternating_signs(f.grid.size), f.values, f.grid))
 
 
-def _transform(values: np.ndarray, grid: GridSpec, inverse: bool = False, buf=None) -> np.ndarray:
-    """Rows of :func:`fourier`, or conj . fourier . conj if `inverse` (the unscaled backward
-    FFT, equal bit for bit up to the sign of zeros), of samples on `grid`, in place in a
-    fresh buffer or in `buf`, which may be `values`; steps round as alt * fft(alt * values)."""
-    alt = _alternating_signs(grid.size)
-    buf = np.multiply(alt, values, out=buf)
-    if inverse:
-        np.fft.ifft(buf, out=buf, norm="forward")
-    else:
-        np.fft.fft(buf, out=buf)
-    np.multiply(alt, buf, out=buf)
+def _forward(f: SampledFunction) -> np.ndarray:
+    """The rows of fourier(f) before its post-twiddle, fft(alt * values) scaled, in a fresh
+    buffer.  alt is +-1, so that post-twiddle and _backward's pre-twiddle cancel: a multiplier
+    applies neither, and every nonzero component rounds as if it had, bit for bit."""
+    buf = np.multiply(_alternating_signs(f.grid.size), f.values)
+    np.fft.fft(buf, out=buf)
+    buf *= f.grid.spacing / np.sqrt(2.0 * np.pi)
+    return buf
+
+
+def _backward(mult, spec: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """alt * ifft(mult * spec) scaled, on samples of `grid`: the unscaled backward FFT,
+    conj . fft . conj bit for bit up to the sign of zeros; in spec when _multiply_into may."""
+    buf = _multiply_into(mult, spec)
+    np.fft.ifft(buf, out=buf, norm="forward")
+    np.multiply(_alternating_signs(grid.size), buf, out=buf)
     buf *= grid.spacing / np.sqrt(2.0 * np.pi)
     return buf
 
@@ -70,19 +75,13 @@ def spectral_multiply(f: SampledFunction, mult) -> SampledFunction:
     stays the left operand: complex products are not bitwise commutative
     under FMA.
     """
-    return _adopt(f.grid, _multiplied(f, mult))
-
-
-def _multiplied(f: SampledFunction, mult) -> np.ndarray:
-    """The rows of spectral_multiply(f, mult) in one fresh, writeable buffer
-    (two when a stacked mult outgrows f's rows)."""
-    spec = _multiply_into(mult, _transform(f.values, f.grid))
-    return _transform(spec, dual_grid(f.grid), inverse=True, buf=spec)
+    return _adopt(f.grid, _backward(mult, _forward(f), dual_grid(f.grid)))
 
 
 def _multiply_into(a, buf: np.ndarray) -> np.ndarray:
-    """a * buf, a the left operand, written into buf when it has the product's shape."""
-    return np.multiply(a, buf, out=buf if np.broadcast(a, buf).shape == buf.shape else None)
+    """a * buf, a the left operand, in buf when buf is writeable and has the product's shape."""
+    writable = buf.flags.writeable and np.broadcast(a, buf).shape == buf.shape
+    return np.multiply(a, buf, out=buf if writable else None)
 
 
 @cache

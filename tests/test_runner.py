@@ -610,7 +610,7 @@ def test_default_pass_fft_work(monkeypatch):
     assert {suite_id: (len(r), sum(r)) for suite_id, r in rows.items()} == {
         "group-axioms": (151, 451),
         "transforms": (56, 167),
-        "paley-wiener": (45, 73),
+        "paley-wiener": (43, 71),
         "generators": (282, 954),
         "norms": (27, 48),
         "appendix-a": (0, 0),

@@ -334,3 +334,32 @@ def test_one_buffer_primitives_equal_their_formulas(size):
         for k, (got, want) in enumerate(expected):
             assert np.array_equal(got.values, want), k
             assert not got.values.flags.writeable, k
+
+
+def test_multiplier_passes_pinned(monkeypatch):
+    # pins the elementwise products each primitive makes, as the FFT pins pin
+    # its transforms: a multiplier runs the forward half-transform and the
+    # backward one, and the twiddle pair between them, which cancels, is
+    # never applied; spectral act adds its modulation
+    grid = make_grid(16.0, 256)
+    f = _stack(grid, 3, np.random.default_rng(3))
+    xis, _ = _elements(np.random.default_rng(4), 3)
+    calls = []
+
+    def counting(*args, multiply=np.multiply, **kwargs):
+        calls.append(1)
+        return multiply(*args, **kwargs)
+
+    monkeypatch.setattr(np, "multiply", counting)
+    counts = {}
+    for name, run in [("fourier", lambda: fourier(f)),
+                      ("inverse_fourier", lambda: inverse_fourier(f)),
+                      ("proj_hardy", lambda: proj_hardy(f, "plus")),
+                      ("hilbert", lambda: hilbert(f)),
+                      ("D", lambda: generator_apply("D", f)),
+                      ("act", lambda: act(xis, f))]:
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    assert counts == {"fourier": 2, "inverse_fourier": 2, "proj_hardy": 3,
+                      "hilbert": 3, "D": 3, "act": 4}

@@ -12,6 +12,7 @@ from heisenrep import schwartz
 from heisenrep import testfn as T
 from heisenrep.annihilator import AnnihilatorConfig, moment_defects
 from heisenrep.errors import CapabilityError, ConfigurationError, NotExactlyIntegrable
+from heisenrep.psi import certify_nminus
 from heisenrep.testfn import (
     Affine, CompactBump, GaussianPoly, Mirrored, Piece, PiecewisePoly, Summed,
     Translated, derivative, evaluate, exact_l1_norm, exact_l2_norm, exact_moment,
@@ -789,6 +790,25 @@ def test_piece_refuses_malformed_input():
     assert pc.a == pc.b
     assert exact_moment(PiecewisePoly((pc,)), 0) == 0.0
     assert exact_l2_norm(PiecewisePoly((pc,))) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample("x", make_grid(8.0, 64)),
+    lambda: evaluate("x", 0.0),
+    lambda: support("x"),
+    lambda: derivative("x", 1),
+    lambda: AnnihilatorConfig(K=1, epsilon=0.1, a0=2.0, mother="x"),
+    lambda: schwartz.seminorm_sup("x", 1, 1),
+    lambda: certify_nminus("x", make_grid(8.0, 64)),
+    lambda: GaussianPoly(0.0, "a", (1.0,)),
+    lambda: Piece(0.0, "a", 1.0, (1.0,)),
+    lambda: Affine(CompactBump(0.0, 1.0, 3), rate="a"),
+], ids=["sample", "evaluate", "support", "derivative", "annihilator-config",
+        "seminorm-sup", "certify-nminus", "gaussian-width", "piece-bound", "affine-rate"])
+def test_what_is_not_a_descriptor_or_a_number_is_refused_typed(call):
+    # neither a bare TypeError nor a traceback: a typed refusal, exit status 2
+    with pytest.raises(ConfigurationError):
+        call()
 
 
 def _abs_terms(tf, y, k):
