@@ -30,8 +30,8 @@ class GridSpec:
     """Uniform grid of N points on [-L, L), N a power of two from 4 to
     MAX_GRID_BYTES / 16.
 
-    The points and the dual grid are computed once per instance and the
-    points are read-only.
+    The points, the table i*x of the generator M and the dual grid are
+    computed once per instance; the points and the table are read-only.
     """
 
     half_width: float
@@ -67,6 +67,13 @@ class GridSpec:
         x = -self.half_width + self.spacing * np.arange(self.size)
         x.setflags(write=False)
         return x
+
+    @cached_property
+    def _i_points(self) -> np.ndarray:
+        # i*x: M's multiplier here, and D's on the grid this one is dual to
+        ix = np.multiply(1j, self.points)
+        ix.setflags(write=False)
+        return ix
 
     @cached_property
     def _dual(self) -> "GridSpec":
@@ -175,6 +182,12 @@ def _adopt(grid: GridSpec, buf: np.ndarray) -> SampledFunction:
     return SampledFunction(grid, buf)
 
 
+def _require_function(f) -> None:
+    """Refuse what is not a SampledFunction with ConfigurationError, not an AttributeError."""
+    if not isinstance(f, SampledFunction):
+        raise ConfigurationError(f"takes a SampledFunction, got {type(f).__name__}")
+
+
 def _check_same_grid(f: SampledFunction, g: SampledFunction) -> None:
     if f.grid != g.grid:
         raise GridMismatchError("operands live on different grids")
@@ -198,6 +211,7 @@ def norm(f: SampledFunction):
     """L^2 norm sqrt(dx) * ||values||, a float; an array of one per row for a
     stack.  Each row is summed by np.linalg.norm on its own, so a row has the
     norm it has alone (a norm along an axis sums in another order)."""
+    _require_function(f)
     if f.values.ndim == 1:
         return float(np.sqrt(f.grid.spacing) * np.linalg.norm(f.values))
     rows = [np.linalg.norm(row) for row in f.values.reshape(-1, f.grid.size)]

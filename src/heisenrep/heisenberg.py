@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError, PrecisionError, require_order
-from .grid import GridSpec, SampledFunction, _adopt, dual_grid
+from .grid import GridSpec, SampledFunction, _adopt, _require_function, dual_grid
 from .transforms import _backward, _forward, _multiply_into, spectral_multiply
 
 
@@ -110,6 +110,7 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
     real and finite, or put a phase xi2 x (in spectral mode also xi1 y) past
     the float range, raise ConfigurationError; unbroadcastable ones, GridMismatchError.
     """
+    _require_function(f)
     if not all(np.asarray(c).dtype.kind in "iuf" and np.isfinite(c).all()
                for c in (xi.xi1, xi.xi2, xi.xi3)):
         raise ConfigurationError(f"group element components must be real and finite, got {xi}")
@@ -172,12 +173,14 @@ def _phase(a: float, grid: GridSpec, factor: complex = 1.0) -> np.ndarray:
 
 
 def generator_apply(gen: str, f: SampledFunction) -> SampledFunction:
-    """Lie-algebra generators: M = i*x*, D = d/dx (spectral), C = i*identity."""
+    """Lie-algebra generators: M = i*x*, D = d/dx (spectral), C = i*identity.
+
+    M multiplies by the grid's read-only table i*x, D by the dual grid's i*y."""
+    _require_function(f)
     if gen == "M":
-        ix = np.multiply(1j, f.grid.points)
-        return _adopt(f.grid, np.multiply(ix, f.values, out=ix if f.values.ndim == 1 else None))
+        return _adopt(f.grid, np.multiply(f.grid._i_points, f.values))
     if gen == "D":
-        return spectral_multiply(f, 1j * dual_grid(f.grid).points)
+        return spectral_multiply(f, dual_grid(f.grid)._i_points)
     if gen == "C":
         return _adopt(f.grid, np.multiply(1j, f.values))
     raise ConfigurationError(f"unknown generator {gen!r}; expected 'M', 'D' or 'C'")

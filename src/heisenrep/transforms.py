@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import GridSpec, SampledFunction, _adopt, dual_grid
+from .grid import GridSpec, SampledFunction, _adopt, _require_function, dual_grid
 
 # zero-padding factor of the line Hilbert route
 LINE_PADDING = 16
@@ -29,11 +29,13 @@ def fourier(f: SampledFunction) -> SampledFunction:
     (dx/sqrt(2*pi)) sum_j f_j e^{-i x_j y_k} reduces to a standard FFT
     with alternating-sign pre/post twiddles (N/2 even kills the constant).
     """
+    _require_function(f)
     return _adopt(dual_grid(f.grid), _multiply_into(_alternating_signs(f.grid.size), _forward(f)))
 
 
 def inverse_fourier(f: SampledFunction) -> SampledFunction:
     """Exact inverse of :func:`fourier` (the transform matrix is symmetric)."""
+    _require_function(f)
     return _adopt(dual_grid(f.grid), _backward(_alternating_signs(f.grid.size), f.values, f.grid))
 
 
@@ -75,6 +77,7 @@ def spectral_multiply(f: SampledFunction, mult) -> SampledFunction:
     stays the left operand: complex products are not bitwise commutative
     under FMA.
     """
+    _require_function(f)
     return _adopt(f.grid, _backward(mult, _forward(f), dual_grid(f.grid)))
 
 
@@ -103,6 +106,36 @@ def _hilbert_multiplier(n: int) -> np.ndarray:
     return mult
 
 
+@cache
+def _kernel_spectrum(n: int, method: str) -> np.ndarray:
+    """Read-only FFT of the odd kernel, of length 2n, of the "line" or
+    "principal_value" route of hilbert on any grid of n points, built once
+    per size and route (2 MiB each at n = 2^16).
+
+    The kernel holds lags |m| < n, lag m at index m mod 2n (index n, lag
+    +-n, stays 0).  The wide multiplier's is (2/M) cot(pi m/M) on odd m plus
+    i(-1)^m/M from its Nyquist bin, whose sign is -1, with M = LINE_PADDING*n;
+    its M -> inf limit is the principal-value kernel 2/(pi m), whose entries
+    0 +- x are written exactly.
+    """
+    m = np.arange(1, n, 2)
+    if method == "line":
+        wide = LINE_PADDING * n
+        kernel = (1j / wide) * _alternating_signs(2 * n)
+        kernel[n] = 0.0
+        odd = 2.0 / (wide * np.tan(np.pi * m / wide))
+    else:
+        # complex, so it is transformed in place; a real kernel is
+        # transformed as its complex cast, bit for bit
+        kernel = np.zeros(2 * n, dtype=complex)
+        odd = 2.0 / (np.pi * m)
+    kernel[1:n:2] += odd  # lags m = 1, 3, ..., n - 1
+    kernel[:n:-2] -= odd  # lags -m, at indices 2n - m
+    np.fft.fft(kernel, out=kernel)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
     """Hilbert transform, H f(x) = (1/pi) PV integral f(t)/(x - t) dt.
 
@@ -122,38 +155,21 @@ def hilbert(f: SampledFunction, method: str = "multiplier") -> SampledFunction:
                       band-limited interpolant of the samples.
 
     The line and principal-value routes are linear convolutions with odd
-    kernels, evaluated through a zero-padded FFT (three of length 2N).  All
+    kernels, evaluated through a zero-padded FFT: two of length 2N per call,
+    the kernel's spectrum being built once per size (_kernel_spectrum).  All
     routes share the sign fixed by the multiplier -i*sgn(y); on this
     convention the transform of a real even function is real odd.
     """
+    _require_function(f)
     if method == "multiplier":
         return spectral_multiply(f, _hilbert_multiplier(f.grid.size))
     if method in ("line", "principal_value"):
-        # odd kernels on lags |m| < N, lag m at index m mod 2N (index N, lag
-        # +-N, stays 0).  The wide multiplier's is (2/M) cot(pi m/M) on odd m
-        # plus i(-1)^m/M from its Nyquist bin, whose sign is -1, with
-        # M = LINE_PADDING*N; its M -> inf limit is the principal-value
-        # kernel 2/(pi m), whose entries 0 +- x are written exactly
-        n = f.grid.size
-        m = np.arange(1, n, 2)
-        if method == "line":
-            wide = LINE_PADDING * n
-            kernel = (1j / wide) * _alternating_signs(2 * n)
-            kernel[n] = 0.0
-            odd = 2.0 / (wide * np.tan(np.pi * m / wide))
-        else:
-            # complex, so it is transformed in place; a real kernel is
-            # transformed as its complex cast, bit for bit
-            kernel = np.zeros(2 * n, dtype=complex)
-            odd = 2.0 / (np.pi * m)
-        kernel[1:n:2] += odd  # lags m = 1, 3, ..., N - 1
-        kernel[:n:-2] -= odd  # lags -m, at indices 2N - m
-        del odd  # before the FFTs, which set the route's peak memory
         # padding f to 2N keeps the circular wrap off the grid
+        n = f.grid.size
         conv = np.zeros(f.values.shape[:-1] + (2 * n,), dtype=complex)
         conv[..., :n] = f.values
         np.fft.fft(conv, out=conv)
-        conv *= np.fft.fft(kernel, out=kernel)
+        conv *= _kernel_spectrum(n, method)
         np.fft.ifft(conv, out=conv)
         return _adopt(f.grid, conv[..., :n].copy())
     raise ConfigurationError(f"unknown hilbert method {method!r}")
@@ -165,6 +181,7 @@ def proj_hardy(f: SampledFunction, side: str) -> SampledFunction:
     The zero-frequency bin gets weight 1/2 on both sides so that
     P+ + P- = I holds exactly on samples.
     """
+    _require_function(f)
     if side not in ("plus", "minus"):
         raise ConfigurationError(f"side must be 'plus' or 'minus', got {side!r}")
     return spectral_multiply(f, _hardy_multipliers(f.grid.size)[int(side == "minus")])

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from heisenrep import (
-    ConfigurationError, GridMismatchError, GridSpec, SampledFunction, dual_grid, fourier,
-    hilbert, inner, inverse_fourier, make_grid, norm, proj_hardy, restrict_halfline,
+    ConfigurationError, GridMismatchError, GridSpec, SampledFunction, act, dual_grid,
+    fourier, hilbert, inner, inverse_fourier, make_grid, norm, proj_hardy, restrict_halfline,
 )
 from heisenrep.grid import MAX_GRID_BYTES
-from heisenrep.heisenberg import generator_apply
+from heisenrep.heisenberg import IDENTITY, generator_apply
+from heisenrep.transforms import spectral_multiply
 
 
 def test_make_grid_layout():
@@ -74,6 +75,48 @@ def test_grid_arrays_cached_and_read_only():
             x[0] = 0.0
         with pytest.raises(ValueError):
             x *= 2.0
+
+
+def test_generator_table_is_one_read_only_table_per_grid():
+    # i*x, M's multiplier; the dual grid's serves D
+    for g in (make_grid(32.0, 256), dual_grid(make_grid(32.0, 256)), make_grid(1e-3, 4)):
+        table = g._i_points
+        assert table is g._i_points
+        assert table.tobytes() == (1j * g.points).tobytes()
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        with pytest.raises(ValueError):
+            table *= 2.0
+
+
+def test_pickled_grid_does_not_carry_the_generator_table():
+    g = make_grid(32.0, 256)
+    bare = pickle.dumps(g)
+    tables = g._i_points, dual_grid(g)._i_points  # built, and cached on both grids
+    assert pickle.dumps(g) == bare
+    for back in (pickle.loads(bare), copy.deepcopy(g)):
+        assert "_i_points" not in vars(back)
+        assert back._i_points.tobytes() == tables[0].tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    fourier, inverse_fourier, norm,
+    lambda f: spectral_multiply(f, np.ones(8)),
+    lambda f: hilbert(f),
+    lambda f: hilbert(f, "line"),
+    lambda f: hilbert(f, "principal_value"),
+    lambda f: proj_hardy(f, "plus"),
+    lambda f: act(IDENTITY, f),
+    lambda f: act(IDENTITY, f, "grid"),
+    lambda f: generator_apply("M", f),
+    lambda f: generator_apply("D", f),
+    lambda f: generator_apply("C", f),
+], ids=["fourier", "inverse_fourier", "norm", "spectral_multiply", "hilbert",
+        "hilbert-line", "hilbert-pv", "proj_hardy", "act", "act-grid", "M", "D", "C"])
+def test_what_is_not_a_sampled_function_is_refused_typed(call):
+    for thing in ("x", np.zeros(8), [1.0, 2.0], None, make_grid(4.0, 8)):
+        with pytest.raises(ConfigurationError, match="takes a SampledFunction"):
+            call(thing)
 
 
 @pytest.mark.parametrize("half_width", [32.0, 100.0])  # round trip exact / inexact

@@ -593,11 +593,14 @@ def test_generators_fourier_count(monkeypatch):
 
 
 def test_default_pass_fft_work(monkeypatch):
-    # pins the FFT work of a default pass per suite, as (calls, rows) counted
-    # at numpy's forward and backward FFTs: the draw loops hand over chunks of
-    # 4 draws at N = 4096, so a call transforms a stack of rows, and a chunk's
-    # shared input is transformed once; a Hardy pair is projected, and its
-    # terms measured, as one stack
+    # pins the FFT work of a warm default pass per suite, as (calls, rows)
+    # counted at numpy's forward and backward FFTs: the draw loops hand over
+    # chunks of 4 draws at N = 4096, so a call transforms a stack of rows, and
+    # a chunk's shared input is transformed once; a Hardy pair is projected,
+    # and its terms measured, as one stack.  A line or principal-value
+    # Hilbert call transforms its kernel only the first time at a size, so an
+    # unpinned pass goes first and the pins hold whatever ran before
+    run_all(SuiteConfig(suite=SUITE_IDS[0]))
     rows = {suite_id: [] for suite_id in SUITE_IDS}
     current = []
     for suite_id, suite in list(heisenrep.suites.SUITES.items()):
@@ -609,8 +612,8 @@ def test_default_pass_fft_work(monkeypatch):
     run_all(SuiteConfig(suite=SUITE_IDS[0]))
     assert {suite_id: (len(r), sum(r)) for suite_id, r in rows.items()} == {
         "group-axioms": (151, 451),
-        "transforms": (56, 167),
-        "paley-wiener": (43, 71),
+        "transforms": (55, 166),
+        "paley-wiener": (41, 69),
         "generators": (282, 954),
         "norms": (27, 48),
         "appendix-a": (0, 0),

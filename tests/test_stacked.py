@@ -16,7 +16,7 @@ from heisenrep.schwartz import (
     class_defects, generator_convergence, moment_orders, n_defect, norm_growth_check,
     seminorm_tower,
 )
-from heisenrep.transforms import LINE_PADDING, spectral_multiply
+from heisenrep.transforms import LINE_PADDING, _kernel_spectrum, spectral_multiply
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 GRIDS = (make_grid(8.0, 64), make_grid(32.0, 4096))
@@ -332,15 +332,32 @@ def test_one_buffer_primitives_equal_their_formulas(size):
             (generator_apply("C", f), 1j * v),
         ]
         for k, (got, want) in enumerate(expected):
-            assert np.array_equal(got.values, want), k
+            # bytes, not np.array_equal, which holds -0.0 == +0.0
+            assert got.values.tobytes() == np.asarray(want, dtype=complex).tobytes(), k
             assert not got.values.flags.writeable, k
+
+
+@pytest.mark.parametrize("method", ["line", "principal_value"])
+def test_convolution_routes_equal_their_formula_bytes(method):
+    # the kernel spectrum cached per size changes no byte, on the first call
+    # at a size or later, on single rows and stacks
+    _kernel_spectrum.cache_clear()
+    for size in (4, 64, 1024, 2 ** 14):
+        grid = make_grid(16.0, size)
+        rng = np.random.default_rng(size)
+        for shape in ((3, size), (2, 2, size), (size,)):
+            v = _random_values(rng, shape)
+            want = _formula_convolution(v, method).tobytes()
+            for _ in range(2):
+                assert hilbert(SampledFunction(grid, v), method).values.tobytes() == want
 
 
 def test_multiplier_passes_pinned(monkeypatch):
     # pins the elementwise products each primitive makes, as the FFT pins pin
     # its transforms: a multiplier runs the forward half-transform and the
     # backward one, and the twiddle pair between them, which cancels, is
-    # never applied; spectral act adds its modulation
+    # never applied; spectral act adds its modulation.  M and D multiply by a
+    # table i*x built once per grid, so each primitive runs once unpinned first
     grid = make_grid(16.0, 256)
     f = _stack(grid, 3, np.random.default_rng(3))
     xis, _ = _elements(np.random.default_rng(4), 3)
@@ -350,16 +367,20 @@ def test_multiplier_passes_pinned(monkeypatch):
         calls.append(1)
         return multiply(*args, **kwargs)
 
+    runs = {"fourier": lambda: fourier(f),
+            "inverse_fourier": lambda: inverse_fourier(f),
+            "proj_hardy": lambda: proj_hardy(f, "plus"),
+            "hilbert": lambda: hilbert(f),
+            "M": lambda: generator_apply("M", f),
+            "D": lambda: generator_apply("D", f),
+            "act": lambda: act(xis, f)}
+    for run in runs.values():
+        run()
     monkeypatch.setattr(np, "multiply", counting)
     counts = {}
-    for name, run in [("fourier", lambda: fourier(f)),
-                      ("inverse_fourier", lambda: inverse_fourier(f)),
-                      ("proj_hardy", lambda: proj_hardy(f, "plus")),
-                      ("hilbert", lambda: hilbert(f)),
-                      ("D", lambda: generator_apply("D", f)),
-                      ("act", lambda: act(xis, f))]:
+    for name, run in runs.items():
         calls.clear()
         run()
         counts[name] = len(calls)
     assert counts == {"fourier": 2, "inverse_fourier": 2, "proj_hardy": 3,
-                      "hilbert": 3, "D": 3, "act": 4}
+                      "hilbert": 3, "M": 1, "D": 3, "act": 4}

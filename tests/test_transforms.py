@@ -9,7 +9,7 @@ from heisenrep import (
 from heisenrep.testfn import GaussianPoly, sample
 from heisenrep.transforms import (
     LINE_PADDING, _alternating_signs, _hardy_multipliers, _hilbert_multiplier,
-    spectral_multiply,
+    _kernel_spectrum, spectral_multiply,
 )
 
 GRID = make_grid(32.0, 4096)
@@ -101,6 +101,40 @@ def test_hardy_multipliers_are_one_read_only_table_per_size():
     for side in ("both", True, 0):
         with pytest.raises(ConfigurationError, match="side"):
             proj_hardy(f, side)
+
+
+def test_kernel_spectrum_is_one_read_only_table_per_size_and_route():
+    for size in (4, 64, 4096):
+        for method in ("line", "principal_value"):
+            table = _kernel_spectrum(size, method)
+            assert table is _kernel_spectrum(size, method)
+            assert table.shape == (2 * size,)
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+            with pytest.raises(ValueError):
+                table *= 2.0
+        assert not np.array_equal(_kernel_spectrum(size, "line"),
+                                  _kernel_spectrum(size, "principal_value"))
+
+
+@pytest.mark.parametrize("method", ["line", "principal_value"])
+def test_convolution_routes_transform_their_kernel_once_per_size(monkeypatch, method):
+    # 3 numpy FFTs on the first call at a size (f, the kernel, the inverse), 2 after
+    f = _random(5)
+    want = hilbert(f, method).values.tobytes()
+    calls = []
+    for name in ("fft", "ifft"):
+        def counting(a, *args, transform=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return transform(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    _kernel_spectrum.cache_clear()
+    counts = []
+    for _ in range(3):
+        calls.clear()
+        assert hilbert(f, method).values.tobytes() == want
+        counts.append(len(calls))
+    assert counts == [3, 2, 2]
 
 
 def test_unitary_and_roundtrip():
