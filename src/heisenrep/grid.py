@@ -137,6 +137,9 @@ class SampledFunction:
     writeable array, a view or real samples never alias the result.  A
     frozen complex array that owns its data is shared with the result and
     must stay frozen: its owner can turn writing back on with setflags.
+    The spectral primitives rely on that: transforms._forward keeps the
+    spectrum of the values array it transformed last and hands it out again
+    for the same array.
     """
 
     grid: GridSpec

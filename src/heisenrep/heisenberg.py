@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError, PrecisionError, require_order
 from .grid import GridSpec, SampledFunction, _adopt, _require_function, dual_grid
-from .transforms import _backward, _forward, _multiply_into, spectral_multiply
+from .transforms import _backward, _forward, spectral_multiply
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,10 @@ def act(xi: GroupElement, f: SampledFunction, mode: str = "spectral") -> Sampled
                 vals[i][-k:] = rows[i][: n + k]
     else:
         raise ConfigurationError(f"unknown act mode {mode!r}")
-    return _adopt(f.grid, _multiply_into(_phase(xi.xi2, f.grid, np.exp(1j * xi.xi3)), vals))
+    phase = _phase(xi.xi2, f.grid, np.exp(1j * xi.xi3))
+    # into vals, which is fresh, unless the phase has more rows; phase stays the left operand
+    fits = np.broadcast(phase, vals).shape == vals.shape
+    return _adopt(f.grid, np.multiply(phase, vals, out=vals if fits else None))
 
 
 def _phase(a: float, grid: GridSpec, factor: complex = 1.0) -> np.ndarray:

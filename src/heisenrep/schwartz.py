@@ -85,7 +85,9 @@ def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0) -> l
 
     Returns one curve [(t, error), ...] for each order k = 0..n; the
     quotients of each chunk of t values (see grid.per_chunk) are measured by
-    one seminorm tower.
+    one seminorm tower.  A quotient is about 1e-16/t times f where U(t chi) f
+    rounds, so a small enough t takes an error past the float range: that
+    order is refused with ConfigurationError naming t.
     """
     if gen not in _GENERATOR_DIRECTION:
         raise ConfigurationError(f"unknown generator {gen!r}")
@@ -95,7 +97,14 @@ def generator_convergence(gen: str, f: SampledFunction, t_list, n: int = 0) -> l
 
     def errors(t):
         step = element_from_lie(_GENERATOR_DIRECTION[gen], t)
-        return seminorm_tower((act(step, f) - f) * (1.0 / t)[:, None] - exact, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            tower = seminorm_tower((act(step, f) - f) * (1.0 / t)[:, None] - exact, n)
+        for k, order in enumerate(tower):
+            if not np.isfinite(order).all():
+                raise ConfigurationError(
+                    f"the order-{k} error of the {gen} difference quotient at "
+                    f"t = {float(t[~np.isfinite(order)][0])!r} is not finite in floating point")
+        return tower
 
     curves = per_chunk(f.grid, np.array(t_list, dtype=float), errors)
     return [[(t, err) for t, err in zip(t_list, curve)] for curve in curves]

@@ -443,6 +443,15 @@ def exact_moment(tf: TestFunction, n: int) -> complex:
     return _summed_moment(tf, [_piece_moments(pc, n) for pc in to_piecewise(tf).pieces], n)
 
 
+def exact_moments(tf: TestFunction, n_max: int) -> list:
+    """[exact_moment(tf, n) for n = 0..n_max], bit for bit, from one moment
+    table per piece; the lowest order beyond the float range is refused as
+    exact_moment refuses it."""
+    require_order("moment order", n_max)
+    tables = [_piece_moments(pc, n_max) for pc in to_piecewise(tf).pieces]
+    return [_summed_moment(tf, tables, n) for n in range(n_max + 1)]
+
+
 def _summed_moment(tf: TestFunction, tables, n: int) -> complex:
     """The order-n moment of tf from the moment tables of its pieces, as
     `exact_moment` returns it, refused the same way."""

@@ -6,10 +6,18 @@ The discrete transform maps samples on a grid to samples on its dual grid
 the weighted norms on both grids.  Because N/2 is even for every grid this
 package accepts, the transform matrix is symmetric, which makes
 inverse_fourier = conj . fourier . conj (the backward FFT) an exact inverse.
+
+Every spectral primitive is built from two half-transforms: _forward, the
+spectrum of f's values, and _backward, a multiplier and the inverse
+transform.  _forward keeps the one spectrum it made last, read-only, for as
+long as the values array it came from lives, so operators applied in turn
+to one f (act, the Hilbert multiplier, proj_hardy, D, fourier) transform it
+once.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import cache
 
 import numpy as np
@@ -30,7 +38,7 @@ def fourier(f: SampledFunction) -> SampledFunction:
     with alternating-sign pre/post twiddles (N/2 even kills the constant).
     """
     _require_function(f)
-    return _adopt(dual_grid(f.grid), _multiply_into(_alternating_signs(f.grid.size), _forward(f)))
+    return _adopt(dual_grid(f.grid), np.multiply(_alternating_signs(f.grid.size), _forward(f)))
 
 
 def inverse_fourier(f: SampledFunction) -> SampledFunction:
@@ -39,20 +47,45 @@ def inverse_fourier(f: SampledFunction) -> SampledFunction:
     return _adopt(dual_grid(f.grid), _backward(_alternating_signs(f.grid.size), f.values, f.grid))
 
 
+# the memo of _forward: (weak reference to the values array it transformed
+# last, that array's grid, the read-only spectrum), or None
+_last = None
+
+
 def _forward(f: SampledFunction) -> np.ndarray:
-    """The rows of fourier(f) before its post-twiddle, fft(alt * values) scaled, in a fresh
-    buffer.  alt is +-1, so that post-twiddle and _backward's pre-twiddle cancel: a multiplier
-    applies neither, and every nonzero component rounds as if it had, bit for bit."""
+    """The rows of fourier(f) before its post-twiddle, fft(alt * values) scaled, read-only.
+    alt is +-1, so that post-twiddle and _backward's pre-twiddle cancel: a multiplier
+    applies neither, and every nonzero component rounds as if it had, bit for bit.
+
+    The last spectrum is kept, and returned without an FFT while its values array (the
+    same object) is transformed again on an equal grid.  That relies on the contract of
+    SampledFunction: its values array never changes, so a frozen array handed to it must
+    stay frozen.  The entry holds the array by a weak reference and goes when it dies."""
+    global _last
+    last = _last
+    if last is not None and last[0]() is f.values and last[1] == f.grid:
+        return last[2]
     buf = np.multiply(_alternating_signs(f.grid.size), f.values)
     np.fft.fft(buf, out=buf)
     buf *= f.grid.spacing / np.sqrt(2.0 * np.pi)
+    buf.setflags(write=False)
+    _last = (weakref.ref(f.values, _forget), f.grid, buf)
     return buf
 
 
+def _forget(ref: weakref.ref) -> None:
+    """Drop the memo entry whose values array has died.  The entry is one tuple,
+    read once per call, so threads racing here can lose an entry, never serve
+    a spectrum for another array."""
+    global _last
+    if _last is not None and _last[0] is ref:
+        _last = None
+
+
 def _backward(mult, spec: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """alt * ifft(mult * spec) scaled, on samples of `grid`: the unscaled backward FFT,
-    conj . fft . conj bit for bit up to the sign of zeros; in spec when _multiply_into may."""
-    buf = _multiply_into(mult, spec)
+    """alt * ifft(mult * spec) scaled, on samples of `grid`, in a fresh buffer: the unscaled
+    backward FFT, conj . fft . conj bit for bit up to the sign of zeros."""
+    buf = np.multiply(mult, spec)
     np.fft.ifft(buf, out=buf, norm="forward")
     np.multiply(_alternating_signs(grid.size), buf, out=buf)
     buf *= grid.spacing / np.sqrt(2.0 * np.pi)
@@ -79,12 +112,6 @@ def spectral_multiply(f: SampledFunction, mult) -> SampledFunction:
     """
     _require_function(f)
     return _adopt(f.grid, _backward(mult, _forward(f), dual_grid(f.grid)))
-
-
-def _multiply_into(a, buf: np.ndarray) -> np.ndarray:
-    """a * buf, a the left operand, in buf when buf is writeable and has the product's shape."""
-    writable = buf.flags.writeable and np.broadcast(a, buf).shape == buf.shape
-    return np.multiply(a, buf, out=buf if writable else None)
 
 
 @cache

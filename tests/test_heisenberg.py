@@ -14,7 +14,7 @@ from heisenrep.heisenberg import (
     element_from_lie, generator_apply, in_semigroup, inverse,
     random_in_semigroup,
 )
-from heisenrep.schwartz import generator_convergence, norm_growth_check
+from heisenrep.schwartz import generator_convergence, norm_growth_check, seminorm_tower
 from heisenrep.testfn import GaussianPoly, sample
 
 GRID = make_grid(32.0, 4096)
@@ -205,6 +205,26 @@ def test_generator_convergence_refuses_a_step_with_an_infinite_reciprocal():
     for t_list in ([1e-320], [1e-3, 5e-324]):
         with pytest.raises(ConfigurationError, match="positive and finite, as must 1/t"):
             generator_convergence("D", GAUSS, t_list)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gen", ["M", "D", "C"])
+def test_generator_convergence_refuses_an_error_past_the_float_range(gen):
+    # U(t chi) f - f holds rounding of about 1e-16, which 1/t lifts: at
+    # t = 1e-200 the tower's dot overflowed (a RuntimeWarning, then inf)
+    grid = make_grid(32.0, 1024)
+    f = sample(GaussianPoly(0.0, 1.0, (1.0,)), grid)
+    for t_list, t in (([1e-200], 1e-200), ([1e-300], 1e-300), ([1e-3, 1e-200], 1e-200)):
+        message = re.escape(f"order-0 error of the {gen} difference quotient at t = {t!r} is not")
+        with pytest.raises(ConfigurationError, match=message):
+            generator_convergence(gen, f, t_list, 1)
+    # 1e-150 stays in range: the errors of the plain tower of the quotient
+    step = element_from_lie({"D": CHI1, "M": CHI2, "C": CHI3}[gen], np.array([1e-150]))
+    quotient = (act(step, f) - f) * np.array([1e150])[:, None] - generator_apply(gen, f)
+    want = [float(order[0]) for order in seminorm_tower(quotient, 1)]
+    curves = generator_convergence(gen, f, [1e-150], 1)
+    assert [curve[0][1] for curve in curves] == want
+    assert all(np.isfinite(want))
 
 
 @pytest.mark.filterwarnings("error")

@@ -14,6 +14,8 @@ import pytest
 import heisenrep.annihilator
 import heisenrep.psi
 import heisenrep.suites
+import heisenrep.testfn
+import heisenrep.transforms
 from heisenrep.cli import build_parser, load_settings, main
 from heisenrep.errors import ClassMembershipError, ConfigurationError
 from heisenrep.grid import dual_grid
@@ -553,6 +555,21 @@ def test_appendix_a_annihilates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_appendix_a_tabulates_the_translated_moments_once(monkeypatch):
+    # translation-invariance reads orders 0..K from one exact_moments call
+    calls = []
+    moments = heisenrep.testfn.exact_moments
+
+    def counting(tf, n_max):
+        calls.append(n_max)
+        return moments(tf, n_max)
+
+    monkeypatch.setattr(heisenrep.testfn, "exact_moments", counting)
+    monkeypatch.setattr(heisenrep.testfn, "exact_moment", None)
+    run_suite(SuiteConfig(suite="appendix-a"))
+    assert calls == [SuiteConfig(suite="appendix-a").max_moment]
+
+
 def test_psi_invariance_certify_count(monkeypatch):
     # each descriptor the suite synthesizes is certified once: its pair (2),
     # the eight moved pairs of the survival, compatibility and composition
@@ -570,7 +587,9 @@ def test_psi_invariance_certify_count(monkeypatch):
 
 
 def _count_ffts(monkeypatch, record):
-    """Hand record the number of rows of each call to numpy's fft or ifft."""
+    """Hand record the number of rows of each call to numpy's fft or ifft, from a
+    cold memo: no spectrum kept from before is reused."""
+    heisenrep.transforms._last = None
     for name in ("fft", "ifft"):
         def counting(a, *args, transform=getattr(np.fft, name), **kwargs):
             record(math.prod(np.shape(a)[:-1]))
@@ -584,12 +603,14 @@ def test_generators_fourier_count(monkeypatch):
     # only where the next generator changes domain; one call transforms a
     # chunk's rows, and a chunk's shared input once.  Counted at numpy's
     # forward and backward FFTs, which every transform reaches (inverse_fourier
-    # and spectral_multiply do not call fourier)
+    # and spectral_multiply do not call fourier).  A function transformed twice
+    # in a row is transformed once: 2 of 160 forward half-transforms reuse the
+    # spectrum kept by transforms._forward (282 calls and 954 rows before it)
     calls = []
     _count_ffts(monkeypatch, calls.append)
     run_suite(SuiteConfig(suite="generators"))
-    assert len(calls) == 282
-    assert sum(calls) == 954
+    assert len(calls) == 280
+    assert sum(calls) == 952
 
 
 def test_default_pass_fft_work(monkeypatch):
@@ -599,7 +620,10 @@ def test_default_pass_fft_work(monkeypatch):
     # a chunk's shared input is transformed once; a Hardy pair is projected,
     # and its terms measured, as one stack.  A line or principal-value
     # Hilbert call transforms its kernel only the first time at a size, so an
-    # unpinned pass goes first and the pins hold whatever ran before
+    # unpinned pass goes first and the pins hold whatever ran before.  An input
+    # transformed again right after its last transform reuses its spectrum
+    # (transforms._forward): 29 of 388 forward half-transforms, 24 of them in
+    # group-axioms, whose chunks act on one f (727 calls and 2,155 rows before)
     run_all(SuiteConfig(suite=SUITE_IDS[0]))
     rows = {suite_id: [] for suite_id in SUITE_IDS}
     current = []
@@ -611,10 +635,10 @@ def test_default_pass_fft_work(monkeypatch):
     _count_ffts(monkeypatch, lambda n: rows[current[-1]].append(n))
     run_all(SuiteConfig(suite=SUITE_IDS[0]))
     assert {suite_id: (len(r), sum(r)) for suite_id, r in rows.items()} == {
-        "group-axioms": (151, 451),
+        "group-axioms": (127, 427),
         "transforms": (55, 166),
-        "paley-wiener": (41, 69),
-        "generators": (282, 954),
+        "paley-wiener": (38, 66),
+        "generators": (280, 952),
         "norms": (27, 48),
         "appendix-a": (0, 0),
         "psi-invariance": (34, 104),

@@ -10,6 +10,7 @@ from heisenrep import (
     GridMismatchError, GroupElement, PrecisionError, SampledFunction, act,
     dual_grid, fourier, hilbert, inner, inverse_fourier, make_grid, norm, proj_hardy,
 )
+from heisenrep import transforms
 from heisenrep.grid import per_chunk
 from heisenrep.heisenberg import _phase, generator_apply
 from heisenrep.schwartz import (
@@ -352,12 +353,11 @@ def test_convolution_routes_equal_their_formula_bytes(method):
                 assert hilbert(SampledFunction(grid, v), method).values.tobytes() == want
 
 
-def test_multiplier_passes_pinned(monkeypatch):
-    # pins the elementwise products each primitive makes, as the FFT pins pin
-    # its transforms: a multiplier runs the forward half-transform and the
-    # backward one, and the twiddle pair between them, which cancels, is
-    # never applied; spectral act adds its modulation.  M and D multiply by a
-    # table i*x built once per grid, so each primitive runs once unpinned first
+def _multiply_passes(monkeypatch, cold):
+    """np.multiply calls per primitive on one 3-row stack, the memo of
+    transforms._forward cleared before each call when cold; else f's
+    spectrum is kept from the call before.  M and D multiply by a table i*x
+    built once per grid, so each primitive runs once unpinned first."""
     grid = make_grid(16.0, 256)
     f = _stack(grid, 3, np.random.default_rng(3))
     xis, _ = _elements(np.random.default_rng(4), 3)
@@ -379,8 +379,27 @@ def test_multiplier_passes_pinned(monkeypatch):
     monkeypatch.setattr(np, "multiply", counting)
     counts = {}
     for name, run in runs.items():
+        if cold:
+            transforms._last = None
         calls.clear()
         run()
         counts[name] = len(calls)
-    assert counts == {"fourier": 2, "inverse_fourier": 2, "proj_hardy": 3,
-                      "hilbert": 3, "M": 1, "D": 3, "act": 4}
+    return counts
+
+
+def test_multiplier_passes_pinned(monkeypatch):
+    # pins the elementwise products each primitive makes, as the FFT pins pin
+    # its transforms: a multiplier runs the forward half-transform and the
+    # backward one, and the twiddle pair between them, which cancels, is
+    # never applied; spectral act adds its modulation
+    assert _multiply_passes(monkeypatch, cold=True) == {
+        "fourier": 2, "inverse_fourier": 2, "proj_hardy": 3, "hilbert": 3, "M": 1, "D": 3,
+        "act": 4}
+
+
+def test_multiplier_passes_on_a_kept_spectrum_pinned(monkeypatch):
+    # the same f transformed again skips the forward half-transform, its
+    # pre-twiddle included: one pass fewer for every primitive that transforms f
+    assert _multiply_passes(monkeypatch, cold=False) == {
+        "fourier": 1, "inverse_fourier": 2, "proj_hardy": 2, "hilbert": 2, "M": 1, "D": 2,
+        "act": 3}

@@ -637,6 +637,42 @@ def test_moment_table_refuses_an_order_when_it_is_read():
     assert str(refused.value) == f"the order-3 moment of {tf!r} is not finite in floating point"
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.one_of(overlapping_sums(), moment_pieces().map(lambda pc: PiecewisePoly((pc,)))),
+       st.integers(0, 12))
+def test_exact_moments_equal_exact_moment_bit_for_bit(tf, n_max):
+    moments = T.exact_moments(tf, n_max)
+    assert [repr(m) for m in moments] == [repr(exact_moment(tf, n)) for n in range(n_max + 1)]
+
+
+def test_exact_moments_tabulate_each_piece_once(monkeypatch):
+    tables = []
+    build = T._piece_moments
+
+    def counting(pc, n_max):
+        tables.append(n_max)
+        return build(pc, n_max)
+
+    monkeypatch.setattr(T, "_piece_moments", counting)
+    tf = Summed((CompactBump(0.0, 1.0, 3), derivative(CompactBump(-2.0, 0.5, 4), 2)))
+    assert len(T.exact_moments(tf, 6)) == 7
+    assert tables == [6] * len(tf.pieces)
+
+
+def test_exact_moments_refuse_an_order_as_exact_moment_does():
+    # the order-3 moment of x^n on (0, 1e100) passes the float range
+    tf = PiecewisePoly((Piece(0.0, 0.0, 1e100, (1.0,), 1e100),))
+    assert T.exact_moments(tf, 2) == [exact_moment(tf, n) for n in range(3)]
+    with pytest.raises(ConfigurationError) as refused:
+        T.exact_moments(tf, 4)
+    assert str(refused.value) == f"the order-3 moment of {tf!r} is not finite in floating point"
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ConfigurationError):
+            T.exact_moments(tf, bad)
+    with pytest.raises(NotExactlyIntegrable):
+        T.exact_moments(GaussianPoly(0.0, 1.0, (1.0,)), 2)
+
+
 def test_affine_poly_bit_identical_to_scalar_reference():
     rng = np.random.default_rng(21)
     for trial in range(400):

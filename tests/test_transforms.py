@@ -1,3 +1,7 @@
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import dawsn
@@ -6,6 +10,8 @@ from heisenrep import (
     ConfigurationError, SampledFunction, dual_grid, fourier, hilbert,
     inverse_fourier, make_grid, norm, proj_hardy,
 )
+from heisenrep import transforms
+from heisenrep.heisenberg import GroupElement, act, generator_apply
 from heisenrep.testfn import GaussianPoly, sample
 from heisenrep.transforms import (
     LINE_PADDING, _alternating_signs, _hardy_multipliers, _hilbert_multiplier,
@@ -129,12 +135,117 @@ def test_convolution_routes_transform_their_kernel_once_per_size(monkeypatch, me
             return transform(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
     _kernel_spectrum.cache_clear()
+    transforms._last = None
     counts = []
     for _ in range(3):
         calls.clear()
         assert hilbert(f, method).values.tobytes() == want
         counts.append(len(calls))
     assert counts == [3, 2, 2]
+
+
+def _spectral_primitives(f):
+    """Every primitive that transforms f forward, by name."""
+    rng = np.random.default_rng(f.grid.size)
+    rows = f.values.shape[:-1] or (2,)
+    xis = GroupElement(*rng.uniform(-5, 5, (3,) + rows))
+    mult = rng.standard_normal(f.grid.size) + 1j * rng.standard_normal(f.grid.size)
+    return {"fourier": lambda: fourier(f),
+            "spectral_multiply": lambda: spectral_multiply(f, mult),
+            "hilbert": lambda: hilbert(f),
+            "proj_hardy plus": lambda: proj_hardy(f, "plus"),
+            "proj_hardy minus": lambda: proj_hardy(f, "minus"),
+            "D": lambda: generator_apply("D", f),
+            "act": lambda: act(GroupElement(1.5, -0.25, 0.5), f),
+            "act stacked": lambda: act(xis, f)}
+
+
+@pytest.mark.parametrize("size", [4, 64, 1024, 2 ** 14])
+def test_kept_spectrum_changes_no_byte(size):
+    # a primitive reading the spectrum kept for its input gives the bytes it
+    # gives from a cold memo, on single rows and stacks
+    grid = make_grid(16.0, size)
+    rng = np.random.default_rng(size)
+    for shape in ((size,), (3, size)):
+        f = SampledFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for name, run in _spectral_primitives(f).items():
+            transforms._last = None
+            cold = run().values.tobytes()
+            assert transforms._last[0]() is f.values, name
+            assert run().values.tobytes() == cold, name
+
+
+def test_kept_spectrum_is_keyed_by_the_grid():
+    # one values array on two grids of one size: each gets its own scale dx
+    values = np.exp(-np.linspace(-4.0, 4.0, 64, endpoint=False) ** 2) + 0j
+    values.setflags(write=False)
+    narrow, wide = (SampledFunction(make_grid(hw, 64), values) for hw in (4.0, 8.0))
+    assert narrow.values is wide.values
+    cold = {}
+    for f in (narrow, wide):
+        transforms._last = None
+        cold[f.grid] = fourier(f).values.tobytes()
+    assert cold[narrow.grid] != cold[wide.grid]
+    for f in (narrow, wide, narrow, narrow, wide):
+        assert fourier(f).values.tobytes() == cold[f.grid]
+
+
+def test_kept_spectrum_dies_with_its_input():
+    f = _random(6)
+    fourier(f)
+    assert transforms._last[0]() is f.values
+    del f
+    gc.collect()
+    assert transforms._last is None
+
+
+def test_no_primitive_writes_into_the_kept_spectrum():
+    for f in (_random(7), SampledFunction(GRID, np.stack([_random(8).values] * 2))):
+        transforms._last = None
+        kept = transforms._forward(f)
+        before = kept.tobytes()
+        assert not kept.flags.writeable
+        for name, run in _spectral_primitives(f).items():
+            run()
+            assert transforms._last[2] is kept, name
+            assert kept.tobytes() == before, name
+        inverse_fourier(f)
+        hilbert(f, "line")
+        hilbert(f, "principal_value")
+        assert kept.tobytes() == before
+
+
+def test_kept_spectrum_serves_only_its_own_array_across_threads():
+    # threads share the one entry: a race may lose it, never hand one
+    # thread another's spectrum
+    grid = make_grid(8.0, 256)
+    inputs = [SampledFunction(grid, np.random.default_rng(k).standard_normal(256) + 0j)
+              for k in range(6)]
+    want = []
+    for f in inputs:
+        transforms._last = None
+        want.append((fourier(f).values.tobytes(), hilbert(f).values.tobytes()))
+    wrong, done = [], []
+
+    def work(k):
+        for _ in range(200):
+            got = fourier(inputs[k]).values.tobytes(), hilbert(inputs[k]).values.tobytes()
+            if got != want[k]:
+                wrong.append(k)
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(len(inputs))) and wrong == []
 
 
 def test_unitary_and_roundtrip():
