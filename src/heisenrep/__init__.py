@@ -20,7 +20,6 @@ from .grid import (
     GridSpec,
     SampledFunction,
     dual_grid,
-    inner,
     make_grid,
     norm,
     restrict_halfline,
@@ -46,7 +45,6 @@ __all__ = [
     "dual_grid",
     "fourier",
     "hilbert",
-    "inner",
     "inverse_fourier",
     "make_grid",
     "multiply",

@@ -128,37 +128,35 @@ class SampledFunction:
 
     values may have shape (..., N): a stack of functions on one grid, one per
     row.  The spectral primitives (fourier, inverse_fourier, spectral_multiply,
-    act, generator_apply) and norm work along the last axis; inner and the
-    moment functionals refuse a stack with GridMismatchError.
+    act, generator_apply) and norm work along the last axis; the moment
+    functionals refuse a stack with GridMismatchError.
 
-    values are read-only.  An array that is complex, read-only and owns its
-    data is taken as it is: the library hands over the fresh buffer each
-    primitive fills (see _adopt).  Any other input is copied, so a caller's
-    writeable array, a view or real samples never alias the result.  A
-    frozen complex array that owns its data is shared with the result and
-    must stay frozen: its owner can turn writing back on with setflags.
-    The spectral primitives rely on that: transforms._forward keeps the
-    spectrum of the values array it transformed last and hands it out again
-    for the same array.
+    values are read-only.  The constructor copies its input into a fresh
+    complex array, so no caller's array aliases the result, and refuses values
+    that are not complex numbers, not finite, or whose last axis is not N.  The
+    buffers the library's primitives fill are shared through _adopt instead.
     """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = self.values
-        if not (type(vals) is np.ndarray and vals.dtype == complex
-                and not vals.flags.writeable and vals.flags.owndata):
-            try:
-                vals = np.array(vals, dtype=complex)
-            except (TypeError, ValueError) as err:
-                raise ConfigurationError(f"values must be complex numbers: {err}") from None
+        try:
+            vals = np.array(self.values, dtype=complex)
+        except (TypeError, ValueError) as err:
+            raise ConfigurationError(f"values must be complex numbers: {err}") from None
         if vals.shape[-1:] != (self.grid.size,):
             raise GridMismatchError(
                 f"values shape {vals.shape} does not end in grid size {self.grid.size}"
             )
+        if not np.isfinite(vals).all():
+            raise ConfigurationError("values must be finite, got NaN or infinite samples")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    def __reduce__(self):
+        # pickled or copied, a function comes back through the constructor, read-only
+        return SampledFunction, (self.grid, self.values)
 
     # small immutable-vector algebra; enough for the operator expressions used here
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
@@ -179,10 +177,14 @@ class SampledFunction:
 
 
 def _adopt(grid: GridSpec, buf: np.ndarray) -> SampledFunction:
-    """SampledFunction on buf without a copy, when buf is a fresh complex
-    array that nothing else writes: it is marked read-only here."""
+    """SampledFunction on buf, shared without a copy or a check: buf is a fresh
+    complex array of shape (..., grid.size) that nothing else writes.  It is
+    marked read-only here, and __post_init__ does not run."""
     buf.setflags(write=False)
-    return SampledFunction(grid, buf)
+    f = object.__new__(SampledFunction)
+    object.__setattr__(f, "grid", grid)
+    object.__setattr__(f, "values", buf)
+    return f
 
 
 def _require_function(f) -> None:
@@ -192,6 +194,8 @@ def _require_function(f) -> None:
 
 
 def _check_same_grid(f: SampledFunction, g: SampledFunction) -> None:
+    _require_function(f)
+    _require_function(g)
     if f.grid != g.grid:
         raise GridMismatchError("operands live on different grids")
 
@@ -199,15 +203,9 @@ def _check_same_grid(f: SampledFunction, g: SampledFunction) -> None:
 def _require_single(*fs: SampledFunction) -> None:
     """Refuse a stack where one function is summed whole."""
     for f in fs:
+        _require_function(f)
         if f.values.ndim != 1:
             raise GridMismatchError(f"takes one function, got a stack of shape {f.values.shape}")
-
-
-def inner(f: SampledFunction, g: SampledFunction) -> complex:
-    """L^2 inner product dx * sum(conj(f) g); conjugate-linear in f."""
-    _check_same_grid(f, g)
-    _require_single(f, g)
-    return complex(f.grid.spacing * np.vdot(f.values, g.values))
 
 
 def norm(f: SampledFunction):
@@ -227,6 +225,7 @@ def restrict_halfline(f: SampledFunction, side: str) -> SampledFunction:
     The grid point x = 0 belongs to the plus half-line, so Q+ + Q- = I holds
     exactly on samples.
     """
+    _require_function(f)
     x = f.grid.points
     if side == "plus":
         mask = x >= 0
@@ -234,4 +233,4 @@ def restrict_halfline(f: SampledFunction, side: str) -> SampledFunction:
         mask = x < 0
     else:
         raise ConfigurationError(f"side must be 'plus' or 'minus', got {side!r}")
-    return SampledFunction(f.grid, np.where(mask, f.values, 0.0))
+    return _adopt(f.grid, np.where(mask, f.values, 0.0))

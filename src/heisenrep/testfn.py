@@ -32,7 +32,7 @@ from numpy.polynomial import polynomial as P
 from .errors import (
     CapabilityError, ConfigurationError, NotExactlyIntegrable, require_order, require_type,
 )
-from .grid import GridSpec, SampledFunction
+from .grid import GridSpec, SampledFunction, _adopt
 
 # midpoint-rule cells per support interval in exact_l1_norm
 L1_CELLS = 4096
@@ -242,7 +242,7 @@ def sample(tf: TestFunction, grid: GridSpec) -> SampledFunction:
         values = np.atleast_1d(evaluate(tf, grid.points))
     if not np.isfinite(values).all():
         raise ConfigurationError(f"{tf!r} has non-finite samples on the grid")
-    return SampledFunction(grid, values)
+    return _adopt(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +361,12 @@ def _affine_poly(coeffs, alpha: float, beta: float) -> np.ndarray:
 
 
 def to_piecewise(tf: TestFunction) -> PiecewisePoly:
-    """tf itself when it is a PiecewisePoly; every other descriptor has no
-    exact piecewise-polynomial form."""
+    """tf itself when it is a PiecewisePoly; a GaussianPoly has no exact
+    piecewise-polynomial form, and what is not a descriptor is refused."""
     if isinstance(tf, PiecewisePoly):
         return tf
+    if not isinstance(tf, GaussianPoly):
+        raise ConfigurationError(f"not a TestFunction descriptor: {tf!r}")
     raise NotExactlyIntegrable(
         f"{type(tf).__name__} has no exact piecewise-polynomial form; use quadrature"
     )

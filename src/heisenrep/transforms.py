@@ -58,9 +58,9 @@ def _forward(f: SampledFunction) -> np.ndarray:
     applies neither, and every nonzero component rounds as if it had, bit for bit.
 
     The last spectrum is kept, and returned without an FFT while its values array (the
-    same object) is transformed again on an equal grid.  That relies on the contract of
-    SampledFunction: its values array never changes, so a frozen array handed to it must
-    stay frozen.  The entry holds the array by a weak reference and goes when it dies."""
+    same object) is transformed again on an equal grid.  A values array is never written:
+    SampledFunction copies what a caller hands it, and _adopt takes only the fresh buffers
+    of the library.  The entry holds the array by a weak reference and goes when it dies."""
     global _last
     last = _last
     if last is not None and last[0]() is f.values and last[1] == f.grid:

@@ -7,10 +7,12 @@ import pytest
 
 from heisenrep import (
     ConfigurationError, GridMismatchError, GridSpec, SampledFunction, act, dual_grid,
-    fourier, hilbert, inner, inverse_fourier, make_grid, norm, proj_hardy, restrict_halfline,
+    fourier, hilbert, inverse_fourier, make_grid, norm, proj_hardy, restrict_halfline,
 )
-from heisenrep.grid import MAX_GRID_BYTES
+from heisenrep.grid import MAX_GRID_BYTES, _adopt
 from heisenrep.heisenberg import IDENTITY, generator_apply
+from heisenrep.psi import hardy_semigroup_step, pair_terms, psi_norm, tilde_norm, tilde_synthesize
+from heisenrep.schwartz import moment_orders, n_defect
 from heisenrep.transforms import spectral_multiply
 
 
@@ -99,6 +101,10 @@ def test_pickled_grid_does_not_carry_the_generator_table():
         assert back._i_points.tobytes() == tables[0].tobytes()
 
 
+# a function on the grid the refusal cases below are handed with their input
+_ONES = SampledFunction(make_grid(4.0, 8), np.ones(8))
+
+
 @pytest.mark.parametrize("call", [
     fourier, inverse_fourier, norm,
     lambda f: spectral_multiply(f, np.ones(8)),
@@ -111,8 +117,20 @@ def test_pickled_grid_does_not_carry_the_generator_table():
     lambda f: generator_apply("M", f),
     lambda f: generator_apply("D", f),
     lambda f: generator_apply("C", f),
+    lambda f: restrict_halfline(f, "plus"),
+    lambda f: next(moment_orders(f)),
+    lambda f: n_defect(f),
+    lambda f: psi_norm(f, f, 1),
+    lambda f: pair_terms(f, f),
+    lambda f: tilde_synthesize(f, f),
+    lambda f: tilde_norm(f, f, 1),
+    lambda f: tilde_norm(_ONES, f, 1),
+    lambda f: hardy_semigroup_step(f, [0.5]),
+    lambda f: _ONES + f,
 ], ids=["fourier", "inverse_fourier", "norm", "spectral_multiply", "hilbert",
-        "hilbert-line", "hilbert-pv", "proj_hardy", "act", "act-grid", "M", "D", "C"])
+        "hilbert-line", "hilbert-pv", "proj_hardy", "act", "act-grid", "M", "D", "C",
+        "restrict_halfline", "moment_orders", "n_defect", "psi_norm", "pair_terms",
+        "tilde_synthesize", "tilde_norm", "tilde_norm-second", "hardy_semigroup_step", "add"])
 def test_what_is_not_a_sampled_function_is_refused_typed(call):
     for thing in ("x", np.zeros(8), [1.0, 2.0], None, make_grid(4.0, 8)):
         with pytest.raises(ConfigurationError, match="takes a SampledFunction"):
@@ -161,6 +179,15 @@ def test_grid_pickles_without_caches():
         assert dual_grid(back.grid) == g
 
 
+def test_pickled_or_copied_function_stays_read_only():
+    g = make_grid(32.0, 64)
+    f = SampledFunction(g, np.exp(-g.points ** 2))
+    for back in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert back.values.tobytes() == f.values.tobytes() and back.values is not f.values
+        with pytest.raises(ValueError):
+            back.values[0] = 0.0
+
+
 def test_sampled_function_immutable():
     g = make_grid(4.0, 8)
     f = SampledFunction(g, np.ones(8))
@@ -185,20 +212,54 @@ def test_sampled_function_takes_only_a_frozen_complex_buffer():
     real = np.arange(8.0)
     real.setflags(write=False)
     assert SampledFunction(g, real).values.dtype == complex
-    # a complex, read-only array that owns its data is taken as it is, so it
-    # is shared: its owner may turn writing back on, and a write after that
-    # shows through; the caller keeps such an array frozen
+    # a complex, read-only array that owns its data is copied too: its owner
+    # may turn writing back on, and a write after that changes nothing
     frozen = np.arange(8, dtype=complex)
     frozen.setflags(write=False)
-    shared = SampledFunction(g, frozen)
-    assert shared.values is frozen
+    kept = SampledFunction(g, frozen)
+    assert kept.values is not frozen
     frozen.setflags(write=True)
     frozen[2] = 99.0
-    assert shared.values[2] == 99.0
+    assert kept.values[2] == 2.0
+    # only the library's _adopt shares a buffer, a fresh one it marks read-only
+    buf = np.arange(8, dtype=complex)
+    assert _adopt(g, buf).values is buf and not buf.flags.writeable
     # every result is read-only, the arithmetic's included
     h = SampledFunction(g, np.ones(8))
     for result in (h, h + h, h - h, 2.0 * h, -h):
         assert not result.values.flags.writeable
+
+
+def test_public_constructor_always_copies():
+    g = make_grid(4.0, 8)
+    complex_frozen = np.arange(16, dtype=complex).reshape(2, 8)
+    complex_frozen.setflags(write=False)
+    fortran = np.asfortranarray(np.ones((8, 8), dtype=complex))
+    fortran.setflags(write=False)
+    for a in (np.arange(8.0), np.arange(8), np.ones(8, dtype=complex), complex_frozen,
+              complex_frozen[1], fortran, np.ones(8, dtype=np.complex64)):
+        f = SampledFunction(g, a)
+        assert f.values is not a and not np.shares_memory(f.values, a)
+        assert f.values.dtype == complex and not f.values.flags.writeable
+        assert np.array_equal(f.values, a)
+    # a function's own values are copied as any other array
+    f = SampledFunction(g, np.ones(8))
+    assert SampledFunction(g, f.values).values is not f.values
+
+
+def test_sampled_function_refuses_non_finite_samples():
+    g = make_grid(4.0, 8)
+    stack = np.ones((3, 8))
+    stack[1, 5] = np.nan
+    for bad in (np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf)):
+        values = np.ones(8, dtype=complex)
+        values[3] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            SampledFunction(g, values)
+    with pytest.raises(ConfigurationError, match="finite"):
+        SampledFunction(g, stack)
+    with pytest.raises(ConfigurationError, match="finite"):
+        SampledFunction(g, [np.inf] * 8)
 
 
 def test_sampled_function_shape_check():
@@ -231,9 +292,6 @@ def test_inner_norm():
     g = make_grid(16.0, 1024)
     gauss = SampledFunction(g, np.exp(-g.points ** 2 / 2.0))
     assert abs(norm(gauss) ** 2 - np.sqrt(np.pi)) < 1e-12
-    assert abs(inner(gauss, gauss) - norm(gauss) ** 2) < 1e-12
-    # conjugate-linear in the first slot
-    assert abs(inner(gauss * 1j, gauss) - (-1j) * inner(gauss, gauss)) < 1e-12
 
 
 def test_restrict_halfline_partition():

@@ -18,7 +18,7 @@ import heisenrep.testfn
 import heisenrep.transforms
 from heisenrep.cli import build_parser, load_settings, main
 from heisenrep.errors import ClassMembershipError, ConfigurationError
-from heisenrep.grid import dual_grid
+from heisenrep.grid import SampledFunction, dual_grid
 from heisenrep.heisenberg import GroupElement
 from heisenrep.runner import report_json, run_all, run_suite
 from heisenrep.suites import CHECKS, SUITE_IDS, Recorder, SuiteConfig
@@ -645,6 +645,41 @@ def test_default_pass_fft_work(monkeypatch):
         "tilde-space": (15, 36),
         "semigroup-evolution": (20, 54),
         "conjugation": (102, 273),
+    }
+
+
+def test_default_pass_public_constructions(monkeypatch):
+    # pins the SampledFunction constructions of a warm default pass per suite
+    # that run the public constructor, each a copy and a finiteness scan of
+    # caller data; the library's own buffers go through grid._adopt, which
+    # does not run __post_init__ (1,444 constructions per pass ran it before)
+    run_all(SuiteConfig(suite=SUITE_IDS[0]))
+    counts = dict.fromkeys(SUITE_IDS, 0)
+    current = []
+    for suite_id, suite in list(heisenrep.suites.SUITES.items()):
+        def entered(cfg, rec, suite_id=suite_id, suite=suite):
+            current.append(suite_id)
+            suite(cfg, rec)
+        monkeypatch.setitem(heisenrep.suites.SUITES, suite_id, entered)
+    post_init = SampledFunction.__post_init__
+
+    def counted(f):
+        counts[current[-1]] += 1
+        post_init(f)
+
+    monkeypatch.setattr(SampledFunction, "__post_init__", counted)
+    run_all(SuiteConfig(suite=SUITE_IDS[0]))
+    assert counts == {
+        "group-axioms": 1,
+        "transforms": 19,
+        "paley-wiener": 2,
+        "generators": 0,
+        "norms": 0,
+        "appendix-a": 0,
+        "psi-invariance": 5,
+        "tilde-space": 2,
+        "semigroup-evolution": 25,
+        "conjugation": 0,
     }
 
 

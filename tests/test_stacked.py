@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from heisenrep import (
     GridMismatchError, GroupElement, PrecisionError, SampledFunction, act,
-    dual_grid, fourier, hilbert, inner, inverse_fourier, make_grid, norm, proj_hardy,
+    dual_grid, fourier, hilbert, inverse_fourier, make_grid, norm, proj_hardy,
 )
 from heisenrep import transforms
 from heisenrep.grid import per_chunk
 from heisenrep.heisenberg import _phase, generator_apply
+from heisenrep.psi import pair_terms
 from heisenrep.schwartz import (
     class_defects, generator_convergence, moment_orders, n_defect, norm_growth_check,
     seminorm_tower,
@@ -143,7 +144,7 @@ def test_sampled_function_refuses_a_last_axis_off_the_grid():
 def test_whole_sums_refuse_a_stack():
     f = _stack(GRIDS[0], 2, np.random.default_rng(6))
     single = _rows(f)[0]
-    for call in (lambda: inner(f, single), lambda: inner(single, f),
+    for call in (lambda: pair_terms(f, single), lambda: pair_terms(single, f),
                  lambda: next(moment_orders(f)), lambda: n_defect(f), lambda: class_defects(f)):
         with pytest.raises(GridMismatchError, match="takes one function"):
             call()

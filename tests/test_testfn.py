@@ -839,8 +839,14 @@ def test_piece_refuses_malformed_input():
     lambda: GaussianPoly(0.0, "a", (1.0,)),
     lambda: Piece(0.0, "a", 1.0, (1.0,)),
     lambda: Affine(CompactBump(0.0, 1.0, 3), rate="a"),
+    lambda: to_piecewise("x"),
+    lambda: Affine("x"),
+    lambda: Summed(["x"]),
+    lambda: exact_moment("x", 0),
+    lambda: exact_l2_norm("x"),
 ], ids=["sample", "evaluate", "support", "derivative", "annihilator-config",
-        "seminorm-sup", "certify-nminus", "gaussian-width", "piece-bound", "affine-rate"])
+        "seminorm-sup", "certify-nminus", "gaussian-width", "piece-bound", "affine-rate",
+        "to-piecewise", "affine", "summed", "exact-moment", "exact-l2-norm"])
 def test_what_is_not_a_descriptor_or_a_number_is_refused_typed(call):
     # neither a bare TypeError nor a traceback: a typed refusal, exit status 2
     with pytest.raises(ConfigurationError):

@@ -11,6 +11,7 @@ from heisenrep import (
     inverse_fourier, make_grid, norm, proj_hardy,
 )
 from heisenrep import transforms
+from heisenrep.grid import _adopt
 from heisenrep.heisenberg import GroupElement, act, generator_apply
 from heisenrep.testfn import GaussianPoly, sample
 from heisenrep.transforms import (
@@ -178,8 +179,7 @@ def test_kept_spectrum_changes_no_byte(size):
 def test_kept_spectrum_is_keyed_by_the_grid():
     # one values array on two grids of one size: each gets its own scale dx
     values = np.exp(-np.linspace(-4.0, 4.0, 64, endpoint=False) ** 2) + 0j
-    values.setflags(write=False)
-    narrow, wide = (SampledFunction(make_grid(hw, 64), values) for hw in (4.0, 8.0))
+    narrow, wide = (_adopt(make_grid(hw, 64), values) for hw in (4.0, 8.0))
     assert narrow.values is wide.values
     cold = {}
     for f in (narrow, wide):
@@ -188,6 +188,21 @@ def test_kept_spectrum_is_keyed_by_the_grid():
     assert cold[narrow.grid] != cold[wide.grid]
     for f in (narrow, wide, narrow, narrow, wide):
         assert fourier(f).values.tobytes() == cold[f.grid]
+
+
+def test_kept_spectrum_is_the_spectrum_of_the_values_held():
+    # the caller's frozen array is copied, so writing into it after a
+    # transform changes neither f nor the spectrum kept for f
+    values = _random(9).values.copy()
+    values.setflags(write=False)
+    f = SampledFunction(GRID, values)
+    kept = fourier(f).values.tobytes()
+    values.setflags(write=True)
+    values[:] = 0.0
+    assert norm(f) > 0.0
+    assert fourier(f).values.tobytes() == kept
+    transforms._last = None
+    assert fourier(f).values.tobytes() == kept
 
 
 def test_kept_spectrum_dies_with_its_input():
@@ -357,11 +372,9 @@ def test_hardy_projection_algebra():
     assert norm(plus + minus - f) < 1e-13 * norm(f)
     # the ranges are orthogonal on mean-free inputs; the zero-frequency bin
     # belongs half to each projection and would otherwise contribute
-    from heisenrep import inner
-    from heisenrep.heisenberg import generator_apply
     mf = generator_apply("D", f)
-    assert abs(inner(proj_hardy(mf, "plus"), proj_hardy(mf, "minus"))) \
-        < 1e-13 * norm(mf) ** 2
+    plus, minus = proj_hardy(mf, "plus").values, proj_hardy(mf, "minus").values
+    assert abs(mf.grid.spacing * np.vdot(plus, minus)) < 1e-13 * norm(mf) ** 2
 
 
 def test_hardy_projects_spectrum():
