@@ -167,8 +167,14 @@ class SampledFunction:
         _check_same_grid(self, other)
         return _adopt(self.grid, self.values - other.values)
 
-    def __mul__(self, scalar) -> "SampledFunction":
-        return _adopt(self.grid, self.values * scalar)
+    def __mul__(self, factor) -> "SampledFunction":
+        """values * factor: a finite number, or an array of them that broadcasts
+        against the values, to more rows too (a column of one factor per row)."""
+        numbers = np.asarray(factor)
+        if numbers.dtype.kind not in "biufc" or not np.isfinite(numbers).all():
+            raise ConfigurationError("a factor must be finite numbers, got NaN, inf or a non-number")
+        _require_broadcast(self, numbers)
+        return _adopt(self.grid, self.values * factor)
 
     __rmul__ = __mul__
 
@@ -200,6 +206,15 @@ def _check_same_grid(f: SampledFunction, g: SampledFunction) -> None:
         raise GridMismatchError("operands live on different grids")
 
 
+def _require_broadcast(f: SampledFunction, factor) -> None:
+    """Refuse a factor of f's values whose shape does not broadcast against theirs."""
+    try:
+        np.broadcast_shapes(np.shape(factor), f.values.shape)
+    except ValueError:
+        raise GridMismatchError(f"a factor of shape {np.shape(factor)} does not broadcast "
+                                f"against values of shape {f.values.shape}") from None
+
+
 def _require_single(*fs: SampledFunction) -> None:
     """Refuse a stack where one function is summed whole."""
     for f in fs:
@@ -213,10 +228,15 @@ def norm(f: SampledFunction):
     stack.  Each row is summed by np.linalg.norm on its own, so a row has the
     norm it has alone (a norm along an axis sums in another order)."""
     _require_function(f)
-    if f.values.ndim == 1:
-        return float(np.sqrt(f.grid.spacing) * np.linalg.norm(f.values))
-    rows = [np.linalg.norm(row) for row in f.values.reshape(-1, f.grid.size)]
-    return np.sqrt(f.grid.spacing) * np.reshape(rows, f.values.shape[:-1])
+    return _norm(f.values, f.grid.spacing)
+
+
+def _norm(values: np.ndarray, spacing: float):
+    """norm of samples `values` spaced `spacing` apart, held in a bare array."""
+    if values.ndim == 1:
+        return float(np.sqrt(spacing) * np.linalg.norm(values))
+    rows = [np.linalg.norm(row) for row in values.reshape(-1, values.shape[-1])]
+    return np.sqrt(spacing) * np.reshape(rows, values.shape[:-1])
 
 
 def restrict_halfline(f: SampledFunction, side: str) -> SampledFunction:

@@ -17,9 +17,14 @@ import numpy as np
 
 from . import testfn
 from .errors import CapabilityError, ConfigurationError, require_order
-from .grid import SampledFunction, _require_single, norm, per_chunk, restrict_halfline
+from .grid import (
+    GridSpec, SampledFunction, _norm, _require_single, dual_grid, norm, per_chunk,
+    restrict_halfline,
+)
 from .heisenberg import CHI1, CHI2, CHI3, GroupElement, act, element_from_lie, generator_apply
-from .transforms import _hardy_multipliers, fourier, inverse_fourier, spectral_multiply
+from .transforms import (
+    _forward, _hardy_multipliers, _spectrum, _synthesis, inverse_fourier, spectral_multiply,
+)
 
 # seminorm_sup scan: a Gaussian's half-window in units of its width, and the
 # point count of each scan
@@ -44,8 +49,11 @@ def seminorm_tower(f: SampledFunction, n: int) -> list:
     spectrum), and its norm is taken there, which Parseval allows.  A node
     is transformed only for its child of the other generator, so the tower
     makes 2^n - 1 transforms (7 at n = 3, where a spectral D in every word
-    made 14).  The values therefore agree with the plain recursion to
-    rounding, not bit for bit.  Order k is summed as
+    made 14), and the values agree with that plain recursion to rounding,
+    not bit for bit.  f is transformed by transforms._forward, so an f just
+    transformed costs one FFT less and its spectrum stays kept; the inner
+    nodes are buffers private to the tower, transformed without the memo
+    and overwritten by their children (see _node_sq).  Order k is summed as
     ||Mf||_{k-1}^2 + ||Df||_{k-1}^2 + ||f||_{k-1}^2, the recursion's order.
     Spectral differentiation amplifies rounding roughly by N per order,
     so orders beyond TOWER_MAX_ORDER are refused rather than silently noisy.
@@ -54,25 +62,52 @@ def seminorm_tower(f: SampledFunction, n: int) -> list:
     require_order("seminorm order", n)
     if n > TOWER_MAX_ORDER:
         raise CapabilityError(f"seminorm order {n} exceeds TOWER_MAX_ORDER {TOWER_MAX_ORDER}")
-    return [np.sqrt(sq) for sq in _tower_sq(f, n)]
-
-
-def _tower_sq(node: SampledFunction, n: int, spectral: bool = False) -> list:
-    """Squared orders 0..n of a node held on f's grid, or on its dual when
-    `spectral`.  There the node's own generator is M of the grid that holds
-    it, i times its points: M itself on f's grid, the image of D on the dual."""
     # libm's pow, as Python's ** takes a float: ** 2 on an array multiplies,
     # which rounds otherwise in about 1 square in 1,200
-    sq = [np.float_power(norm(node), 2)]
+    sq = [np.float_power(norm(f), 2)]
     if n > 0:
-        same = _tower_sq(generator_apply("M", node), n - 1, spectral)
-        # the switch waits until the same-domain subtree has returned, and
-        # only the node and its switched child are held below it
-        switch = inverse_fourier if spectral else fourier
-        other = _tower_sq(generator_apply("M", switch(node)), n - 1, not spectral)
-        for k in range(n):
-            sq.append(same[k] + other[k] + sq[k])
+        grid, dual = f.grid, dual_grid(f.grid)
+        # one block for the call: a buffer per level below f, in which each
+        # node's children are written (see _node_sq)
+        levels = np.empty((n,) + f.values.shape, dtype=complex)
+        other = _node_sq(np.multiply(dual._i_points, _forward(f), out=levels[0]),
+                         levels[1:], n - 1, dual, True)
+        same = _node_sq(np.multiply(grid._i_points, f.values, out=levels[0]),
+                        levels[1:], n - 1, grid, False)
+        _sum_orders(sq, same, other)
+    return [np.sqrt(order) for order in sq]
+
+
+def _node_sq(node: np.ndarray, below: np.ndarray, n: int, grid: GridSpec, spectral: bool) -> list:
+    """Squared orders 0..n of an inner node: samples on `grid` in a buffer of
+    the tower's, which this call overwrites, as it does the n buffers `below`.
+    A node on the dual grid (`spectral`) is held in _forward's frame, without
+    fourier's post-twiddle: a sign per bin, so its norms are the same bit
+    for bit, i*y commutes with it, and its transform back skips _backward's
+    pre-twiddle.  Both children are i times the points of the grid that
+    holds them (M on f's grid, the image of D on the dual), written in
+    place: first the other-domain child, into the next level's buffer as the
+    node is transformed there, then the same-domain child, into the node's
+    own buffer.  One block per call, rather than a fresh buffer per child,
+    keeps glibc from trimming the top of the heap, and faulting its pages in
+    again, each time the recursion unwinds."""
+    sq = [np.float_power(_norm(node, grid.spacing), 2)]
+    if n > 0:
+        to = dual_grid(grid)
+        child = (_synthesis if spectral else _spectrum)(node, grid, out=below[0])
+        other = _node_sq(np.multiply(to._i_points, child, out=child), below[1:], n - 1,
+                         to, not spectral)
+        same = _node_sq(np.multiply(grid._i_points, node, out=node), below, n - 1,
+                        grid, spectral)
+        _sum_orders(sq, same, other)
     return sq
+
+
+def _sum_orders(sq: list, same: list, other: list) -> None:
+    """Append orders 1..n to [||f||_0^2] from the same- and other-domain
+    children's orders 0..n-1, as ||Mf||^2 + ||Df||^2 + ||f||^2."""
+    for k in range(len(same)):
+        sq.append(same[k] + other[k] + sq[k])
 
 
 # one-parameter subgroups matched to their infinitesimal generators:

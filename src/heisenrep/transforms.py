@@ -11,8 +11,10 @@ Every spectral primitive is built from two half-transforms: _forward, the
 spectrum of f's values, and _backward, a multiplier and the inverse
 transform.  _forward keeps the one spectrum it made last, read-only, for as
 long as the values array it came from lives, so operators applied in turn
-to one f (act, the Hilbert multiplier, proj_hardy, D, fourier) transform it
-once.
+to one f (act, the Hilbert multiplier, proj_hardy, D, fourier, the seminorm
+tower) transform it once.  Their transforms, _spectrum and _synthesis, also
+serve the seminorm tower's inner nodes, buffers it alone holds, which stay
+out of the memo so that the spectrum kept of its input survives the tower.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import GridSpec, SampledFunction, _adopt, _require_function, dual_grid
+from .grid import (
+    GridSpec, SampledFunction, _adopt, _require_broadcast, _require_function, dual_grid,
+)
 
 # zero-padding factor of the line Hilbert route
 LINE_PADDING = 16
@@ -53,7 +57,7 @@ _last = None
 
 
 def _forward(f: SampledFunction) -> np.ndarray:
-    """The rows of fourier(f) before its post-twiddle, fft(alt * values) scaled, read-only.
+    """The rows of fourier(f) before its post-twiddle, _spectrum(f.values, f.grid) read-only.
     alt is +-1, so that post-twiddle and _backward's pre-twiddle cancel: a multiplier
     applies neither, and every nonzero component rounds as if it had, bit for bit.
 
@@ -65,11 +69,19 @@ def _forward(f: SampledFunction) -> np.ndarray:
     last = _last
     if last is not None and last[0]() is f.values and last[1] == f.grid:
         return last[2]
-    buf = np.multiply(_alternating_signs(f.grid.size), f.values)
-    np.fft.fft(buf, out=buf)
-    buf *= f.grid.spacing / np.sqrt(2.0 * np.pi)
+    buf = _spectrum(f.values, f.grid)
     buf.setflags(write=False)
     _last = (weakref.ref(f.values, _forget), f.grid, buf)
+    return buf
+
+
+def _spectrum(values: np.ndarray, grid: GridSpec, out=None) -> np.ndarray:
+    """fft(alt * values) scaled, of samples on `grid`, written into out, or a fresh
+    buffer when out is None: the FFT half of _forward, which neither reads nor fills
+    the memo."""
+    buf = np.multiply(_alternating_signs(grid.size), values, out=out)
+    np.fft.fft(buf, out=buf)
+    buf *= grid.spacing / np.sqrt(2.0 * np.pi)
     return buf
 
 
@@ -83,13 +95,19 @@ def _forget(ref: weakref.ref) -> None:
 
 
 def _backward(mult, spec: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """alt * ifft(mult * spec) scaled, on samples of `grid`, in a fresh buffer: the unscaled
-    backward FFT, conj . fft . conj bit for bit up to the sign of zeros."""
+    """alt * ifft(mult * spec) scaled, of a spectrum on `grid`, in a fresh buffer: the
+    unscaled backward FFT, conj . fft . conj bit for bit up to the sign of zeros."""
     buf = np.multiply(mult, spec)
-    np.fft.ifft(buf, out=buf, norm="forward")
-    np.multiply(_alternating_signs(grid.size), buf, out=buf)
-    buf *= grid.spacing / np.sqrt(2.0 * np.pi)
-    return buf
+    return _synthesis(buf, grid, out=buf)
+
+
+def _synthesis(spec: np.ndarray, grid: GridSpec, out: np.ndarray) -> np.ndarray:
+    """alt * ifft(spec) scaled, of a spectrum on `grid` held in _forward's frame (without
+    fourier's post-twiddle), written into out, which may be spec."""
+    np.fft.ifft(spec, out=out, norm="forward")
+    np.multiply(_alternating_signs(grid.size), out, out=out)
+    out *= grid.spacing / np.sqrt(2.0 * np.pi)
+    return out
 
 
 @cache
@@ -111,6 +129,7 @@ def spectral_multiply(f: SampledFunction, mult) -> SampledFunction:
     under FMA.
     """
     _require_function(f)
+    _require_broadcast(f, mult)
     return _adopt(f.grid, _backward(mult, _forward(f), dual_grid(f.grid)))
 
 

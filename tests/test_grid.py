@@ -12,7 +12,10 @@ from heisenrep import (
 from heisenrep.grid import MAX_GRID_BYTES, _adopt
 from heisenrep.heisenberg import IDENTITY, generator_apply
 from heisenrep.psi import hardy_semigroup_step, pair_terms, psi_norm, tilde_norm, tilde_synthesize
-from heisenrep.schwartz import moment_orders, n_defect
+from heisenrep.schwartz import (
+    class_defects, generator_convergence, moment_orders, n_defect, norm_growth_check,
+    seminorm_iter, seminorm_tower,
+)
 from heisenrep.transforms import spectral_multiply
 
 
@@ -127,10 +130,17 @@ _ONES = SampledFunction(make_grid(4.0, 8), np.ones(8))
     lambda f: tilde_norm(_ONES, f, 1),
     lambda f: hardy_semigroup_step(f, [0.5]),
     lambda f: _ONES + f,
+    lambda f: seminorm_tower(f, 1),
+    lambda f: seminorm_iter(f, 1),
+    lambda f: generator_convergence("M", f, [0.5]),
+    lambda f: norm_growth_check(IDENTITY, f, 1),
+    lambda f: class_defects(f),
 ], ids=["fourier", "inverse_fourier", "norm", "spectral_multiply", "hilbert",
         "hilbert-line", "hilbert-pv", "proj_hardy", "act", "act-grid", "M", "D", "C",
         "restrict_halfline", "moment_orders", "n_defect", "psi_norm", "pair_terms",
-        "tilde_synthesize", "tilde_norm", "tilde_norm-second", "hardy_semigroup_step", "add"])
+        "tilde_synthesize", "tilde_norm", "tilde_norm-second", "hardy_semigroup_step", "add",
+        "seminorm_tower", "seminorm_iter", "generator_convergence", "norm_growth_check",
+        "class_defects"])
 def test_what_is_not_a_sampled_function_is_refused_typed(call):
     for thing in ("x", np.zeros(8), [1.0, 2.0], None, make_grid(4.0, 8)):
         with pytest.raises(ConfigurationError, match="takes a SampledFunction"):
@@ -260,6 +270,28 @@ def test_sampled_function_refuses_non_finite_samples():
         SampledFunction(g, stack)
     with pytest.raises(ConfigurationError, match="finite"):
         SampledFunction(g, [np.inf] * 8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_arithmetic_refuses_a_factor_that_is_not_finite_or_does_not_broadcast():
+    # refused before numpy multiplies, so no RuntimeWarning and no NaN function
+    g = make_grid(4.0, 8)
+    f = SampledFunction(g, np.ones(8))
+    column = np.ones((3, 1))
+    column[1] = np.nan
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), column, 10 ** 400, "x", None, f):
+        with pytest.raises(ConfigurationError, match="finite numbers"):
+            f * bad
+        with pytest.raises(ConfigurationError, match="finite numbers"):
+            bad * f
+    for call in (lambda: f * np.ones(3), lambda: spectral_multiply(f, np.ones(3)),
+                 lambda: SampledFunction(g, np.ones((2, 8))) * np.ones((3, 8))):
+        with pytest.raises(GridMismatchError, match="does not broadcast"):
+            call()
+    # a column of factors makes a stack, one row per factor, as a stacked multiplier does
+    assert (f * np.arange(1.0, 4.0)[:, None]).values.tobytes() == (
+        np.arange(1.0, 4.0)[:, None] * np.ones(8, dtype=complex)).tobytes()
+    assert spectral_multiply(f, np.ones((3, 8))).values.shape == (3, 8)
 
 
 def test_sampled_function_shape_check():

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-import heisenrep.schwartz
-from heisenrep import SampledFunction, dual_grid, fourier, make_grid, proj_hardy
+from heisenrep import (
+    SampledFunction, dual_grid, fourier, inverse_fourier, make_grid, norm, proj_hardy, transforms,
+)
 from heisenrep.errors import CapabilityError, ConfigurationError
+from heisenrep.heisenberg import generator_apply
 from heisenrep.psi import certify_nminus, psi_norm
 from heisenrep.schwartz import (
-    class_defects, moment_orders, n_defect, seminorm_iter, seminorm_sup, seminorm_tower,
+    TOWER_MAX_ORDER, class_defects, moment_orders, n_defect, seminorm_iter, seminorm_sup,
+    seminorm_tower,
 )
 from heisenrep.testfn import (
     Affine, CompactBump, GaussianPoly, Summed, Translated, derivative, sample,
@@ -30,37 +33,84 @@ def test_seminorm_gaussian_oracle(n):
 
 
 def test_seminorm_tower_applies_each_word_once(monkeypatch):
-    # every word in {M, D}^{<=n} is one generator_apply("M", .) on the grid
-    # that holds the node (the image of D on the dual grid), and a node is
-    # transformed only for its child of the other generator: 2^n - 1
-    # transforms, each through schwartz.fourier or schwartz.inverse_fourier
-    transforms, products = [], []
-    apply = heisenrep.schwartz.generator_apply
+    # every word in {M, D}^{<=n} is one product by the table i*x of the grid
+    # that holds the node (on the dual grid, i*y: the image of D), and a node
+    # is transformed only for its child of the other generator: 2^n - 1 numpy
+    # FFTs from a cold memo, one fewer when f was just transformed, since f's
+    # own spectrum is the one transforms._forward keeps
+    dual = dual_grid(GRID)
+    tables = {id(GRID._i_points): GRID, id(dual._i_points): dual}
+    ffts, products = [], []
+    multiply = np.multiply
 
-    def counted(transform):
-        def counting(f):
-            transforms.append(f.grid)
-            return transform(f)
-        return counting
+    def counting_products(a, *args, **kwargs):
+        if id(a) in tables:
+            products.append(tables[id(a)])
+        return multiply(a, *args, **kwargs)
 
-    def counting_products(gen, f):
-        assert gen == "M"
-        products.append(f.grid)
-        return apply(gen, f)
+    for name in ("fft", "ifft"):
+        def counting(a, *args, transform=getattr(np.fft, name), **kwargs):
+            ffts.append(name)
+            return transform(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    monkeypatch.setattr(np, "multiply", counting_products)
+    counts = {}
+    for warm in (False, True):
+        counts[warm] = []
+        for n in range(4):
+            transforms._last = None
+            if warm:
+                fourier(GAUSS)
+            ffts.clear()
+            products.clear()
+            assert len(seminorm_tower(GAUSS, n)) == n + 1
+            assert len(products) == 2 ** (n + 1) - 2
+            # a node leaves f's grid only for the dual, and comes back to f's grid
+            assert set(products) == ({GRID, dual} if n else set())
+            counts[warm].append(len(ffts))
+    assert counts == {False: [0, 1, 3, 7], True: [0, 0, 2, 6]}
 
-    for name in ("fourier", "inverse_fourier"):
-        monkeypatch.setattr(heisenrep.schwartz, name, counted(getattr(heisenrep.schwartz, name)))
-    monkeypatch.setattr(heisenrep.schwartz, "generator_apply", counting_products)
-    counts = []
-    for n in range(4):
-        transforms.clear()
-        products.clear()
-        assert len(seminorm_tower(GAUSS, n)) == n + 1
-        assert len(products) == 2 ** (n + 1) - 2
-        # a node leaves f's grid only for the dual, and comes back to f's grid
-        assert set(transforms + products) <= {GRID, dual_grid(GRID)}
-        counts.append(len(transforms))
-    assert counts == [0, 1, 3, 7]
+
+def _reference_tower_sq(node, n, spectral=False):
+    """The tower as a plain recursion of the public primitives: each node a
+    SampledFunction, each product generator_apply("M", .), each switch of
+    domain fourier or inverse_fourier."""
+    sq = [np.float_power(norm(node), 2)]
+    if n > 0:
+        same = _reference_tower_sq(generator_apply("M", node), n - 1, spectral)
+        switch = inverse_fourier if spectral else fourier
+        other = _reference_tower_sq(generator_apply("M", switch(node)), n - 1, not spectral)
+        for k in range(n):
+            sq.append(same[k] + other[k] + sq[k])
+    return sq
+
+
+@pytest.mark.parametrize("size", [4, 64, 1024, 2 ** 14])
+def test_seminorm_tower_matches_the_plain_recursion_bit_for_bit(size):
+    # the tower's private buffers, its nodes held in _forward's frame and its
+    # root read through the memo change no byte of any order, from a cold memo
+    # or from one holding f's spectrum; f and its kept spectrum stay as they were
+    grid = make_grid(16.0, size)
+    rng = np.random.default_rng(size)
+    stack = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
+    stack[1] = 0.0
+    for values in (stack[0], stack, np.zeros(size), np.zeros((2, size))):
+        f = SampledFunction(grid, values)
+        before = f.values.tobytes()
+        want = [np.sqrt(sq).tobytes() for sq in _reference_tower_sq(f, TOWER_MAX_ORDER)]
+        for n in range(TOWER_MAX_ORDER + 1):
+            for warm in (False, True):
+                transforms._last = None
+                kept = transforms._forward(f) if warm else None
+                got = seminorm_tower(f, n)
+                assert [np.asarray(order).tobytes() for order in got] == want[:n + 1]
+                assert f.values.tobytes() == before
+                if warm or n:
+                    assert transforms._last[0]() is f.values
+                    assert transforms._last[2].tobytes() == transforms._spectrum(
+                        f.values, grid).tobytes()
+                if warm:
+                    assert transforms._last[2] is kept
 
 
 def _gaussian_poly_tower_sq(center, width, coefficients, n):
